@@ -9,9 +9,10 @@
 //! retry budget, fsync policy), so a flag means the same thing in both
 //! modes.
 
-use crate::journal::{Fnv64, FsyncPolicy};
+use crate::journal::FsyncPolicy;
 use crate::pipeline::Strategy;
 use fisql_llm::{FaultConfig, FaultyBackend, ResilienceConfig, Resilient, SimLlm};
+use fisql_sqlkit::Fnv64;
 use std::path::PathBuf;
 
 /// A configuration parse or validation failure, rendered for the CLI.
@@ -87,8 +88,6 @@ pub struct EvalConfig {
     pub fault_rate: f64,
     /// Resilience attempts per backend call.
     pub retry_budget: u32,
-    /// Run the static equivalence oracle (on by default).
-    pub static_oracle: bool,
     /// Run the feedback-conformance gate.
     pub conformance_gate: bool,
     /// Serve repeated semantically-equivalent executions from the
@@ -115,7 +114,6 @@ impl Default for EvalConfig {
             workers: 0,
             fault_rate: 0.0,
             retry_budget: 3,
-            static_oracle: true,
             conformance_gate: false,
             semantic_cache: true,
             journal: None,
@@ -139,7 +137,6 @@ impl EvalConfig {
                 None => FaultConfig::from_env().map_or(0.0, |c| c.total_rate()),
             },
             retry_budget: flag_value(args, "--retry-budget")?.unwrap_or(3),
-            static_oracle: !switch(args, "--no-static-oracle"),
             conformance_gate: switch(args, "--conformance-gate"),
             semantic_cache: !switch(args, "--no-semantic-cache"),
             journal: flag_value::<String>(args, "--journal")?.map(PathBuf::from),
@@ -612,7 +609,6 @@ mod tests {
             "0.2",
             "--retry-budget",
             "5",
-            "--no-static-oracle",
             "--conformance-gate",
             "--no-semantic-cache",
             "--journal",
@@ -628,7 +624,6 @@ mod tests {
         assert_eq!(config.workers, 4);
         assert!((config.fault_rate - 0.2).abs() < 1e-12);
         assert_eq!(config.retry_budget, 5);
-        assert!(!config.static_oracle);
         assert!(config.conformance_gate);
         assert!(!config.semantic_cache);
         assert_eq!(

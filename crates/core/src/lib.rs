@@ -48,6 +48,7 @@ pub use assistant::{Assistant, AssistantTurn};
 pub use config::{chaos_stack, ConfigError, EvalConfig, LoadConfig, ServeConfig};
 pub use experiment::{zero_shot_report, AnnotatedCase, CorrectionReport, ErrorCase};
 pub use explain::{explain_query, reformulate};
+pub use fisql_llm::CacheStats;
 pub use interpret::{interpret, interpret_candidates, Candidate, Interpretation};
 pub use journal::{FsyncPolicy, RunJournal};
 pub use pipeline::{
@@ -59,7 +60,7 @@ pub use runner::{
     run_fingerprint, workers_from_env, CaseOutcome, CaseVerdict, CorrectionRun, ExperimentConfig,
     RunMetrics,
 };
-pub use semcache::{CacheStats, SemanticCache};
+pub use semcache::SemanticCache;
 pub use serve::{
     run_chaos, run_load, ChaosBehavior, ChaosConfig, ChaosReport, ClientTurn, Connected,
     LoadReport, ServeClient, ServeSummary, Server, ServerHandle, ServerStats, SessionStore,

@@ -62,13 +62,15 @@
 
 use crate::assistant::Assistant;
 use crate::experiment::{build_view, build_view_with, AnnotatedCase, CorrectionReport, ErrorCase};
-use crate::journal::{Fnv64, FsyncPolicy, RunJournal};
+use crate::journal::{FsyncPolicy, RunJournal};
 use crate::pipeline::{try_incorporate, IncorporateContext, Strategy};
 use crate::semcache::SemanticCache;
 use fisql_feedback::SimUser;
-use fisql_llm::{cache, AgreementStats, FallibleLanguageModel, ResilienceStats, SimLlm};
-use fisql_spider::{check_prediction, check_prediction_with, Corpus, Verdict};
-use fisql_sqlkit::{normalize_query, print_query, print_query_spanned};
+use fisql_llm::{
+    cache, AgreementStats, CacheStats, FallibleLanguageModel, ResilienceStats, SimLlm,
+};
+use fisql_spider::{check_prediction, Corpus, Verdict};
+use fisql_sqlkit::{normalize_query, print_query, print_query_spanned, Fnv64};
 use serde::{Deserialize, Serialize};
 use std::io;
 use std::path::Path;
@@ -95,13 +97,6 @@ pub struct ExperimentConfig {
     pub workers: usize,
     /// Demonstrations retrieved per prompt for error collection.
     pub demos_k: usize,
-    /// Static equivalence oracle: skip the engine correctness check when
-    /// a candidate is provably equivalent to a query this case already
-    /// executed and found incorrect (counts into
-    /// `executions_skipped_static`). Sound by construction — the oracle
-    /// only ever reuses verdicts of queries that executed without error.
-    #[serde(default = "default_true")]
-    pub static_oracle: bool,
     /// Feedback-conformance gate in the incorporation pipeline (see
     /// [`crate::pipeline::ConformanceReport`]).
     #[serde(default)]
@@ -140,7 +135,6 @@ impl Default for ExperimentConfig {
             seed: 0xF15C,
             workers: workers_from_env(),
             demos_k: 3,
-            static_oracle: default_true(),
             conformance_gate: false,
             case_deadline_ms: None,
             semantic_cache: default_true(),
@@ -213,7 +207,7 @@ pub struct RunMetrics {
 impl RunMetrics {
     /// Cache hits as a fraction of all cache lookups during the run.
     pub fn cache_hit_rate(&self) -> f64 {
-        cache::CacheStats {
+        CacheStats {
             hits: self.cache_hits,
             misses: self.cache_misses,
         }
@@ -222,7 +216,7 @@ impl RunMetrics {
 
     /// Semantic result-cache hits as a fraction of all lookups.
     pub fn semantic_cache_hit_rate(&self) -> f64 {
-        crate::semcache::CacheStats {
+        CacheStats {
             hits: self.executions_skipped_cache,
             misses: self.semantic_cache_misses,
         }
@@ -233,7 +227,7 @@ impl RunMetrics {
         workers: usize,
         n_cases: usize,
         started: Instant,
-        before: cache::CacheStats,
+        before: CacheStats,
         engine_executions: u64,
         resilience: ResilienceStats,
     ) -> RunMetrics {
@@ -377,12 +371,6 @@ impl<'a, L: FallibleLanguageModel + ?Sized> CorrectionRun<'a, L> {
     /// Sets the demonstrations-per-prompt for error collection.
     pub fn demos_k(mut self, demos_k: usize) -> Self {
         self.cfg.demos_k = demos_k;
-        self
-    }
-
-    /// Enables or disables the static equivalence oracle.
-    pub fn static_oracle(mut self, on: bool) -> Self {
-        self.cfg.static_oracle = on;
         self
     }
 
@@ -730,16 +718,9 @@ impl<'a, L: FallibleLanguageModel + ?Sized> CorrectionRun<'a, L> {
         let mut current = normalize_query(&case.error.initial);
         let mut question = example.question.clone();
         let mut verdict = CaseVerdict::default();
-
-        // Equivalence-oracle memo: normalized queries this case already
-        // executed and found *incorrect* (but executable — execution
-        // errors are never memoized, so a memo hit proves the candidate
-        // would produce the same wrong result). The initial prediction
-        // seeds it: the case exists because that query was wrong.
-        let mut known_incorrect: Vec<fisql_sqlkit::Query> = Vec::new();
-        if self.cfg.static_oracle && !case.error.execution_error {
-            known_incorrect.push(current.clone());
-        }
+        // The initial prediction seeds the refuted lane: the case exists
+        // because that query was wrong.
+        semcache.begin_case((!case.error.execution_error).then_some(&current));
 
         for round in 0..self.cfg.rounds {
             // Heartbeat plus stall checks at every round boundary: the
@@ -829,41 +810,22 @@ impl<'a, L: FallibleLanguageModel + ?Sized> CorrectionRun<'a, L> {
             current = step.query;
             question = step.question;
 
-            // Equivalence oracle: a candidate canonically equivalent to
-            // a query this case already executed-and-found-incorrect
-            // must produce the same (wrong) result — skip both engine
-            // runs of the correctness check. Only analyzer-clean
-            // candidates are eligible: a gate error means the query may
-            // not execute at all, and the memo's verdicts only transfer
-            // to executions. (`canonically_equivalent` subsumes the
-            // pre-canon `provably_equivalent` check, so this strictly
-            // grows the skip set.)
-            if self.cfg.static_oracle
-                && !step.gate.has_errors()
-                && known_incorrect
-                    .iter()
-                    .any(|q| fisql_sqlkit::canonically_equivalent(q, &current))
-            {
+            // The correctness check (predicted + gold) goes through the
+            // cache's execution gate. A candidate canonically equivalent
+            // to a query this case already refuted is answered without
+            // the engine; otherwise both executions route through the
+            // semantic lane, and the logical counter is charged whether
+            // or not they hit, so reports stay cache-invariant.
+            let Some(check) =
+                semcache.check_prediction(db, example, &current, !step.gate.has_errors())
+            else {
                 verdict.executions_skipped_static += 2;
                 continue;
-            }
-
-            // Both the gold and the predicted execution route through
-            // the semantic lane; the logical counter is charged
-            // unconditionally so reports stay cache-invariant.
-            verdict.engine_executions += 2; // correctness check runs predicted + gold
-            let check = check_prediction_with(db, example, &current, |db, q| {
-                semcache.execute_semantic(db, q)
-            });
+            };
+            verdict.engine_executions += 2;
             if check.is_correct() {
                 verdict.corrected_at = Some(round);
                 break;
-            }
-            if self.cfg.static_oracle
-                && !step.gate.has_errors()
-                && !matches!(check, Verdict::ExecutionError { .. })
-            {
-                known_incorrect.push(current.clone());
             }
         }
         CaseOutcome::Completed(verdict)
@@ -1136,7 +1098,7 @@ mod tests {
         if !annotated.is_empty() {
             assert!(report.metrics.cases_per_sec > 0.0);
             // Every case's correctness check either ran (2 executions)
-            // or was skipped by the static equivalence oracle.
+            // or was answered by the semantic cache's refuted lane.
             assert!(
                 report.metrics.engine_executions + report.executions_skipped_static
                     >= 2 * annotated.len() as u64
@@ -1148,34 +1110,35 @@ mod tests {
     }
 
     #[test]
-    fn oracle_skips_executions_without_changing_verdicts() {
+    fn refuted_lane_skips_fire_and_are_worker_count_invariant() {
         let (corpus, llm, user) = small_setup();
         let run = CorrectionRun::new(&corpus, &llm, &user)
             .demos_k(3)
-            .rounds(2)
-            .workers(1);
-        let errors = run.collect_errors();
-        let annotated = run.annotate(&errors);
+            .rounds(2);
+        let errors = run.workers(1).collect_errors();
+        let annotated = run.workers(1).annotate(&errors);
         assert!(!annotated.is_empty());
 
-        let with_oracle = run.static_oracle(true).run(&annotated);
-        let without = run.static_oracle(false).run(&annotated);
-        assert_eq!(without.executions_skipped_static, 0);
+        let serial = run.workers(1).run(&annotated);
         assert!(
-            with_oracle.executions_skipped_static > 0,
-            "expected at least one statically skipped execution"
+            serial.executions_skipped_static > 0,
+            "expected at least one refuted candidate"
         );
-        // Soundness: skipping executions must not change any verdict.
-        assert_eq!(
-            with_oracle.corrected_after_round,
-            without.corrected_after_round
-        );
-        assert_eq!(with_oracle.statically_flagged, without.statically_flagged);
-        // The oracle really avoided engine work.
-        assert_eq!(
-            with_oracle.metrics.engine_executions + with_oracle.executions_skipped_static,
-            without.metrics.engine_executions
-        );
+        // The lane is per case, so which candidates it refutes cannot
+        // depend on which cases share a worker — nor on the result lanes.
+        let serial_json = serde_json::to_string(&serial).unwrap();
+        for (workers, cache) in [(2, true), (8, true), (8, false)] {
+            let sharded = run.workers(workers).semantic_cache(cache).run(&annotated);
+            assert_eq!(
+                serde_json::to_string(&sharded).unwrap(),
+                serial_json,
+                "report diverged at {workers} workers (cache {cache})"
+            );
+            assert_eq!(
+                sharded.metrics.engine_executions,
+                serial.metrics.engine_executions
+            );
+        }
     }
 
     #[test]

@@ -1,11 +1,31 @@
-//! Semantic result cache keyed by `(db_fingerprint, canon_fingerprint)`.
+//! Semantic result cache keyed by `(db_fingerprint, canon_fingerprint)`,
+//! and the one gate that decides whether a correctness check executes.
 //!
 //! Correction runs execute the same SQL over and over: the gold query of
 //! a case re-executes every round, candidate repairs are dense with
 //! semantically-equal spellings, and serve sessions re-render the same
 //! prediction grid after every feedback turn. [`SemanticCache`] turns
-//! those repeats into hash lookups with two lanes:
+//! those repeats into hash lookups with three lanes:
 //!
+//! * the **refuted lane** answers a correctness check without running it
+//!   at all. It holds, per case, the keys of queries the case already
+//!   executed and found *incorrect* (seeded with the case's initial
+//!   prediction, which is why the case exists). A candidate whose key is
+//!   in the set must produce the same wrong result, so
+//!   [`check_prediction`](SemanticCache::check_prediction) skips both
+//!   engine runs. Each query has up to two keys, and together they
+//!   reproduce [`canonically_equivalent`](fisql_sqlkit::canonically_equivalent)
+//!   exactly: its canonical fingerprint (equal canonical forms), and —
+//!   when [`flow::provably_empty`](fisql_sqlkit::provably_empty) proves
+//!   the normalized query empty with a known
+//!   [`output_arity`](fisql_sqlkit::output_arity) — that arity (two empty
+//!   results of one width compare equal). Only analyzer-clean candidates
+//!   consult or extend the lane, and `ExecutionError` verdicts are never
+//!   recorded: rewrites may erase an erroring subexpression, so a
+//!   refutation only transfers between queries that cannot error. The
+//!   lane is cleared by [`begin_case`](SemanticCache::begin_case) and
+//!   runs whether or not the result lanes are enabled, so skip counts
+//!   never depend on cache state or on which cases share a worker;
 //! * the **semantic lane** serves correctness checks
 //!   ([`check_prediction`](fisql_spider::check_prediction)-shaped
 //!   executions under unlimited budgets). It is keyed by the canonical
@@ -15,10 +35,7 @@
 //!   fingerprints ⇒ identical engine results) and the analyzer-agreement
 //!   property (analyzer-clean queries execute without error) — the lane
 //!   therefore only serves or stores analyzer-clean queries and `Ok`
-//!   results, exactly the gate the PR 4 static oracle established for
-//!   rewrite-based reasoning (rewrites may erase an erroring
-//!   subexpression, so error behaviour is only preserved on queries that
-//!   cannot error);
+//!   results, the same gate the refuted lane applies;
 //! * the **exact lane** serves user-visible renders (view grids and
 //!   serve-session result frames) under the interactive row budget. It
 //!   is keyed by the exact printed SQL, which makes it trivially sound —
@@ -28,39 +45,46 @@
 //! The cache is deliberately **per-shard** (one per worker thread, one
 //! per serve session): no cross-thread state means worker count cannot
 //! change which executions hit, and reports stay bit-identical at any
-//! worker count. Hit counters are folded into
+//! worker count. Hit counters of the two result lanes are folded into
 //! [`RunMetrics`](crate::runner::RunMetrics), which is `#[serde(skip)]`
 //! in serialized reports, so cache effectiveness is observable without
-//! perturbing replay contracts.
+//! perturbing replay contracts; refuted-lane skips are report fields
+//! (`executions_skipped_static`).
 
 use fisql_engine::{Database, ExecLimits, ResultSet};
-use fisql_sqlkit::{check_query, fnv64, print_query, Query, SchemaInfo};
-use std::collections::HashMap;
+use fisql_llm::CacheStats;
+use fisql_spider::{check_prediction_with, Example, Verdict};
+use fisql_sqlkit::{
+    check_query, fnv64, normalize_query, output_arity, print_query, provably_empty, Query,
+    SchemaInfo,
+};
+use std::collections::{HashMap, HashSet};
 
-/// Hit/miss accounting for one cache instance.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Engine executions served from cache (both lanes).
-    pub hits: u64,
-    /// Calls that had to execute the engine (including analyzer-gate
-    /// bypasses on the semantic lane).
-    pub misses: u64,
+/// A query's keys in the refuted lane (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum RefutedKey {
+    /// Canonical fingerprint.
+    Canon(u64),
+    /// A provably empty query of this output arity.
+    Empty(usize),
 }
 
-impl CacheStats {
-    /// Hit rate in `[0, 1]`; 0 when the cache was never consulted.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
+/// Fingerprints of one query, memoized by its printed SQL.
+#[derive(Debug, Clone, Copy)]
+struct QueryKeys {
+    canon: u64,
+    empty_arity: Option<usize>,
+}
+
+impl QueryKeys {
+    fn refuted(self) -> impl Iterator<Item = RefutedKey> {
+        std::iter::once(RefutedKey::Canon(self.canon))
+            .chain(self.empty_arity.map(RefutedKey::Empty))
     }
 }
 
-/// A per-shard semantic + exact result cache. See the module docs for
-/// the two lanes and their soundness arguments.
+/// A per-shard execution gate: refuted + semantic + exact lanes. See
+/// the module docs for the lanes and their soundness arguments.
 #[derive(Debug, Default)]
 pub struct SemanticCache {
     enabled: bool,
@@ -71,30 +95,28 @@ pub struct SemanticCache {
     /// Schema introspection memo for the analyzer gate, keyed by db
     /// fingerprint.
     schemas: HashMap<u64, SchemaInfo>,
-    /// Canonical-fingerprint memo keyed by exact printed SQL (computing
-    /// the canonical form is pure AST work but not free).
-    canon_fps: HashMap<u64, u64>,
+    /// Query fingerprints keyed by exact printed SQL (computing the
+    /// canonical form is pure AST work but not free).
+    keys: HashMap<u64, QueryKeys>,
+    /// Refuted lane: keys of queries the current case found incorrect.
+    refuted: HashSet<RefutedKey>,
     /// Semantic lane: `(db_fp, canon_fp)` → unlimited-budget `Ok` rows.
     semantic: HashMap<(u64, u64), ResultSet>,
     /// Exact lane: `(db_fp, print_fp)` → interactive-budget outcome.
     exact: HashMap<(u64, u64), Result<ResultSet, String>>,
-    /// Counters.
+    /// Result-lane counters.
     pub stats: CacheStats,
 }
 
 impl SemanticCache {
-    /// A live cache (`enabled = true`) or a transparent pass-through
-    /// (`enabled = false`: every call executes, counters stay zero).
+    /// A live cache (`enabled = true`) or transparent result lanes
+    /// (`enabled = false`: every execution runs, counters stay zero; the
+    /// refuted lane works either way).
     pub fn new(enabled: bool) -> Self {
         SemanticCache {
             enabled,
             ..SemanticCache::default()
         }
-    }
-
-    /// Whether this cache serves lookups at all.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Fingerprint of a database: FNV-1a over its name plus every
@@ -134,13 +156,53 @@ impl SemanticCache {
         !check_query(query, schema).iter().any(|d| d.is_error())
     }
 
-    fn canon_fp(&mut self, print_fp: u64, query: &Query) -> u64 {
-        if let Some(fp) = self.canon_fps.get(&print_fp) {
-            return *fp;
+    fn query_keys(&mut self, query: &Query) -> QueryKeys {
+        let print_fp = fnv64(print_query(query).as_bytes());
+        *self.keys.entry(print_fp).or_insert_with(|| {
+            let normalized = normalize_query(query);
+            QueryKeys {
+                canon: fisql_sqlkit::canon_fingerprint(query),
+                empty_arity: output_arity(&normalized).filter(|_| provably_empty(&normalized)),
+            }
+        })
+    }
+
+    /// Starts a new case: clears the refuted lane and seeds it with the
+    /// case's initial prediction when that query executed without error
+    /// (it is known incorrect — that is why the case exists).
+    pub fn begin_case(&mut self, initial: Option<&Query>) {
+        self.refuted.clear();
+        if let Some(query) = initial {
+            let keys = self.query_keys(query);
+            self.refuted.extend(keys.refuted());
         }
-        let fp = fisql_sqlkit::canon_fingerprint(query);
-        self.canon_fps.insert(print_fp, fp);
-        fp
+    }
+
+    /// One correctness check of `query` against `example`'s gold.
+    ///
+    /// `None` means refuted: `query` is canonically equivalent to a query
+    /// this case already found incorrect, so both engine runs are
+    /// skipped. Otherwise the check runs through the semantic lane, and
+    /// a `WrongResult` verdict is recorded in the refuted lane. Only
+    /// `analyzer_clean` queries (no error-severity diagnostics) consult
+    /// or extend the refuted lane.
+    pub fn check_prediction(
+        &mut self,
+        db: &Database,
+        example: &Example,
+        query: &Query,
+        analyzer_clean: bool,
+    ) -> Option<Verdict> {
+        let keys = analyzer_clean.then(|| self.query_keys(query));
+        if keys.is_some_and(|k| k.refuted().any(|key| self.refuted.contains(&key))) {
+            return None;
+        }
+        let verdict =
+            check_prediction_with(db, example, query, |db, q| self.execute_semantic(db, q));
+        if let (Some(keys), Verdict::WrongResult) = (keys, &verdict) {
+            self.refuted.extend(keys.refuted());
+        }
+        Some(verdict)
     }
 
     /// Execute under unlimited budgets through the semantic lane.
@@ -158,8 +220,7 @@ impl SemanticCache {
             self.stats.misses += 1;
             return fisql_engine::execute(db, query).map_err(|e| e.to_string());
         }
-        let print_fp = fnv64(print_query(query).as_bytes());
-        let canon_fp = self.canon_fp(print_fp, query);
+        let canon_fp = self.query_keys(query).canon;
         if let Some(rs) = self.semantic.get(&(db_fp, canon_fp)) {
             self.stats.hits += 1;
             return Ok(rs.clone());
@@ -275,6 +336,94 @@ mod tests {
         let b = cache.execute_semantic(&db, &q).unwrap();
         assert!(fisql_engine::results_match(&a, &b));
         assert_eq!(cache.stats, CacheStats::default());
+    }
+
+    /// A corpus example whose gold returns rows, its database, and an
+    /// integer column of one of that database's tables.
+    fn example_with_rows() -> (fisql_spider::Corpus, usize, String, String) {
+        let corpus = build_spider(&SpiderConfig::small(77));
+        let idx = corpus
+            .examples
+            .iter()
+            .position(|e| {
+                let db = corpus.database(e);
+                fisql_engine::execute(db, &e.gold).is_ok_and(|rs| !rs.rows.is_empty())
+            })
+            .expect("an example with a non-empty gold result");
+        let (t, c) = first_table_and_int_col(corpus.database(&corpus.examples[idx]));
+        (corpus, idx, t, c)
+    }
+
+    #[test]
+    fn refuted_lane_skips_equivalent_spellings_within_one_case() {
+        let (corpus, idx, t, c) = example_with_rows();
+        let example = &corpus.examples[idx];
+        let db = corpus.database(example);
+        // Disabled result lanes: the refuted lane works regardless.
+        for enabled in [true, false] {
+            let mut cache = SemanticCache::new(enabled);
+            cache.begin_case(None);
+            let wrong = parse_query(&format!("SELECT {c} FROM {t} WHERE {c} < -999")).unwrap();
+            let same =
+                parse_query(&format!("SELECT {c} FROM {t} WHERE NOT ({c} >= -999)")).unwrap();
+            let verdict = cache.check_prediction(db, example, &wrong, true);
+            assert_eq!(verdict, Some(Verdict::WrongResult));
+            assert_eq!(cache.check_prediction(db, example, &same, true), None);
+            // Analyzer-flagged candidates never consult the lane.
+            assert_eq!(
+                cache.check_prediction(db, example, &same, false),
+                Some(Verdict::WrongResult)
+            );
+            // Any two provably empty queries of one width are refuted
+            // together, whatever their canonical forms.
+            let empty =
+                parse_query(&format!("SELECT {c} FROM {t} WHERE {c} > 5 AND {c} < 3")).unwrap();
+            let also_empty = parse_query(&format!("SELECT {c} FROM {t} WHERE FALSE")).unwrap();
+            assert_ne!(
+                fisql_sqlkit::canon_fingerprint(&empty),
+                fisql_sqlkit::canon_fingerprint(&also_empty)
+            );
+            assert_eq!(
+                cache.check_prediction(db, example, &empty, true),
+                Some(Verdict::WrongResult)
+            );
+            assert_eq!(cache.check_prediction(db, example, &also_empty, true), None);
+        }
+    }
+
+    #[test]
+    fn refuted_lane_is_per_case_and_seeded_by_begin_case() {
+        let (corpus, idx, t, c) = example_with_rows();
+        let example = &corpus.examples[idx];
+        let db = corpus.database(example);
+        let wrong = parse_query(&format!("SELECT {c} FROM {t} WHERE {c} < -999")).unwrap();
+        let mut cache = SemanticCache::new(true);
+        cache.begin_case(Some(&wrong));
+        assert_eq!(cache.check_prediction(db, example, &wrong, true), None);
+        // The next case starts with an empty lane.
+        cache.begin_case(None);
+        assert_eq!(
+            cache.check_prediction(db, example, &wrong, true),
+            Some(Verdict::WrongResult)
+        );
+    }
+
+    #[test]
+    fn execution_errors_are_never_refuted() {
+        let (corpus, idx, t, _) = example_with_rows();
+        let example = &corpus.examples[idx];
+        let db = corpus.database(example);
+        let broken = parse_query(&format!("SELECT no_such_column FROM {t}")).unwrap();
+        let mut cache = SemanticCache::new(true);
+        cache.begin_case(None);
+        for _ in 0..2 {
+            // Even when the caller vouches for it, an erroring query's
+            // verdict is not recorded: it executes every time.
+            assert!(matches!(
+                cache.check_prediction(db, example, &broken, true),
+                Some(Verdict::ExecutionError { .. })
+            ));
+        }
     }
 
     #[test]

@@ -615,7 +615,10 @@ impl FailoverClient {
                     // its `Opened` record never reached this node
                     // (possible only with `--repl-ack none`). Nothing
                     // to resume: open a fresh session here and count
-                    // everything confirmed so far as lost.
+                    // everything confirmed so far as lost. Session ids
+                    // are partitioned by fencing epoch
+                    // (`store::epoch_id_floor`), so the promoted node
+                    // cannot have handed this id to someone else.
                     Err(e) if e.kind() == io::ErrorKind::NotFound => {
                         if let Ok(Connected::Admitted(client)) =
                             ServeClient::connect(self.endpoints[idx].as_str(), None)

@@ -19,8 +19,8 @@ use super::protocol::{
     PROTOCOL_VERSION,
 };
 use crate::config::LoadConfig;
-use crate::journal::Fnv64;
 use fisql_spider::{build_aep, AepConfig, Corpus};
+use fisql_sqlkit::Fnv64;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::io::{self, Write};

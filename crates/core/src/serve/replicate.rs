@@ -81,6 +81,7 @@
 
 use super::protocol::{read_frame, read_frame_deadline, write_frame};
 use super::store::{Appended, SessionOp, SessionStore};
+use fisql_sqlkit::hash::{Fnv64, FNV64_OFFSET};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::io;
@@ -115,16 +116,7 @@ const SHIP_BATCH: usize = 256;
 
 /// Seed of the rolling lineage hash (FNV-1a offset basis): the hash of
 /// the empty stream prefix.
-pub const LINEAGE_HASH_SEED: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// One FNV-1a pass over `bytes`, continuing from `hash`.
-fn fnv_mix(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &byte in bytes {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
-}
+pub const LINEAGE_HASH_SEED: u64 = FNV64_OFFSET;
 
 /// Extends the rolling lineage hash by one record. Two nodes hold the
 /// same hash at position `n` iff their first `n` records are
@@ -134,7 +126,10 @@ fn record_hash(prev: u64, session_id: u64, op: &SessionOp) -> u64 {
     // Infallible in practice: `SessionOp` is plain-data serde (no maps
     // with non-string keys, no fallible Serialize impls).
     let body = serde_json::to_vec(op).expect("a SessionOp serializes");
-    fnv_mix(fnv_mix(prev, &session_id.to_le_bytes()), &body)
+    let mut hash = Fnv64::resume(prev);
+    hash.update(&session_id.to_le_bytes());
+    hash.update(&body);
+    hash.finish()
 }
 
 /// Which role a serving node is currently playing.
@@ -974,10 +969,7 @@ fn follow_once(
         };
     }
     let have = repl.log.tail();
-    let have_hash = repl
-        .log
-        .prefix_hash(have)
-        .unwrap_or(LINEAGE_HASH_SEED);
+    let have_hash = repl.log.prefix_hash(have).unwrap_or(LINEAGE_HASH_SEED);
     if write_frame(
         &mut stream,
         &ReplFrame::Hello {
@@ -1263,7 +1255,11 @@ mod tests {
             log.append(1, SessionOp::Opened);
         }
         for n in 0..=3u64 {
-            assert_eq!(a.prefix_hash(n), b.prefix_hash(n), "identical streams at {n}");
+            assert_eq!(
+                a.prefix_hash(n),
+                b.prefix_hash(n),
+                "identical streams at {n}"
+            );
         }
         // Diverge: same length, different content → different hashes.
         a.append(0, ask(2));
@@ -1286,8 +1282,7 @@ mod tests {
         let incremental = ReplLog::new();
         incremental.append(3, SessionOp::Opened);
         incremental.append(3, SessionOp::Closed);
-        let preloaded =
-            ReplLog::preloaded(vec![(3, SessionOp::Opened), (3, SessionOp::Closed)]);
+        let preloaded = ReplLog::preloaded(vec![(3, SessionOp::Opened), (3, SessionOp::Closed)]);
         assert_eq!(incremental.prefix_hash(2), preloaded.prefix_hash(2));
         preloaded.reset();
         assert_eq!(preloaded.tail(), 0);
@@ -1327,7 +1322,11 @@ mod tests {
         repl.log.ack(f, repl.log.tail());
         repl.quorum_gate(repl.log.tail(), &running);
         assert!(!repl.ack_degraded(), "a connected follower re-arms gating");
-        assert_eq!(repl.ack_timeouts(), 2, "a satisfied quorum is not a timeout");
+        assert_eq!(
+            repl.ack_timeouts(),
+            2,
+            "a satisfied quorum is not a timeout"
+        );
     }
 
     #[test]

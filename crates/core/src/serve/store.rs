@@ -31,8 +31,11 @@
 //! prefixed by a [`SessionOp::Checkpoint`] record under the reserved
 //! [`META_SESSION`] id that carries the new **generation** number and
 //! the next-session-id floor (so ids of dropped sessions are never
-//! reissued). The rewrite goes to a `<path>.compact` sibling and is
-//! **atomically renamed over** the live journal; a crash mid-compaction
+//! reissued). The fencing epoch raises that floor too: a node promoted
+//! to epoch `e` issues ids from `epoch_id_floor(e)` up, so it never
+//! reissues an id a deposed primary handed out but did not replicate.
+//! The rewrite goes to a `<path>.compact` sibling and is **atomically
+//! renamed over** the live journal; a crash mid-compaction
 //! leaves the old journal untouched. Compaction triggers automatically
 //! every `compact_every` closed sessions, or on demand (the `Compact`
 //! admin request). Surviving sessions replay byte-identically before
@@ -67,6 +70,16 @@ pub const SESSION_STORE_MARKER: u64 = u64::MAX;
 /// Reserved session id carrying store metadata records
 /// ([`SessionOp::Checkpoint`]); never issued to a real session.
 pub const META_SESSION: u64 = u64::MAX;
+
+/// Lowest session id a node at fencing epoch `epoch` issues. Each
+/// epoch owns its own 2^32-id range, so a promoted follower can never
+/// hand a fresh session an id the dead primary issued but never
+/// shipped. A client failing over from such a session must get "unknown
+/// session" (and account its lost turns), not silently attach to a
+/// stranger's conversation.
+pub(crate) fn epoch_id_floor(epoch: u64) -> u64 {
+    epoch.saturating_mul(1 << 32)
+}
 
 /// One journaled session operation — the replay unit.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -327,7 +340,8 @@ impl SessionStore {
             .map(|(id, _)| id + 1)
             .max()
             .unwrap_or(0)
-            .max(id_floor);
+            .max(id_floor)
+            .max(epoch_id_floor(epoch));
         let mut op_counts = HashMap::new();
         for (id, _) in &ops {
             *op_counts.entry(*id).or_insert(0) += 1;
@@ -440,6 +454,7 @@ impl SessionStore {
             return Ok(());
         }
         inner.epoch = epoch;
+        inner.next_id = inner.next_id.max(epoch_id_floor(epoch));
         if inner.writable {
             if let Some(journal) = inner.journal.as_mut() {
                 let written = journal
@@ -456,12 +471,7 @@ impl SessionStore {
         Ok(())
     }
 
-    fn append_locked(
-        &self,
-        inner: &mut Inner,
-        session_id: u64,
-        op: SessionOp,
-    ) -> (Appended, u64) {
+    fn append_locked(&self, inner: &mut Inner, session_id: u64, op: SessionOp) -> (Appended, u64) {
         let op_index = {
             let slot = inner.op_counts.entry(session_id).or_insert(0);
             let index = *slot;
@@ -884,6 +894,33 @@ mod tests {
         let store = SessionStore::open(Some(&path), opts(0xF00D, FsyncPolicy::Never)).unwrap();
         assert_eq!(store.session_ids(), vec![0], "only the post-resync open");
         assert_eq!(store.epoch(), 3);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_promoted_store_never_reissues_an_earlier_epochs_ids() {
+        let path = tmp("epoch-ids");
+        std::fs::remove_file(&path).ok();
+        {
+            let store =
+                SessionStore::open(Some(&path), opts(0xE1D, FsyncPolicy::EachRecord)).unwrap();
+            // Replicated from the epoch-0 primary: ids 0 and 1. The
+            // primary may have issued 2, 3, … without shipping them.
+            store.apply_replicated(0, SessionOp::Opened);
+            store.apply_replicated(1, SessionOp::Opened);
+            store.set_epoch(1).unwrap();
+            assert_eq!(store.open_session().unwrap().0, epoch_id_floor(1));
+        }
+        // A restart before any fresh session keeps the floor too.
+        std::fs::remove_file(&path).ok();
+        {
+            let store =
+                SessionStore::open(Some(&path), opts(0xE1D, FsyncPolicy::EachRecord)).unwrap();
+            store.apply_replicated(0, SessionOp::Opened);
+            store.set_epoch(2).unwrap();
+        }
+        let store = SessionStore::open(Some(&path), opts(0xE1D, FsyncPolicy::Never)).unwrap();
+        assert_eq!(store.open_session().unwrap().0, epoch_id_floor(2));
         std::fs::remove_file(&path).ok();
     }
 

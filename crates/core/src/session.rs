@@ -123,7 +123,7 @@ impl<'a> Session<'a> {
     }
 
     /// Hit/miss counters of the per-session result cache.
-    pub fn cache_stats(&self) -> crate::semcache::CacheStats {
+    pub fn cache_stats(&self) -> fisql_llm::CacheStats {
         self.semcache.stats
     }
 

@@ -173,15 +173,6 @@ impl Relation {
             }
         }
     }
-
-    #[allow(dead_code)]
-    fn all_column_names(&self) -> Vec<String> {
-        let mut out = Vec::with_capacity(self.width);
-        for b in &self.bindings {
-            out.extend(b.columns.iter().cloned());
-        }
-        out
-    }
 }
 
 /// Evaluation scope: a row within a relation, chained to any outer scopes

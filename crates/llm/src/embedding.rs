@@ -7,6 +7,8 @@
 //! demonstrations by lexical relatedness — which is what demonstration
 //! retrieval for NL2SQL largely reduces to.
 
+use fisql_sqlkit::fnv64;
+
 /// Embedding dimensionality.
 pub const DIM: usize = 256;
 
@@ -21,7 +23,7 @@ impl Embedding {
     pub fn embed(text: &str) -> Embedding {
         let mut v = [0f32; DIM];
         for token in tokenize(text) {
-            let h = fnv1a(token.as_bytes());
+            let h = fnv64(token.as_bytes());
             let bucket = (h % DIM as u64) as usize;
             let sign = if (h >> 32) & 1 == 0 { 1.0 } else { -1.0 };
             v[bucket] += sign;
@@ -56,15 +58,6 @@ pub fn tokenize(text: &str) -> Vec<String> {
         tokens.push(format!("{}_{}", w[0], w[1]));
     }
     tokens
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x100000001b3);
-    }
-    hash
 }
 
 #[cfg(test)]

@@ -32,7 +32,7 @@
 use crate::backend::FallibleLanguageModel;
 use crate::error::{BackendError, BackendResult};
 use crate::model::{GenRequest, Generation};
-use fisql_sqlkit::{EditOp, OpClass, Query};
+use fisql_sqlkit::{fnv64, EditOp, OpClass, Query};
 use std::cell::Cell;
 
 /// Environment variable carrying a uniform fault rate (`0.0..=1.0`) for
@@ -239,15 +239,6 @@ impl<B: FallibleLanguageModel> FaultyBackend<B> {
     }
 }
 
-fn text_key(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in s.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
 impl<B: FallibleLanguageModel> FallibleLanguageModel for FaultyBackend<B> {
     fn try_generate_sql(&self, req: &GenRequest<'_>) -> BackendResult<Generation> {
         let key = (req.example.id as u64).rotate_left(32) ^ req.salt;
@@ -256,13 +247,13 @@ impl<B: FallibleLanguageModel> FallibleLanguageModel for FaultyBackend<B> {
     }
 
     fn try_classify_feedback(&self, utterance: &str, salt: u64) -> BackendResult<OpClass> {
-        let key = text_key(utterance) ^ salt.rotate_left(32);
+        let key = fnv64(utterance.as_bytes()) ^ salt.rotate_left(32);
         self.maybe_fault(Role::Classify, key, key)?;
         self.inner.try_classify_feedback(utterance, salt)
     }
 
     fn try_rewrite_question(&self, question: &str, feedback: &str) -> BackendResult<String> {
-        let key = text_key(question) ^ text_key(feedback).rotate_left(32);
+        let key = fnv64(question.as_bytes()) ^ fnv64(feedback.as_bytes()).rotate_left(32);
         self.maybe_fault(Role::Rewrite, key, key)?;
         self.inner.try_rewrite_question(question, feedback)
     }

@@ -22,7 +22,7 @@
 
 use crate::calibration::Calibration;
 use fisql_spider::{ErrorChannel, Example};
-use fisql_sqlkit::{apply_edits, EditOp, OpClass, Query};
+use fisql_sqlkit::{apply_edits, fnv64, EditOp, OpClass, Query};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -173,7 +173,7 @@ impl SimLlm {
     /// noise emulates its residual error rate.
     pub fn classify_feedback(&self, utterance: &str, salt: u64) -> OpClass {
         let truth = keyword_route(utterance);
-        let mut rng = self.rng(text_hash(utterance) as usize, salt);
+        let mut rng = self.rng(fnv64(utterance.as_bytes()) as usize, salt);
         if rng.gen_bool(self.cfg.calibration.router_noise) {
             // Misroute to one of the other two classes.
             let options: Vec<OpClass> = [OpClass::Add, OpClass::Remove, OpClass::Edit]
@@ -450,15 +450,6 @@ pub fn keyword_route(utterance: &str) -> OpClass {
         return OpClass::Add;
     }
     OpClass::Edit
-}
-
-fn text_hash(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in s.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 #[cfg(test)]

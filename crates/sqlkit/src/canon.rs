@@ -7,6 +7,8 @@
 //!
 //! - constant folding and boolean simplification (via [`flow::fold_expr`],
 //!   already applied by normalize, re-applied after structural rewrites);
+//!   literal tautologies such as `1 = 1` fold to `TRUE` there, so no
+//!   rewrite below needs to special-case them;
 //! - `NOT` push-down: De Morgan over AND/OR, comparison complementation
 //!   (`NOT (a < b)` → `a >= b`, sound because comparisons use a total
 //!   value order and NULL operands yield NULL on both sides), flipping
@@ -47,6 +49,7 @@
 
 use crate::ast::{BinOp, Expr, Query, SelectCore, SelectItem, TableFactor, UnaryOp};
 use crate::flow;
+use crate::hash::fnv64;
 use crate::normalize::normalize_query;
 use crate::printer::{print_expr, print_query};
 use std::collections::{HashMap, HashSet};
@@ -56,37 +59,6 @@ use std::collections::{HashMap, HashSet};
 /// real inputs converge in 2–3 passes; the bound is a safety net that
 /// keeps the function total on adversarial inputs.
 const MAX_PASSES: usize = 8;
-
-/// 64-bit FNV-1a, kept local so `sqlkit` stays dependency-free.
-#[derive(Debug, Clone, Copy)]
-struct Fnv64(u64);
-
-impl Fnv64 {
-    fn new() -> Self {
-        Fnv64(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn update(&mut self, bytes: &[u8]) {
-        for b in bytes {
-            self.0 ^= u64::from(*b);
-            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
-        }
-    }
-
-    fn finish(self) -> u64 {
-        self.0
-    }
-}
-
-/// Hash arbitrary bytes with the same FNV-1a used for fingerprints.
-///
-/// Exposed so callers keying caches by exact printed SQL use one hash
-/// family for both lanes.
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = Fnv64::new();
-    h.update(bytes);
-    h.finish()
-}
 
 /// Rewrite `query` to the canonical representative of its equivalence
 /// class. Deterministic, total, and idempotent:
@@ -639,12 +611,6 @@ fn expr_has_subquery(e: &Expr) -> bool {
     });
     found
 }
-
-/// Erase a literal-only canonical detail: `TRUE`/`FALSE` spelled as
-/// `1 = 1` style tautologies are already folded by normalize, so no
-/// extra handling is needed here. (Kept as a documentation anchor.)
-#[allow(dead_code)]
-fn _canonical_form_notes() {}
 
 #[cfg(test)]
 mod tests {

@@ -42,6 +42,7 @@ pub mod diff;
 pub mod edit;
 pub mod error;
 pub mod flow;
+pub mod hash;
 pub mod lexer;
 pub mod locate;
 pub mod normalize;
@@ -55,7 +56,7 @@ pub use ast::{
     BinOp, ClausePath, ColumnRef, Expr, FromClause, Func, Join, JoinKind, LimitClause, Literal,
     OrderItem, Query, SelectCore, SelectItem, SetOp, TableFactor, UnaryOp,
 };
-pub use canon::{canon_fingerprint, canonicalize, canonically_equivalent, fnv64};
+pub use canon::{canon_fingerprint, canonicalize, canonically_equivalent};
 pub use check::{
     check_query, edit_distance, nearest_name, render_report, repair_query, ColType, ColumnInfo,
     DiagCode, Diagnostic, FkInfo, SchemaInfo, Severity, TableInfo,
@@ -68,6 +69,7 @@ pub use flow::{
     provably_equivalent, query_bounds, CardBounds, ConjunctTruth, OutputFacts, PredicateFacts,
     Provenance,
 };
+pub use hash::{fnv1a_32, fnv64, Fnv64};
 pub use locate::{literal_year, locate_faults, FaultKind, FaultSite, FeedbackCues, LocateOptions};
 pub use normalize::{normalize_query, structurally_equal};
 pub use parser::{parse_expr, parse_query};

@@ -405,7 +405,7 @@ fn run_load_cli(args: &[String]) {
 }
 
 /// `fisql --eval [--strategy S] [--workers N] [--fault-rate R]
-/// [--retry-budget B] [--no-static-oracle] [--no-semantic-cache]
+/// [--retry-budget B] [--no-semantic-cache]
 /// [--conformance-gate] [--journal PATH] [--resume]
 /// [--case-deadline MS] [--fsync P]`: the
 /// sharded correction evaluation on the bundled SPIDER-like and AEP-like
@@ -453,7 +453,6 @@ fn run_eval(args: &[String]) {
             .demos_k(3)
             .rounds(2)
             .workers(config.workers)
-            .static_oracle(config.static_oracle)
             .semantic_cache(config.semantic_cache)
             .conformance_gate(config.conformance_gate)
             .case_deadline_ms(config.case_deadline_ms)
@@ -487,12 +486,10 @@ fn run_eval(args: &[String]) {
             m.engine_executions,
             100.0 * m.cache_hit_rate(),
         );
-        if config.static_oracle {
-            println!(
-                "  static oracle: {} execution(s) skipped",
-                report.executions_skipped_static,
-            );
-        }
+        println!(
+            "  statically skipped: {} execution(s)",
+            report.executions_skipped_static,
+        );
         if config.semantic_cache {
             println!(
                 "  semantic cache: {} execution(s) skipped, hit rate {:.0}%",

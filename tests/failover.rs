@@ -185,6 +185,45 @@ fn lag_boundary_kill_with_async_acks_completes_and_accounts_losses() {
     }
 }
 
+#[test]
+fn a_promoted_follower_never_reissues_an_unreplicated_session_id() {
+    let base = test_config();
+    let (primary, follower, _p_store, _f_store) = boot_pair(&base, "id-reuse", false);
+    let corpus = fisql_spider::build_aep(&fisql_spider::AepConfig {
+        n_examples: base.n_examples,
+        seed: base.seed,
+    });
+
+    // Shipping paused: this session's records never reach the follower.
+    primary.handle.repl().log.hold(true);
+    let mut doomed = admitted(
+        ServeClient::connect_retry(primary.addr.as_str(), None, Duration::from_secs(10))
+            .expect("connect"),
+    );
+    doomed.ask(&corpus.examples[0].question).expect("ask");
+    let doomed_id = doomed.session_id;
+    primary.handle.abort();
+    request_promote(follower.addr.as_str()).expect("promote follower");
+
+    // A fresh conversation on the promoted node must not inherit the
+    // dead primary's id: the doomed client would otherwise resume into
+    // it and continue a stranger's transcript as its own.
+    let mut fresh = admitted(
+        ServeClient::connect_retry(follower.addr.as_str(), None, Duration::from_secs(10))
+            .expect("connect to the promoted follower"),
+    );
+    assert_ne!(fresh.session_id, doomed_id);
+    fresh.ask(&corpus.examples[1].question).expect("ask");
+    match ServeClient::connect(follower.addr.as_str(), Some(doomed_id)) {
+        Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::NotFound, "{e}"),
+        Ok(_) => panic!("resumed session {doomed_id}, which the follower never saw"),
+    }
+    fresh.bye().expect("bye");
+
+    stop(follower);
+    primary.thread.join().expect("primary thread");
+}
+
 // ---------------------------------------------------------------------
 // Fencing: a deposed primary refuses writes with a typed rejection.
 // ---------------------------------------------------------------------

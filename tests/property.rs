@@ -421,7 +421,14 @@ proptest! {
 
     /// `canonically_equivalent` subsumes both prior equivalence oracles
     /// and stays sound on everything it claims (checked by execution,
-    /// like `equivalence_oracle_is_sound` above).
+    /// like `equivalence_oracle_is_sound` above). The semantic cache's
+    /// refuted lane keys reproduce it exactly: refuting `a` refutes `b`
+    /// iff the two are canonically equivalent. `WHERE FALSE` variants of
+    /// the analyzer-clean queries put provably empty queries of equal
+    /// width but different canonical forms in the pool, so the lane's
+    /// empty-arity key is exercised too. (Only analyzer-clean ones: two
+    /// provably empty queries are equivalent only if both execute, which
+    /// is why the runner's lane serves analyzer-clean candidates alone.)
     #[test]
     fn canonical_equivalence_subsumes_and_stays_sound(seed in 0u64..200) {
         let corpus = corpus_for(seed);
@@ -434,8 +441,30 @@ proptest! {
             for wc in e.channels.iter().take(2) {
                 variants.push(normalize_query(&fisql_spider::corrupt(&e.intent, &wc.channel)));
             }
+            let schema = db.schema_info();
+            let emptied: Vec<Query> = variants
+                .iter()
+                .filter(|v| !check_query(v, &schema).iter().any(|d| d.is_error()))
+                .map(|v| {
+                    let mut empty = v.clone();
+                    empty.core.where_clause = Some(fisql::fisql_sqlkit::Expr::Literal(
+                        fisql::fisql_sqlkit::Literal::Bool(false),
+                    ));
+                    empty
+                })
+                .collect();
+            variants.extend(emptied);
+            let mut cache = fisql::fisql_core::SemanticCache::new(true);
             for a in &variants {
                 for b in &variants {
+                    cache.begin_case(Some(a));
+                    prop_assert_eq!(
+                        cache.check_prediction(db, e, b, true).is_none(),
+                        canonically_equivalent(a, b),
+                        "refuted lane disagrees with canonical equivalence: {} vs {}",
+                        print_query(a),
+                        print_query(b)
+                    );
                     // Subsumption: anything the old oracles accept, the
                     // canonical oracle accepts.
                     if structurally_equal(a, b) || provably_equivalent(a, b) {
