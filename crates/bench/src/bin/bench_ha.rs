@@ -102,9 +102,10 @@ fn main() {
         "\n{:>18} {:>7} {:>9} {:>10} {:>11} {:>11} {:>7}",
         "kill point", "ack", "failovers", "lost", "p50 us", "p99 us", "digest"
     );
-    // Load seeds are the ones the failover integration suite pins: the
-    // kill-to-schedule alignment is seed-sensitive, and these are the
-    // schedules proven to put live sessions under the axe.
+    // Load seeds are the ones the failover integration suite uses. The
+    // primary fires each kill itself at an exact count, so the kill
+    // lands on live sessions whenever the load reaches its point; the
+    // seeds only keep digests comparable across runs.
     let levels: [(&str, AckMode, KillPoint, u64, u64); 3] = [
         (
             "after-rounds",
@@ -134,8 +135,8 @@ fn main() {
         if compact_every > 0 {
             level_serve = level_serve.compact_every(compact_every);
         }
-        // The compaction-triggered kill needs enough load left *after*
-        // the first rewrite to land on live sessions at release speed.
+        // The compaction-triggered kill leaves load to run *after* the
+        // first rewrite.
         let level_sessions = if kill == KillPoint::DuringCompaction {
             sessions * 4
         } else {

@@ -459,11 +459,7 @@ impl FailoverClient {
     pub fn transcript(&mut self) -> io::Result<Vec<SessionEvent>> {
         let mut attempts = 0;
         loop {
-            if self.client.is_none() {
-                self.fail_over()?;
-            }
-            let client = self.client.as_mut().expect("connected after fail_over");
-            match client.transcript() {
+            match self.connected()?.transcript() {
                 Ok(events) => {
                     // The transcript is the store's truth. If a
                     // failover landed between the last confirmed turn
@@ -507,8 +503,8 @@ impl FailoverClient {
         let mut attempts = 0;
         loop {
             if self.client.is_none() {
-                self.fail_over()?;
-                match self.skip_if_applied(op) {
+                let resumed = self.fail_over()?.transcript();
+                match resumed.map(|events| self.skip_if_applied(op, &events)) {
                     Ok(Some(turn)) => return Ok(turn),
                     Ok(None) => {}
                     Err(e) if is_failover_error(&e) && attempts < MAX_FAILOVERS => {
@@ -544,8 +540,7 @@ impl FailoverClient {
                     highlight: *highlight,
                 },
             };
-            let client = self.client.as_mut().expect("connected after fail_over");
-            match client.request(&request) {
+            match self.connected()?.request(&request) {
                 Ok(ServerResponse::Turn {
                     round,
                     sql,
@@ -593,7 +588,7 @@ impl FailoverClient {
     /// *other* endpoints come first (the current one is presumed dead
     /// and tried last); after a read-deadline expiry the current
     /// endpoint is retried first — see [`FailoverClient::mark_disconnected`].
-    fn fail_over(&mut self) -> io::Result<()> {
+    fn fail_over(&mut self) -> io::Result<&mut ServeClient> {
         let started = Instant::now();
         let deadline = started + self.reattach_budget;
         self.client = None;
@@ -605,11 +600,10 @@ impl FailoverClient {
                     Ok(Connected::Admitted(client)) => {
                         self.current = idx;
                         self.session_id = Some(client.session_id);
-                        self.client = Some(client);
                         self.failovers += 1;
                         self.failover_latencies_us
                             .push(started.elapsed().as_micros() as u64);
-                        return Ok(());
+                        return Ok(self.client.insert(client));
                     }
                     // The whole session went down with the primary —
                     // its `Opened` record never reached this node
@@ -628,11 +622,10 @@ impl FailoverClient {
                             self.feedback_done = 0;
                             self.current = idx;
                             self.session_id = Some(client.session_id);
-                            self.client = Some(client);
                             self.failovers += 1;
                             self.failover_latencies_us
                                 .push(started.elapsed().as_micros() as u64);
-                            return Ok(());
+                            return Ok(self.client.insert(client));
                         }
                     }
                     // Everything else is retryable within the budget: a
@@ -652,16 +645,22 @@ impl FailoverClient {
         }
     }
 
+    /// The live connection, re-attaching first when there is none.
+    fn connected(&mut self) -> io::Result<&mut ServeClient> {
+        if let Some(ref mut client) = self.client {
+            return Ok(client);
+        }
+        self.fail_over()
+    }
+
     /// Decides what happened to the turn the crash interrupted by
     /// counting `User`/`Feedback` events in the resumed transcript
     /// against this client's done-counters. `Some(turn)` means the
     /// store already holds the turn — its reply is synthesized from the
     /// replayed transcript (with an empty `events` delta, since the
     /// events landed before the failover). `None` means resend.
-    fn skip_if_applied(&mut self, op: &PlayOp<'_>) -> io::Result<Option<ClientTurn>> {
-        let client = self.client.as_mut().expect("connected after fail_over");
-        let events = client.transcript()?;
-        let (applied_q, applied_f) = count_turn_events(&events);
+    fn skip_if_applied(&mut self, op: &PlayOp<'_>, events: &[SessionEvent]) -> Option<ClientTurn> {
+        let (applied_q, applied_f) = count_turn_events(events);
         let (done, applied, rest_matches) = match op {
             PlayOp::Ask(_) => (
                 self.questions_done,
@@ -676,19 +675,19 @@ impl FailoverClient {
         };
         if rest_matches && applied == done + 1 {
             self.note_done(op);
-            let (rendered, sql) = last_assistant(&events);
+            let (rendered, sql) = last_assistant(events);
             let round = events
                 .iter()
                 .rev()
                 .take_while(|e| !matches!(e, SessionEvent::User(_)))
                 .filter(|e| matches!(e, SessionEvent::Feedback { .. }))
                 .count() as u64;
-            return Ok(Some(ClientTurn {
+            return Some(ClientTurn {
                 round,
                 sql,
                 rendered,
                 events: Vec::new(),
-            }));
+            });
         }
         // Anything the promoted node never saw is lost — possible only
         // with `--repl-ack none`, where acks outrun replication. Resync
@@ -697,7 +696,7 @@ impl FailoverClient {
             + self.feedback_done.saturating_sub(applied_f);
         self.questions_done = self.questions_done.min(applied_q);
         self.feedback_done = self.feedback_done.min(applied_f);
-        Ok(None)
+        None
     }
 
     fn note_done(&mut self, op: &PlayOp<'_>) {

@@ -9,10 +9,14 @@
 //!    (`--replica-of`) boot on ephemeral ports with separate stores;
 //!    the same scripts run through [`FailoverClient`]s holding the
 //!    `[primary, follower]` endpoint list.
-//! 3. **Kill** — once the scripted [`KillPoint`] is reached, the
-//!    primary is [`abort`]ed: no farewells, no in-flight responses,
-//!    connections just see their peer vanish — the in-process
-//!    equivalent of `kill -9`.
+//! 3. **Kill** — the scripted [`KillPoint`] is armed in the primary,
+//!    which checks it after every Ask and Feedback and [`abort`]s
+//!    itself from inside the turn that reaches it: no farewells, no
+//!    in-flight responses, connections just see their peer vanish — the
+//!    in-process equivalent of `kill -9`. Because the primary fires the
+//!    kill at an exact count, before that turn's response is written,
+//!    it always lands under a live session, however fast the load
+//!    runs.
 //! 4. **Verdict** — clients fail over to the follower (which
 //!    self-promotes on link loss), finish their scripts, and the
 //!    harness compares the HA digest against the baseline. Under
@@ -28,7 +32,9 @@
 use super::client::request_stats;
 use super::loadgen::{run_load, LoadReport};
 use super::protocol::ServerStats;
+use super::replicate::ReplState;
 use super::server::{ServeSummary, Server, ServerHandle};
+use super::store::SessionStore;
 use crate::config::{LoadConfig, ServeConfig};
 use std::io;
 use std::path::PathBuf;
@@ -49,6 +55,32 @@ pub enum KillPoint {
     /// After the primary's store has compacted at least once — the kill
     /// lands on a store whose journal was rewritten mid-stream.
     DuringCompaction,
+}
+
+impl KillPoint {
+    /// Whether a primary that has served `rounds_served` feedback
+    /// rounds has reached this point. The primary evaluates it after
+    /// every Ask and Feedback (see [`ServerHandle::arm_kill`]); the
+    /// lag boundary pauses shipping as soon as the first round is in,
+    /// so the next append leaves the follower provably behind.
+    pub(crate) fn reached(
+        self,
+        rounds_served: u64,
+        repl: &ReplState,
+        store: &SessionStore,
+    ) -> bool {
+        match self {
+            KillPoint::AfterRounds(rounds) => rounds_served >= rounds,
+            KillPoint::LagBoundary => {
+                if rounds_served == 0 {
+                    return false;
+                }
+                repl.log.hold(true);
+                repl.log.lag() > 0
+            }
+            KillPoint::DuringCompaction => store.snapshot().compactions >= 1,
+        }
+    }
 }
 
 /// Configuration for one failover run.
@@ -187,15 +219,12 @@ pub fn run_failover(config: &FailoverConfig) -> io::Result<FailoverReport> {
     .map_err(|()| io::Error::other("follower never attached to the primary"))?;
 
     // ---- Load against [primary, follower], kill mid-flight.
+    primary.handle.arm_kill(config.kill);
     let endpoints = format!("{},{}", primary.addr, follower.addr);
-    let ha_load = load_config(config, endpoints);
-    let loader = std::thread::spawn(move || run_load(&ha_load));
-
-    trigger_kill(config, &primary);
-
-    let ha = loader
-        .join()
-        .map_err(|_| io::Error::other("load thread panicked"))??;
+    let ha = run_load(&load_config(config, endpoints))?;
+    // A load too short to reach the kill point leaves the primary up
+    // (and the report shows no failover); stop it so it can be joined.
+    primary.handle.abort();
 
     // ---- Verdict.
     let survivor = request_stats(&follower.addr).ok();
@@ -214,39 +243,6 @@ pub fn run_failover(config: &FailoverConfig) -> io::Result<FailoverReport> {
         primary_summary,
         survivor_summary,
     })
-}
-
-/// Waits for the scripted kill point, then aborts the primary — no
-/// farewells, connections just see their peer die.
-fn trigger_kill(config: &FailoverConfig, primary: &Node) {
-    match config.kill {
-        KillPoint::AfterRounds(rounds) => {
-            let addr = primary.addr.clone();
-            let _ = wait_until(Duration::from_secs(30), || {
-                request_stats(&addr).is_ok_and(|s| s.rounds_served >= rounds)
-            });
-        }
-        KillPoint::LagBoundary => {
-            // Let some traffic ship first, then pause shipping and wait
-            // for at least one appended record the follower provably
-            // has not seen.
-            let addr = primary.addr.clone();
-            let _ = wait_until(Duration::from_secs(30), || {
-                request_stats(&addr).is_ok_and(|s| s.rounds_served >= 1)
-            });
-            primary.handle.repl().log.hold(true);
-            let _ = wait_until(Duration::from_secs(10), || {
-                primary.handle.repl().log.lag() > 0
-            });
-        }
-        KillPoint::DuringCompaction => {
-            let addr = primary.addr.clone();
-            let _ = wait_until(Duration::from_secs(30), || {
-                request_stats(&addr).is_ok_and(|s| s.store.compactions >= 1)
-            });
-        }
-    }
-    primary.handle.abort();
 }
 
 /// Polls `done` every 10 ms until it returns true or `budget` elapses.

@@ -240,8 +240,12 @@ pub fn write_frame<W: Write, T: Serialize>(w: &mut W, message: &T) -> io::Result
     // Infallible: json.len() <= MAX_FRAME_LEN (4 MiB) was checked above,
     // far inside u32 range.
     let len = u32::try_from(json.len()).expect("frame fits u32");
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(&json)?;
+    // One buffer, one write: under TCP_NODELAY a separate header write
+    // would go out as its own segment.
+    let mut frame = Vec::with_capacity(4 + json.len());
+    frame.extend_from_slice(&len.to_le_bytes());
+    frame.extend_from_slice(&json);
+    w.write_all(&frame)?;
     w.flush()
 }
 

@@ -85,7 +85,7 @@ use fisql_sqlkit::hash::{Fnv64, FNV64_OFFSET};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::io;
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -95,8 +95,9 @@ use std::time::{Duration, Instant};
 /// protocol's version).
 pub const REPL_PROTOCOL_VERSION: u32 = 1;
 
-/// Poll tick for the replication threads: how quickly shutdown,
-/// new records, and link loss are observed.
+/// Idle tick for the replication threads: how quickly a thread with
+/// nothing to do observes shutdown, fencing, and link loss. New records
+/// and acks wake their waiters at once (condvars, blocking reads).
 const REPL_POLL: Duration = Duration::from_millis(10);
 
 /// A primary sends a heartbeat after this long without records, so a
@@ -111,7 +112,8 @@ const LINK_TIMEOUT: Duration = Duration::from_secs(5);
 /// frame.
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// Records shipped per batch before acks are drained again.
+/// Records shipped per batch before the ship loop re-checks shutdown
+/// and fencing.
 const SHIP_BATCH: usize = 256;
 
 /// Seed of the rolling lineage hash (FNV-1a offset basis): the hash of
@@ -687,8 +689,12 @@ impl ReplState {
 // Primary side: the replication acceptor and per-follower shippers
 // ---------------------------------------------------------------------
 
-/// Accepts follower connections and spawns one shipper per follower.
-/// Runs until `running` flips false.
+/// Accepts follower connections and spawns one shipper per follower,
+/// until `running` flips false. On a blocking `listener` (the daemon's)
+/// the loop blocks in `accept()`, and whoever clears `running` wakes it
+/// with one connect, which is dropped unserved. A caller that stops the
+/// loop by the flag alone passes a nonblocking listener instead, which
+/// is polled on the idle tick.
 pub fn run_repl_acceptor(
     listener: TcpListener,
     repl: Arc<ReplState>,
@@ -697,7 +703,11 @@ pub fn run_repl_acceptor(
 ) {
     let mut shippers: Vec<std::thread::JoinHandle<()>> = Vec::new();
     while running.load(Ordering::Acquire) {
-        match listener.accept() {
+        let accepted = listener.accept();
+        if !running.load(Ordering::Acquire) {
+            break;
+        }
+        match accepted {
             Ok((stream, _peer)) => {
                 let repl = Arc::clone(&repl);
                 let running = Arc::clone(&running);
@@ -705,9 +715,7 @@ pub fn run_repl_acceptor(
                     run_shipper(stream, &repl, &running, fingerprint);
                 }));
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(REPL_POLL);
-            }
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => std::thread::sleep(REPL_POLL),
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(_) => break,
         }
@@ -718,8 +726,11 @@ pub fn run_repl_acceptor(
     }
 }
 
-/// Serves one follower connection: handshake, then ship-and-drain until
-/// the link drops, the daemon stops, or this node is fenced.
+/// Serves one follower connection: handshake, then ship until the link
+/// drops, the daemon stops, or this node is fenced. The link is split:
+/// an ack half blocks on the socket and records each acknowledgement as
+/// it arrives, so shipping never waits on a read. Either half ending
+/// stops the other; the follower is deregistered once both have.
 fn run_shipper(mut stream: TcpStream, repl: &ReplState, running: &AtomicBool, fingerprint: u64) {
     if stream.set_nodelay(true).is_err() || stream.set_read_timeout(Some(REPL_POLL)).is_err() {
         return;
@@ -804,43 +815,54 @@ fn run_shipper(mut stream: TcpStream, repl: &ReplState, running: &AtomicBool, fi
     }
 
     let id = repl.log.register(have);
-    let mut sent = have;
-    let mut last_write = Instant::now();
-    loop {
-        if !running.load(Ordering::Acquire) || repl.fenced() {
-            break;
-        }
-        // Drain acknowledgements (non-blocking: the socket's poll tick
-        // surfaces WouldBlock when the follower is quiet).
-        loop {
-            match read_frame::<_, ReplFrame>(&mut stream) {
-                Ok(Some(ReplFrame::Ack { upto })) => repl.log.ack(id, upto),
-                Ok(Some(_)) => {}
-                Ok(None) => {
-                    repl.log.deregister(id);
-                    return;
-                }
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    break;
-                }
-                Err(_) => {
-                    repl.log.deregister(id);
-                    return;
-                }
+    if let Ok(ack_half) = stream.try_clone() {
+        let ended = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            scope.spawn(|| read_acks(ack_half, &repl.log, id, &ended));
+            ship(&mut stream, repl, running, &ended, have);
+            ended.store(true, Ordering::Release);
+            // Unblocks the ack half's read.
+            let _ = stream.shutdown(Shutdown::Both);
+        });
+    }
+    repl.log.deregister(id);
+}
+
+/// The ack half of a follower link: blocks on the socket and folds in
+/// each acknowledgement as it lands, until EOF, a transport error, or
+/// the ship half shutting the socket down.
+fn read_acks(mut stream: TcpStream, log: &ReplLog, id: u64, ended: &AtomicBool) {
+    if stream.set_read_timeout(None).is_ok() {
+        while let Ok(Some(frame)) = read_frame::<_, ReplFrame>(&mut stream) {
+            if let ReplFrame::Ack { upto } = frame {
+                log.ack(id, upto);
             }
         }
-        // Ship the next batch.
+    }
+    ended.store(true, Ordering::Release);
+    // Wakes the ship half out of `wait_grow`.
+    log.grew.notify_all();
+}
+
+/// The ship half of a follower link: streams records from `sent` on,
+/// heartbeats while the stream is quiet, and sleeps on the log's `grew`
+/// condvar in between. Returns when the daemon stops, this node is
+/// fenced, a write fails, or the ack half has ended.
+fn ship(
+    stream: &mut TcpStream,
+    repl: &ReplState,
+    running: &AtomicBool,
+    ended: &AtomicBool,
+    mut sent: u64,
+) {
+    let mut last_write = Instant::now();
+    while running.load(Ordering::Acquire) && !repl.fenced() && !ended.load(Ordering::Acquire) {
         let batch = repl.log.records_from(sent, SHIP_BATCH);
         if batch.is_empty() {
             if last_write.elapsed() >= HEARTBEAT_EVERY {
                 let tail = repl.log.tail();
-                if write_frame(&mut stream, &ReplFrame::Heartbeat { tail }).is_err() {
-                    break;
+                if write_frame(stream, &ReplFrame::Heartbeat { tail }).is_err() {
+                    return;
                 }
                 last_write = Instant::now();
             }
@@ -848,10 +870,9 @@ fn run_shipper(mut stream: TcpStream, repl: &ReplState, running: &AtomicBool, fi
             continue;
         }
         let n = batch.len() as u64;
-        let mut failed = false;
         for (seq, session_id, op) in batch {
             if write_frame(
-                &mut stream,
+                stream,
                 &ReplFrame::Ship {
                     seq,
                     session_id,
@@ -860,18 +881,13 @@ fn run_shipper(mut stream: TcpStream, repl: &ReplState, running: &AtomicBool, fi
             )
             .is_err()
             {
-                failed = true;
-                break;
+                return;
             }
             sent = seq + 1;
-        }
-        if failed {
-            break;
         }
         repl.log.note_shipped(n);
         last_write = Instant::now();
     }
-    repl.log.deregister(id);
 }
 
 // ---------------------------------------------------------------------
@@ -1327,6 +1343,122 @@ mod tests {
             2,
             "a satisfied quorum is not a timeout"
         );
+    }
+
+    /// A primary-side acceptor over an in-memory store, on an
+    /// ephemeral loopback port.
+    struct Acceptor {
+        repl: Arc<ReplState>,
+        running: Arc<AtomicBool>,
+        addr: std::net::SocketAddr,
+        thread: std::thread::JoinHandle<()>,
+    }
+
+    const FINGERPRINT: u64 = 0xF15C;
+
+    fn boot_acceptor() -> Acceptor {
+        let store = Arc::new(
+            SessionStore::open(None, super::super::store::StoreOptions::new(FINGERPRINT))
+                .expect("store"),
+        );
+        let repl = ReplState::new(store, false, AckMode::None, 1_000);
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let running = Arc::new(AtomicBool::new(true));
+        let thread = {
+            let (repl, running) = (Arc::clone(&repl), Arc::clone(&running));
+            std::thread::spawn(move || run_repl_acceptor(listener, repl, running, FINGERPRINT))
+        };
+        Acceptor {
+            repl,
+            running,
+            addr,
+            thread,
+        }
+    }
+
+    impl Acceptor {
+        /// Stops the acceptor the way the daemon does (clear the flag,
+        /// wake `accept()` with one connect) and asserts it joins.
+        fn stop_and_join(self) {
+            self.running.store(false, Ordering::Release);
+            let _ = TcpStream::connect(self.addr);
+            wait_until("the acceptor joins after stop", || {
+                self.thread.is_finished()
+            });
+            self.thread.join().expect("acceptor thread");
+        }
+    }
+
+    /// Handshakes as a fresh follower and returns the open link.
+    fn attach_follower(addr: std::net::SocketAddr) -> TcpStream {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("timeout");
+        write_frame(
+            &mut stream,
+            &ReplFrame::Hello {
+                version: REPL_PROTOCOL_VERSION,
+                fingerprint: FINGERPRINT,
+                epoch: 0,
+                have: 0,
+                have_hash: LINEAGE_HASH_SEED,
+            },
+        )
+        .expect("hello");
+        match read_frame::<_, ReplFrame>(&mut stream) {
+            Ok(Some(ReplFrame::Welcome { .. })) => stream,
+            other => panic!("expected Welcome, got {other:?}"),
+        }
+    }
+
+    fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(2);
+        while !done() {
+            assert!(Instant::now() < deadline, "timed out waiting until {what}");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    }
+
+    #[test]
+    fn an_idle_shipper_deregisters_a_dropped_follower_and_the_acceptor_joins() {
+        let acceptor = boot_acceptor();
+        let follower = attach_follower(acceptor.addr);
+        wait_until("the follower registers", || {
+            acceptor.repl.log.followers() == 1
+        });
+        // Nothing to ship: only the ack half can notice the link drop,
+        // and it must take the ship half down with it.
+        drop(follower);
+        wait_until("the dropped follower is deregistered", || {
+            acceptor.repl.log.followers() == 0
+        });
+        acceptor.stop_and_join();
+    }
+
+    #[test]
+    fn a_fenced_primary_ends_both_halves_of_a_follower_link() {
+        let acceptor = boot_acceptor();
+        let mut follower = attach_follower(acceptor.addr);
+        wait_until("the follower registers", || {
+            acceptor.repl.log.followers() == 1
+        });
+        acceptor.repl.fence(9);
+        // The ship half stops and shuts the socket; the follower reads
+        // EOF (past any heartbeat already in flight), and the follower
+        // is deregistered only once the ack half has joined too.
+        loop {
+            match read_frame::<_, ReplFrame>(&mut follower) {
+                Ok(Some(ReplFrame::Heartbeat { .. })) => {}
+                Ok(None) => break,
+                other => panic!("expected the link to close, got {other:?}"),
+            }
+        }
+        wait_until("the fenced link is deregistered", || {
+            acceptor.repl.log.followers() == 0
+        });
+        acceptor.stop_and_join();
     }
 
     #[test]

@@ -23,14 +23,17 @@
 //!   and a restart replays every session bit-identically.
 //!
 //! Graceful shutdown: a `Shutdown` request (or
-//! [`ServerHandle::shutdown`]) closes the admission gate and flips the
-//! running flag; the accept loop stops, live connections notice within
-//! one socket-poll interval, finish their in-flight request, send
-//! `ShuttingDown`, and drain; the store syncs; `serve` returns the final
-//! [`ServeSummary`].
+//! [`ServerHandle::shutdown`]) closes the admission gate, flips the
+//! running flag, and wakes the replication accept loop (`--repl-listen`)
+//! out of its blocking `accept()` with one loopback connect, which the
+//! loop drops unserved. The client accept loop and live connections
+//! notice within one poll tick; connections finish their in-flight
+//! request, send `ShuttingDown`, and drain; the store syncs; `serve`
+//! returns the final [`ServeSummary`].
 
 use super::admission::{AdmissionConfig, AdmissionGate, AdmissionSnapshot};
 use super::diskfault::DiskFaultConfig;
+use super::failover::KillPoint;
 use super::protocol::{
     deadline_expired, read_frame, read_frame_deadline, write_frame, ClientRequest, ServerResponse,
     ServerStats, PROTOCOL_VERSION,
@@ -43,14 +46,20 @@ use crate::session::{Session, SessionEvent};
 use fisql_llm::{Embedding, FallibleLanguageModel, FaultyBackend, LlmConfig, Resilient, SimLlm};
 use fisql_spider::{build_aep, AepConfig, Corpus, Example};
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-/// Socket poll interval: how quickly idle connections and the accept
-/// loop observe shutdown.
+/// Poll tick of the client side: how quickly the (nonblocking) client
+/// accept loop and a connection waiting for its next frame observe
+/// shutdown, and how finely idle deadlines are checked. It also paces
+/// session opens: an open waits for the accept loop's next tick.
 const POLL_INTERVAL: Duration = Duration::from_millis(50);
+
+/// Bound on a stop's loopback wake connect. A listener whose backlog is
+/// full is about to return from `accept()` anyway.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Final serve-loop report.
 #[derive(Debug, Clone, Default)]
@@ -99,19 +108,75 @@ struct ConnCtx {
     assistant: Assistant,
     store: Arc<SessionStore>,
     gate: Arc<AdmissionGate>,
-    running: Arc<AtomicBool>,
-    aborted: Arc<AtomicBool>,
+    stop: Arc<Stopper>,
     repl: Arc<ReplState>,
     counters: Arc<ServerCounters>,
     started: Instant,
 }
 
+/// The daemon's one stop switch, shared by [`ServerHandle`] and the
+/// `Shutdown` admin request.
+struct Stopper {
+    gate: Arc<AdmissionGate>,
+    /// Cleared by a stop; every daemon thread watches it.
+    running: Arc<AtomicBool>,
+    /// Set by [`ServerHandle::abort`]: stop without farewells.
+    aborted: AtomicBool,
+    /// The replication listener (`--repl-listen`), whose accept loop
+    /// blocks and so must be woken by a stop.
+    repl_listener: Option<SocketAddr>,
+    /// A scripted kill armed by the failover harness (see
+    /// [`ServerHandle::arm_kill`]).
+    kill: OnceLock<KillPoint>,
+}
+
+impl Stopper {
+    /// Stops the daemon (idempotent): closes the admission gate, clears
+    /// the running flag, and wakes the replication accept loop blocked
+    /// in `accept()` with one loopback connect. That loop checks the
+    /// flag after every accept and drops that connection unserved, so a
+    /// wake never reaches a shipper. The client accept loop polls and
+    /// sees the flag within one [`POLL_INTERVAL`].
+    fn stop(&self) {
+        self.gate.close();
+        if self.running.swap(false, Ordering::AcqRel) {
+            if let Some(addr) = self.repl_listener {
+                let _ = TcpStream::connect_timeout(&loopback(addr), WAKE_TIMEOUT);
+            }
+        }
+    }
+
+    fn running(&self) -> bool {
+        self.running.load(Ordering::Acquire)
+    }
+
+    fn aborted(&self) -> bool {
+        self.aborted.load(Ordering::Acquire)
+    }
+
+    /// Stops without farewells (see [`ServerHandle::abort`]).
+    fn abort(&self) {
+        self.aborted.store(true, Ordering::Release);
+        self.stop();
+    }
+}
+
+/// The address a local connect reaches a listener bound to `addr` at:
+/// an unspecified bind address maps to the loopback of its family.
+fn loopback(mut addr: SocketAddr) -> SocketAddr {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
+}
+
 /// A handle for stopping a serving daemon from another thread.
 #[derive(Clone)]
 pub struct ServerHandle {
-    running: Arc<AtomicBool>,
-    aborted: Arc<AtomicBool>,
-    gate: Arc<AdmissionGate>,
+    stop: Arc<Stopper>,
     repl: Arc<ReplState>,
     addr: SocketAddr,
 }
@@ -119,24 +184,32 @@ pub struct ServerHandle {
 impl ServerHandle {
     /// Begins a graceful shutdown (idempotent).
     pub fn shutdown(&self) {
-        self.gate.close();
-        self.running.store(false, Ordering::Release);
+        self.stop.stop();
     }
 
     /// Kills the daemon without farewell: no `ShuttingDown` frames, no
     /// responses for in-flight requests — connections just see their
     /// socket die, exactly as a SIGKILL looks from the outside. The
-    /// failover harness uses this as its deterministic in-process
-    /// primary kill; the store is NOT synced beyond what write-ahead
-    /// appends already flushed.
+    /// store is NOT synced beyond what write-ahead appends already
+    /// flushed.
     pub fn abort(&self) {
-        self.aborted.store(true, Ordering::Release);
-        self.gate.close();
-        self.running.store(false, Ordering::Release);
+        self.stop.abort();
+    }
+
+    /// Arms a scripted [`abort`](ServerHandle::abort) at `kill`: the
+    /// serving path checks the point after every Ask and Feedback and
+    /// aborts from inside the turn that reaches it, before that turn's
+    /// response is written. That client must re-attach elsewhere to
+    /// finish its script, so the kill is always felt, however fast the
+    /// load runs. (A `Bye` is never the trigger: a client whose close
+    /// dies with the primary has nothing left to re-attach for.) The
+    /// first armed point wins.
+    pub(crate) fn arm_kill(&self, kill: KillPoint) {
+        let _ = self.stop.kill.set(kill);
     }
 
     /// The daemon's replication state (role, epoch, log) — the failover
-    /// harness reads lag and holds shipping through this.
+    /// suites read lag and hold shipping through this.
     pub fn repl(&self) -> &ReplState {
         &self.repl
     }
@@ -157,8 +230,7 @@ pub struct Server {
     assistant: Assistant,
     store: Arc<SessionStore>,
     gate: Arc<AdmissionGate>,
-    running: Arc<AtomicBool>,
-    aborted: Arc<AtomicBool>,
+    stop: Arc<Stopper>,
     repl: Arc<ReplState>,
     counters: Arc<ServerCounters>,
     started: Instant,
@@ -208,13 +280,19 @@ impl Server {
             config.repl_ack_timeout_ms,
         );
         let repl_listener = match config.repl_listen.as_deref() {
-            Some(addr) => {
-                let listener = TcpListener::bind(addr)?;
-                listener.set_nonblocking(true)?;
-                Some(listener)
-            }
+            Some(addr) => Some(TcpListener::bind(addr)?),
             None => None,
         };
+        let stop = Arc::new(Stopper {
+            gate: Arc::clone(&gate),
+            running: Arc::new(AtomicBool::new(true)),
+            aborted: AtomicBool::new(false),
+            repl_listener: match &repl_listener {
+                Some(listener) => Some(listener.local_addr()?),
+                None => None,
+            },
+            kill: OnceLock::new(),
+        });
         Ok(Server {
             config,
             listener,
@@ -224,8 +302,7 @@ impl Server {
             assistant,
             store,
             gate,
-            running: Arc::new(AtomicBool::new(true)),
-            aborted: Arc::new(AtomicBool::new(false)),
+            stop,
             repl,
             counters: Arc::new(ServerCounters::default()),
             started: Instant::now(),
@@ -254,9 +331,7 @@ impl Server {
     /// A shutdown handle usable from another thread.
     pub fn handle(&self) -> io::Result<ServerHandle> {
         Ok(ServerHandle {
-            running: Arc::clone(&self.running),
-            aborted: Arc::clone(&self.aborted),
-            gate: Arc::clone(&self.gate),
+            stop: Arc::clone(&self.stop),
             repl: Arc::clone(&self.repl),
             addr: self.local_addr()?,
         })
@@ -270,7 +345,7 @@ impl Server {
         let mut repl_threads: Vec<std::thread::JoinHandle<()>> = Vec::new();
         if let Some(listener) = self.repl_listener.take() {
             let repl = Arc::clone(&self.repl);
-            let running = Arc::clone(&self.running);
+            let running = Arc::clone(&self.stop.running);
             let fingerprint = self.config.fingerprint();
             repl_threads.push(std::thread::spawn(move || {
                 run_repl_acceptor(listener, repl, running, fingerprint);
@@ -278,7 +353,7 @@ impl Server {
         }
         if let Some(primary) = self.config.replica_of.clone() {
             let repl = Arc::clone(&self.repl);
-            let running = Arc::clone(&self.running);
+            let running = Arc::clone(&self.stop.running);
             let fingerprint = self.config.fingerprint();
             let auto_promote = self.config.auto_promote;
             repl_threads.push(std::thread::spawn(move || {
@@ -286,7 +361,7 @@ impl Server {
             }));
         }
         let mut workers: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        while self.running.load(Ordering::Acquire) {
+        while self.stop.running() {
             match self.listener.accept() {
                 Ok((stream, _peer)) => {
                     let ctx = ConnCtx {
@@ -296,8 +371,7 @@ impl Server {
                         assistant: self.assistant.clone(),
                         store: Arc::clone(&self.store),
                         gate: Arc::clone(&self.gate),
-                        running: Arc::clone(&self.running),
-                        aborted: Arc::clone(&self.aborted),
+                        stop: Arc::clone(&self.stop),
                         repl: Arc::clone(&self.repl),
                         counters: Arc::clone(&self.counters),
                         started: self.started,
@@ -324,10 +398,8 @@ impl Server {
             }
             workers.retain(|w| !w.is_finished());
         }
-        // Drain: the gate is closed (shutdown already did it, or a
-        // handle-driven stop does it here); live handlers notice the
-        // flag within one poll interval.
-        self.gate.close();
+        // Drain: the stop closed the gate; live handlers notice the
+        // flag within one poll tick.
         for worker in workers {
             let _ = worker.join();
         }
@@ -396,8 +468,7 @@ fn handle_conn(ctx: &ConnCtx, corpus: &Corpus, mut stream: TcpStream) {
         };
         match first {
             ClientRequest::Shutdown => {
-                ctx.gate.close();
-                ctx.running.store(false, Ordering::Release);
+                ctx.stop.stop();
                 let _ = write_frame(&mut stream, &ServerResponse::ShuttingDown);
                 return;
             }
@@ -451,7 +522,7 @@ fn handle_conn(ctx: &ConnCtx, corpus: &Corpus, mut stream: TcpStream) {
             // closed as a side effect of the abort, but answering with
             // a typed rejection would turn "your peer died, fail over"
             // into "backpressure, give up" for the connecting client.
-            if ctx.aborted.load(Ordering::Acquire) {
+            if ctx.stop.aborted() {
                 return;
             }
             let (active, queued) = match &rejection {
@@ -528,8 +599,8 @@ fn handle_conn(ctx: &ConnCtx, corpus: &Corpus, mut stream: TcpStream) {
     // the session — gated on the open's own stream position, so a
     // resume (no new append, `repl_upto` 0) passes straight through.
     // An aborted (killed) daemon writes nothing more.
-    ctx.repl.quorum_gate(hosted.repl_upto, &ctx.running);
-    if ctx.aborted.load(Ordering::Acquire) {
+    ctx.repl.quorum_gate(hosted.repl_upto, &ctx.stop.running);
+    if ctx.stop.aborted() {
         return;
     }
     let replayed_rounds = hosted.session.round();
@@ -570,15 +641,23 @@ fn handle_conn(ctx: &ConnCtx, corpus: &Corpus, mut stream: TcpStream) {
         // response write: the op is already durable locally AND shipped,
         // so a primary killed inside the gate loses only un-acked
         // responses — never acknowledged ones.
-        let gated = matches!(
+        let turn = matches!(
             request,
-            ClientRequest::Ask { .. } | ClientRequest::Feedback { .. } | ClientRequest::Bye
+            ClientRequest::Ask { .. } | ClientRequest::Feedback { .. }
         );
+        let gated = turn || matches!(request, ClientRequest::Bye);
         let response = dispatch(ctx, corpus, &mut hosted, request);
-        if gated {
-            ctx.repl.quorum_gate(hosted.repl_upto, &ctx.running);
+        // A scripted kill (see `ServerHandle::arm_kill`) fires here.
+        if let Some(kill) = ctx.stop.kill.get().filter(|_| turn) {
+            let rounds = ctx.counters.rounds_served.load(Ordering::Relaxed);
+            if kill.reached(rounds, &ctx.repl, &ctx.store) {
+                ctx.stop.abort();
+            }
         }
-        if ctx.aborted.load(Ordering::Acquire) {
+        if gated {
+            ctx.repl.quorum_gate(hosted.repl_upto, &ctx.stop.running);
+        }
+        if ctx.stop.aborted() {
             // Killed mid-request: drop the response on the floor — the
             // client must see a dead socket, not a farewell.
             return;
@@ -752,10 +831,10 @@ fn next_request(ctx: &ConnCtx, stream: &mut TcpStream) -> NextFrame {
     let deadline = (ctx.config.idle_timeout_ms > 0)
         .then(|| armed + Duration::from_millis(ctx.config.idle_timeout_ms));
     loop {
-        if !ctx.running.load(Ordering::Acquire) {
+        if !ctx.stop.running() {
             // A graceful drain says goodbye; an abort (in-process kill)
             // just drops the connection mid-conversation.
-            if !ctx.aborted.load(Ordering::Acquire) {
+            if !ctx.stop.aborted() {
                 let _ = write_frame(stream, &ServerResponse::ShuttingDown);
             }
             return NextFrame::Gone;
@@ -882,8 +961,7 @@ fn dispatch<'a>(
             }
         }
         ClientRequest::Shutdown => {
-            ctx.gate.close();
-            ctx.running.store(false, Ordering::Release);
+            ctx.stop.stop();
             ServerResponse::ShuttingDown
         }
         ClientRequest::Stats => ServerResponse::Stats(server_stats(ctx)),

@@ -265,6 +265,50 @@ fn shutdown_request_drains_the_daemon_gracefully() {
 }
 
 #[test]
+fn every_stop_path_wakes_an_idle_daemon_within_a_second() {
+    // The replication accept loop blocks in `accept()` and a stop must
+    // wake it; the client accept loop polls. Either way `serve()` returns
+    // promptly, and the wake never counts as a session, an error, or a
+    // reap.
+    #[derive(Debug, Clone, Copy)]
+    enum StopPath {
+        Shutdown,
+        Abort,
+        ShutdownFrame,
+    }
+    for repl_listen in [false, true] {
+        for path in [StopPath::Shutdown, StopPath::Abort, StopPath::ShutdownFrame] {
+            let mut config = test_config();
+            if repl_listen {
+                config = config.repl_listen("127.0.0.1:0");
+            }
+            let (addr, handle, thread) = boot(config);
+            // Let the accept loops settle into their idle waits.
+            std::thread::sleep(Duration::from_millis(100));
+            let (done_tx, done_rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let _ = done_tx.send(thread.join().expect("server thread"));
+            });
+            match path {
+                StopPath::Shutdown => handle.shutdown(),
+                StopPath::Abort => handle.abort(),
+                StopPath::ShutdownFrame => {
+                    assert!(fisql_core::serve::request_shutdown(addr.as_str()).expect("shutdown"))
+                }
+            }
+            let summary = done_rx
+                .recv_timeout(Duration::from_secs(1))
+                .unwrap_or_else(|_| {
+                    panic!("{path:?} (repl_listen {repl_listen}): serve() still running after 1 s")
+                });
+            assert_eq!(summary.sessions_opened, 0, "{path:?} {repl_listen}");
+            assert_eq!(summary.errors, 0, "{path:?} {repl_listen}");
+            assert_eq!(summary.admission.reaped, 0, "{path:?} {repl_listen}");
+        }
+    }
+}
+
+#[test]
 fn session_store_marker_separates_stores_from_eval_journals() {
     // A serve session store can never be opened as an eval journal: the
     // header's case-count slot is pinned to the marker.
