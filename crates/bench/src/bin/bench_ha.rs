@@ -14,10 +14,12 @@
 //!    whether the surviving transcript digest matches the unfailed
 //!    baseline. Quorum levels assert zero loss and digest identity.
 //!
-//! Emits `BENCH_ha.json`; CI uploads it as a workflow artifact.
+//! Emits `BENCH_ha.json` (its `seed` is the daemon's corpus seed); CI
+//! uploads it as a workflow artifact.
 //!
 //! Run: `cargo run --release -p fisql-bench --bin bench_ha`
 
+use fisql_bench::{emit, Scale};
 use fisql_core::serve::{run_failover, run_load, AckMode, FailoverConfig, KillPoint, Server};
 use fisql_core::{LoadConfig, ServeConfig};
 use std::path::PathBuf;
@@ -30,8 +32,10 @@ fn temp_store(tag: &str) -> PathBuf {
 }
 
 fn main() {
-    let small = std::env::var("FISQL_SCALE").is_ok_and(|s| s == "small");
-    let sessions = if small { 16 } else { 32 };
+    let sessions = match Scale::from_env() {
+        Scale::Small => 16,
+        Scale::Full => 32,
+    };
     let serve = ServeConfig::default().port(0).n_examples(24);
     println!(
         "# Hot-standby replication benchmark ({sessions} scripted sessions, corpus seed {:#x})\n",
@@ -203,7 +207,6 @@ fn main() {
 
     let json = serde_json::json!({
         "sessions": sessions,
-        "corpus_seed": serve.seed,
         "n_examples": serve.n_examples,
         "steady_state": {
             "records_shipped": shipped,
@@ -214,7 +217,5 @@ fn main() {
         },
         "kill_levels": rows,
     });
-    let out = "BENCH_ha.json";
-    std::fs::write(out, json.to_string()).expect("write BENCH_ha.json");
-    println!("\nwrote {out}");
+    emit("ha", serve.seed, json);
 }

@@ -11,13 +11,15 @@
 //! are deterministic regardless of scheduling. A final survivability
 //! level mixes seeded chaos clients (slowloris, torn frames, stalls)
 //! into the scripted load on a compacting, idle-reaping daemon and
-//! reports the reap and compaction counters. Emits `BENCH_serve.json`;
-//! CI uploads it as a workflow artifact.
+//! reports the reap and compaction counters. Emits `BENCH_serve.json`
+//! (its `seed` is the daemon's corpus seed); CI uploads it as a workflow
+//! artifact.
 //!
 //! Run: `cargo run --release -p fisql-bench --bin bench_serve`
 
+use fisql_bench::emit;
 use fisql_core::serve::{run_chaos, run_load, ChaosConfig, Server};
-use fisql_core::{LoadConfig, ServeConfig};
+use fisql_core::{LoadConfig, ServeConfig, ServerStats};
 
 const MAX_SESSIONS: usize = 32;
 const CONCURRENCY_LEVELS: [usize; 3] = [8, 32, 64];
@@ -145,7 +147,7 @@ fn main() {
         "chaos must not fail healthy sessions"
     );
     assert_eq!(chaos_report.failed, 0, "chaos clients must all resolve");
-    assert_eq!(summary.final_active, 0, "every chaos slot must return");
+    assert_eq!(summary.admission.active, 0, "every chaos slot must return");
     println!(
         "\nchaos level: {} healthy session(s) completed beside {} attacker(s) — \
          {} reaped, {} compaction(s), {} slot(s) leaked",
@@ -153,13 +155,12 @@ fn main() {
         chaos_report.clients,
         summary.admission.reaped,
         summary.store.compactions,
-        summary.final_active,
+        summary.admission.active,
     );
 
     let json = serde_json::json!({
         "max_sessions": MAX_SESSIONS,
         "queue_depth": 64,
-        "corpus_seed": serve_config.seed,
         "n_examples": serve_config.n_examples,
         "levels": rows,
         "digest_stable_across_runs": true,
@@ -176,21 +177,19 @@ fn main() {
             "store_generation": summary.store.generation,
             "healthy_sessions": report.sessions_completed,
             "healthy_digest": format!("{:#018x}", report.digest),
-            "final_active": summary.final_active,
+            "final_active": summary.admission.active,
         },
     });
-    let out = "BENCH_serve.json";
-    std::fs::write(out, json.to_string()).expect("write BENCH_serve.json");
-    println!("wrote {out}");
+    emit("serve", serve_config.seed, json);
 }
 
 /// Boots a fresh daemon, runs one load level against it, drains it, and
-/// returns the load report plus the daemon's own summary.
+/// returns the load report plus the daemon's final stats.
 fn one_level(
     serve_config: &ServeConfig,
     concurrency: usize,
     load_seed: u64,
-) -> (fisql_core::LoadReport, fisql_core::serve::ServeSummary) {
+) -> (fisql_core::LoadReport, ServerStats) {
     let server = Server::bind(serve_config.clone()).expect("bind");
     let handle = server.handle().expect("handle");
     let addr = handle.addr().to_string();

@@ -3,7 +3,9 @@
 //! Every table and figure of the paper has a binary in `src/bin/` that
 //! regenerates it (see DESIGN.md §4); this library holds the common
 //! corpus/model/user construction so all experiments run off identical,
-//! seeded inputs.
+//! seeded inputs, and [`emit`], the one writer of the `BENCH_*.json`
+//! files the three bench binaries (`bench_eval`, `bench_serve`,
+//! `bench_ha`) produce.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -12,6 +14,8 @@ use fisql_core::{AnnotatedCase, CorrectionReport, CorrectionRun, Strategy};
 use fisql_feedback::{SimUser, UserConfig};
 use fisql_llm::{LlmConfig, SimLlm};
 use fisql_spider::{build_aep, build_spider, AepConfig, Corpus, SpiderConfig};
+use serde::Content;
+use serde_json::Value;
 
 /// Master seed shared by all experiments unless overridden with
 /// `FISQL_SEED`.
@@ -33,6 +37,14 @@ impl Scale {
         match std::env::var("FISQL_SCALE").as_deref() {
             Ok("small") => Scale::Small,
             _ => Scale::Full,
+        }
+    }
+
+    /// The `FISQL_SCALE` spelling of this scale.
+    pub fn name(self) -> &'static str {
+        match self {
+            Scale::Full => "full",
+            Scale::Small => "small",
         }
     }
 }
@@ -137,5 +149,44 @@ pub fn pct(n: usize, total: usize) -> String {
         "-".to_string()
     } else {
         format!("{:.2}", 100.0 * n as f64 / total as f64)
+    }
+}
+
+/// Writes `BENCH_{name}.json` to the working directory and says so.
+///
+/// Every BENCH file opens with the same header: the bench `name`, the
+/// `seed` its inputs derive from, the `FISQL_SCALE` it ran under, and the
+/// machine's `available_parallelism`. The fields of `body` (a JSON
+/// object: `cases`, `rounds` and the result rows where they apply)
+/// follow.
+///
+/// # Panics
+/// Panics when `body` is not a JSON object or the file cannot be
+/// written.
+pub fn emit(name: &str, seed: u64, body: Value) {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let header = serde_json::json!({
+        "bench": name,
+        "seed": seed,
+        "scale": Scale::from_env().name(),
+        "available_parallelism": cores,
+    });
+    let path = format!("BENCH_{name}.json");
+    std::fs::write(&path, merge(header, body).to_string())
+        .unwrap_or_else(|e| panic!("write {path}: {e}"));
+    println!("\nwrote {path}");
+}
+
+/// The fields of JSON object `a` followed by those of `b`.
+///
+/// # Panics
+/// Panics when either value is not a JSON object.
+pub fn merge(a: Value, b: Value) -> Value {
+    match (a, b) {
+        (Value(Content::Map(mut a)), Value(Content::Map(b))) => {
+            a.extend(b);
+            Value(Content::Map(a))
+        }
+        _ => panic!("merge takes two JSON objects"),
     }
 }

@@ -63,7 +63,6 @@ pub use runner::{
 pub use semcache::SemanticCache;
 pub use serve::{
     run_chaos, run_load, ChaosBehavior, ChaosConfig, ChaosReport, ClientTurn, Connected,
-    LoadReport, ServeClient, ServeSummary, Server, ServerHandle, ServerStats, SessionStore,
-    StoreOptions,
+    LoadReport, ServeClient, Server, ServerHandle, ServerStats, SessionStore, StoreOptions,
 };
 pub use session::{render_events, Session, SessionEvent};

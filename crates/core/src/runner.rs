@@ -427,11 +427,6 @@ impl<'a, L: FallibleLanguageModel + ?Sized> CorrectionRun<'a, L> {
         self
     }
 
-    /// The current configuration.
-    pub fn current_config(&self) -> &ExperimentConfig {
-        &self.cfg
-    }
-
     /// Asks the simulated user for feedback on every error; keeps the
     /// annotatable subset (the paper's 101-of-243). Sharded like
     /// [`run`](CorrectionRun::run); output order matches input order.

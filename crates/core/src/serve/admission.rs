@@ -79,6 +79,13 @@ pub struct AdmissionSnapshot {
     pub reaped: u64,
     /// Highest concurrent-session count observed.
     pub peak_active: u64,
+    /// Sessions holding a slot when the snapshot was taken (0 after a
+    /// clean drain — the survivability suites assert on it).
+    #[serde(default)]
+    pub active: u64,
+    /// Connections queued for a slot when the snapshot was taken.
+    #[serde(default)]
+    pub queued: u64,
 }
 
 impl AdmissionSnapshot {
@@ -254,8 +261,12 @@ impl AdmissionGate {
         self.stats.reaped.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Snapshot of the cumulative counters.
+    /// Snapshot of the cumulative counters and the current gauges.
     pub fn snapshot(&self) -> AdmissionSnapshot {
+        let (active, queued) = {
+            let state = self.lock_state();
+            (state.active as u64, state.queue.len() as u64)
+        };
         AdmissionSnapshot {
             admitted_direct: self.stats.admitted_direct.load(Ordering::Relaxed),
             admitted_queued: self.stats.admitted_queued.load(Ordering::Relaxed),
@@ -264,6 +275,8 @@ impl AdmissionGate {
             rejected_closed: self.stats.rejected_closed.load(Ordering::Relaxed),
             reaped: self.stats.reaped.load(Ordering::Relaxed),
             peak_active: self.stats.peak_active.load(Ordering::Relaxed),
+            active,
+            queued,
         }
     }
 

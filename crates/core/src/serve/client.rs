@@ -58,8 +58,6 @@ pub enum Connected {
 /// One open client session (see the module docs).
 pub struct ServeClient {
     stream: TcpStream,
-    /// Longest this client waits for one server response.
-    read_deadline: Duration,
     /// The id the server journals this session under.
     pub session_id: u64,
     /// Feedback rounds replayed from the store at handshake (0 for a
@@ -130,7 +128,6 @@ impl ServeClient {
                 replayed_rounds,
             } => Ok(Connected::Admitted(ServeClient {
                 stream,
-                read_deadline: DEFAULT_READ_DEADLINE,
                 session_id,
                 replayed_rounds,
             })),
@@ -164,16 +161,10 @@ impl ServeClient {
         }
     }
 
-    /// Bounds how long this client waits for one server response
-    /// (default [`DEFAULT_READ_DEADLINE`]).
-    pub fn set_read_deadline(&mut self, deadline: Duration) {
-        self.read_deadline = deadline;
-    }
-
     /// Sends one request and reads one response.
     pub fn request(&mut self, request: &ClientRequest) -> io::Result<ServerResponse> {
         write_frame(&mut self.stream, request)?;
-        read_response(&mut self.stream, self.read_deadline)
+        read_response(&mut self.stream, DEFAULT_READ_DEADLINE)
     }
 
     /// Fetches the daemon's live statistics.

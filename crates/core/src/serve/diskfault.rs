@@ -22,6 +22,7 @@
 //! Injected errors carry an `injected disk fault` prefix so logs can
 //! tell chaos from a genuinely failing disk.
 
+use fisql_sqlkit::hash::{splitmix, unit};
 use std::io;
 
 /// Environment variable carrying a uniform disk-fault rate
@@ -136,18 +137,13 @@ enum Lane {
 /// SplitMix-style avalanche over the fault key (the same construction
 /// as the backend fault injector).
 fn latent(seed: u64, lane: Lane, a: u64, b: u64) -> u64 {
-    let mut h: u64 = 0x2545F4914F6CDD1D;
-    for v in [seed, lane as u64, a, b] {
-        h ^= v.wrapping_add(0x9E3779B97F4A7C15).rotate_left(17);
-        h = h.wrapping_mul(0xD6E8FEB86659FD93);
-        h ^= h >> 32;
-    }
-    h
-}
-
-/// The latent's top bits as a uniform draw in `[0, 1)`.
-fn unit(h: u64) -> f64 {
-    (h >> 11) as f64 / (1u64 << 53) as f64
+    splitmix(
+        0x2545F4914F6CDD1D,
+        0xD6E8FEB86659FD93,
+        17,
+        Some(32),
+        &[seed, lane as u64, a, b],
+    )
 }
 
 #[cfg(test)]

@@ -33,7 +33,7 @@ use super::client::request_stats;
 use super::loadgen::{run_load, LoadReport};
 use super::protocol::ServerStats;
 use super::replicate::ReplState;
-use super::server::{ServeSummary, Server, ServerHandle};
+use super::server::{Server, ServerHandle};
 use super::store::SessionStore;
 use crate::config::{LoadConfig, ServeConfig};
 use std::io;
@@ -128,16 +128,16 @@ pub struct FailoverReport {
     /// The survivor's statistics after the load drained.
     pub survivor: Option<ServerStats>,
     /// The killed primary's exit summary.
-    pub primary_summary: ServeSummary,
+    pub primary_summary: ServerStats,
     /// The survivor's exit summary.
-    pub survivor_summary: ServeSummary,
+    pub survivor_summary: ServerStats,
 }
 
 /// One booted daemon and the thread that will yield its exit summary.
 struct Node {
     addr: String,
     handle: ServerHandle,
-    thread: JoinHandle<io::Result<ServeSummary>>,
+    thread: JoinHandle<io::Result<ServerStats>>,
 }
 
 fn boot(config: ServeConfig) -> io::Result<(Node, Option<std::net::SocketAddr>)> {
@@ -156,7 +156,7 @@ fn boot(config: ServeConfig) -> io::Result<(Node, Option<std::net::SocketAddr>)>
     ))
 }
 
-fn join_node(node: Node) -> io::Result<ServeSummary> {
+fn join_node(node: Node) -> io::Result<ServerStats> {
     node.handle.shutdown();
     node.thread
         .join()

@@ -55,7 +55,7 @@ pub use loadgen::{
 };
 pub use protocol::{ClientRequest, ServerResponse, ServerStats, PROTOCOL_VERSION};
 pub use replicate::{AckMode, ReplFrame, ReplLog, ReplState, Role, REPL_PROTOCOL_VERSION};
-pub use server::{ServeSummary, Server, ServerHandle};
+pub use server::{Server, ServerHandle};
 pub use store::{
     Appended, CompactionOutcome, SessionOp, SessionStore, StoreOptions, StoreSnapshot,
     SESSION_STORE_MARKER,

@@ -29,9 +29,10 @@
 //! loop drops unserved. The client accept loop and live connections
 //! notice within one poll tick; connections finish their in-flight
 //! request, send `ShuttingDown`, and drain; the store syncs; `serve`
-//! returns the final [`ServeSummary`].
+//! returns the final [`ServerStats`] — the same surface a `Stats`
+//! request answers.
 
-use super::admission::{AdmissionConfig, AdmissionGate, AdmissionSnapshot};
+use super::admission::{AdmissionConfig, AdmissionGate};
 use super::diskfault::DiskFaultConfig;
 use super::failover::KillPoint;
 use super::protocol::{
@@ -39,7 +40,7 @@ use super::protocol::{
     ServerStats, PROTOCOL_VERSION,
 };
 use super::replicate::{notify_deposed, run_follower, run_repl_acceptor, ReplState, Role};
-use super::store::{Appended, SessionOp, SessionStore, StoreOptions, StoreSnapshot};
+use super::store::{Appended, SessionOp, SessionStore, StoreOptions};
 use crate::assistant::Assistant;
 use crate::config::{chaos_stack, ServeConfig};
 use crate::session::{Session, SessionEvent};
@@ -61,34 +62,6 @@ const POLL_INTERVAL: Duration = Duration::from_millis(50);
 /// full is about to return from `accept()` anyway.
 const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
-/// Final serve-loop report.
-#[derive(Debug, Clone, Default)]
-pub struct ServeSummary {
-    /// Fresh sessions opened.
-    pub sessions_opened: u64,
-    /// Sessions resumed from the store.
-    pub sessions_resumed: u64,
-    /// Feedback rounds served live (replays not counted).
-    pub rounds_served: u64,
-    /// Questions answered live.
-    pub questions_served: u64,
-    /// Requests answered with a protocol `Error`.
-    pub errors: u64,
-    /// Requests whose handler panicked and was contained.
-    pub contained_panics: u64,
-    /// Sessions degraded to memory-only by a store fault.
-    pub sessions_degraded: u64,
-    /// Admission-gate counters (including `reaped`).
-    pub admission: AdmissionSnapshot,
-    /// Session-store health at drain.
-    pub store: StoreSnapshot,
-    /// Sessions still holding a slot after the drain (0 on a clean
-    /// drain — the survivability suites assert on it).
-    pub final_active: usize,
-    /// Connections still queued after the drain (0 on a clean drain).
-    pub final_queued: usize,
-}
-
 #[derive(Debug, Default)]
 struct ServerCounters {
     sessions_opened: AtomicU64,
@@ -98,6 +71,39 @@ struct ServerCounters {
     errors: AtomicU64,
     contained_panics: AtomicU64,
     sessions_degraded: AtomicU64,
+}
+
+impl ServerCounters {
+    /// The daemon's one stats surface: what a `Stats` request answers
+    /// and what [`Server::serve`] returns after the drain.
+    fn stats(
+        &self,
+        gate: &AdmissionGate,
+        store: &SessionStore,
+        repl: &ReplState,
+        started: Instant,
+    ) -> ServerStats {
+        ServerStats {
+            admission: gate.snapshot(),
+            store: store.snapshot(),
+            sessions_opened: self.sessions_opened.load(Ordering::Relaxed),
+            sessions_resumed: self.sessions_resumed.load(Ordering::Relaxed),
+            questions_served: self.questions_served.load(Ordering::Relaxed),
+            rounds_served: self.rounds_served.load(Ordering::Relaxed),
+            sessions_degraded: self.sessions_degraded.load(Ordering::Relaxed),
+            errors: self.errors.load(Ordering::Relaxed),
+            contained_panics: self.contained_panics.load(Ordering::Relaxed),
+            uptime_ms: started.elapsed().as_millis() as u64,
+            role: repl.role(),
+            epoch: repl.epoch(),
+            replication_lag_records: repl.log.lag(),
+            repl_followers: repl.log.followers() as u64,
+            repl_records_shipped: repl.log.shipped(),
+            repl_ack_timeouts: repl.ack_timeouts(),
+            repl_ack_degraded: repl.ack_degraded(),
+            repl_ack_degraded_entries: repl.ack_degraded_entries(),
+        }
+    }
 }
 
 /// Shared per-connection context.
@@ -339,7 +345,7 @@ impl Server {
 
     /// Runs the accept loop until a graceful shutdown, then drains live
     /// connections, syncs the store, and reports.
-    pub fn serve(mut self) -> io::Result<ServeSummary> {
+    pub fn serve(mut self) -> io::Result<ServerStats> {
         // Replication threads: an acceptor + per-follower shippers on
         // the primary side, the receive/apply loop on the follower side.
         let mut repl_threads: Vec<std::thread::JoinHandle<()>> = Vec::new();
@@ -409,19 +415,9 @@ impl Server {
         // A chaos-degraded store may legitimately fail its final sync
         // (injected fsync fault, disk-full); the drain still reports.
         let _ = self.store.sync();
-        Ok(ServeSummary {
-            sessions_opened: self.counters.sessions_opened.load(Ordering::Relaxed),
-            sessions_resumed: self.counters.sessions_resumed.load(Ordering::Relaxed),
-            rounds_served: self.counters.rounds_served.load(Ordering::Relaxed),
-            questions_served: self.counters.questions_served.load(Ordering::Relaxed),
-            errors: self.counters.errors.load(Ordering::Relaxed),
-            contained_panics: self.counters.contained_panics.load(Ordering::Relaxed),
-            sessions_degraded: self.counters.sessions_degraded.load(Ordering::Relaxed),
-            admission: self.gate.snapshot(),
-            store: self.store.snapshot(),
-            final_active: self.gate.active(),
-            final_queued: self.gate.waiting(),
-        })
+        Ok(self
+            .counters
+            .stats(&self.gate, &self.store, &self.repl, self.started))
     }
 }
 
@@ -685,26 +681,8 @@ fn reaped_frame(ctx: &ConnCtx, idle_ms: u64) -> ServerResponse {
 
 /// Live daemon statistics for the `Stats` admin request.
 fn server_stats(ctx: &ConnCtx) -> ServerStats {
-    ServerStats {
-        admission: ctx.gate.snapshot(),
-        store: ctx.store.snapshot(),
-        sessions_opened: ctx.counters.sessions_opened.load(Ordering::Relaxed),
-        sessions_resumed: ctx.counters.sessions_resumed.load(Ordering::Relaxed),
-        questions_served: ctx.counters.questions_served.load(Ordering::Relaxed),
-        rounds_served: ctx.counters.rounds_served.load(Ordering::Relaxed),
-        sessions_degraded: ctx.counters.sessions_degraded.load(Ordering::Relaxed),
-        errors: ctx.counters.errors.load(Ordering::Relaxed),
-        contained_panics: ctx.counters.contained_panics.load(Ordering::Relaxed),
-        uptime_ms: ctx.started.elapsed().as_millis() as u64,
-        role: ctx.repl.role(),
-        epoch: ctx.repl.epoch(),
-        replication_lag_records: ctx.repl.log.lag(),
-        repl_followers: ctx.repl.log.followers() as u64,
-        repl_records_shipped: ctx.repl.log.shipped(),
-        repl_ack_timeouts: ctx.repl.ack_timeouts(),
-        repl_ack_degraded: ctx.repl.ack_degraded(),
-        repl_ack_degraded_entries: ctx.repl.ack_degraded_entries(),
-    }
+    ctx.counters
+        .stats(&ctx.gate, &ctx.store, &ctx.repl, ctx.started)
 }
 
 /// The typed write refusal a follower or fenced ex-primary answers

@@ -48,7 +48,7 @@
 //! Failures never kill the daemon: a failed append leaves that session's
 //! op in memory only ([`Appended::Degraded`] — the serve layer marks the
 //! session degraded and keeps serving it), and a disk-full error flips
-//! the whole store unwritable, after which [`SessionStore::open_session`]
+//! the whole store unwritable, after which [`SessionStore::open_session_tracked`]
 //! refuses new sessions with a typed error while existing sessions
 //! continue memory-only.
 
@@ -371,18 +371,12 @@ impl SessionStore {
     }
 
     /// Opens a fresh session: assigns the next id and journals its
-    /// `Opened` record. Refuses (typed `StorageFull`-kind error) when
-    /// the journal has flipped unwritable — existing sessions keep
-    /// running memory-only, but new work is shed while durability is
-    /// gone.
-    pub fn open_session(&self) -> io::Result<(u64, Appended)> {
-        let (id, durability, _) = self.open_session_tracked()?;
-        Ok((id, durability))
-    }
-
-    /// [`SessionStore::open_session`], also reporting the replication
-    /// stream position of the `Opened` record (0 when replication is
-    /// detached) so the caller can gate on exactly its own append.
+    /// `Opened` record, also reporting the replication stream position
+    /// of that record (0 when replication is detached) so the caller can
+    /// gate on exactly its own append. Refuses (typed `StorageFull`-kind
+    /// error) when the journal has flipped unwritable — existing
+    /// sessions keep running memory-only, but new work is shed while
+    /// durability is gone.
     pub fn open_session_tracked(&self) -> io::Result<(u64, Appended, u64)> {
         let mut inner = self.lock();
         if inner.journal.is_some() && !inner.writable {
@@ -397,18 +391,13 @@ impl SessionStore {
         Ok((id, durability, repl_upto))
     }
 
-    /// Appends one op to an existing session, write-ahead. Never fails
-    /// the session: a disk fault degrades the append to memory-only and
-    /// reports it.
-    pub fn append(&self, session_id: u64, op: SessionOp) -> Appended {
-        self.append_locked(&mut self.lock(), session_id, op).0
-    }
-
-    /// [`SessionStore::append`], also reporting the replication stream
-    /// position this op landed at (0 when nothing was mirrored — meta
-    /// ops, or no log attached). The position is what a quorum gate
-    /// waits on: a session is gated on its own writes, not on whatever
-    /// unrelated sessions appended since.
+    /// Appends one op to an existing session, write-ahead, also
+    /// reporting the replication stream position this op landed at (0
+    /// when nothing was mirrored — meta ops, or no log attached). The
+    /// position is what a quorum gate waits on: a session is gated on
+    /// its own writes, not on whatever unrelated sessions appended
+    /// since. Never fails the session: a disk fault degrades the append
+    /// to memory-only and reports it.
     pub fn append_tracked(&self, session_id: u64, op: SessionOp) -> (Appended, u64) {
         self.append_locked(&mut self.lock(), session_id, op)
     }
@@ -836,21 +825,23 @@ mod tests {
         {
             let store =
                 SessionStore::open(Some(&path), opts(0xF00D, FsyncPolicy::EachRecord)).unwrap();
-            let (a, _) = store.open_session().unwrap();
-            let (b, _) = store.open_session().unwrap();
+            let (a, _, _) = store.open_session_tracked().unwrap();
+            let (b, _, _) = store.open_session_tracked().unwrap();
             assert_ne!(a, b);
-            assert_eq!(store.append(a, ask(4)), Appended::Durable);
+            assert_eq!(store.append_tracked(a, ask(4)).0, Appended::Durable);
             assert_eq!(
-                store.append(
-                    a,
-                    SessionOp::Feedback {
-                        text: "we are in 2024".into(),
-                        highlight: None,
-                    },
-                ),
+                store
+                    .append_tracked(
+                        a,
+                        SessionOp::Feedback {
+                            text: "we are in 2024".into(),
+                            highlight: None,
+                        },
+                    )
+                    .0,
                 Appended::Durable
             );
-            store.append(b, SessionOp::Closed);
+            store.append_tracked(b, SessionOp::Closed);
             store.sync().unwrap();
         }
         let store = SessionStore::open(Some(&path), opts(0xF00D, FsyncPolicy::Batch)).unwrap();
@@ -868,7 +859,7 @@ mod tests {
         );
         assert_eq!(store.unclosed_sessions(), vec![0]);
         // Ids never collide with recovered sessions.
-        assert_eq!(store.open_session().unwrap().0, 2);
+        assert_eq!(store.open_session_tracked().unwrap().0, 2);
         std::fs::remove_file(&path).ok();
     }
 
@@ -879,15 +870,15 @@ mod tests {
         {
             let store =
                 SessionStore::open(Some(&path), opts(0xF00D, FsyncPolicy::EachRecord)).unwrap();
-            let (id, _) = store.open_session().unwrap();
-            store.append(id, ask(1));
+            let (id, _, _) = store.open_session_tracked().unwrap();
+            store.append_tracked(id, ask(1));
             store.set_epoch(3).unwrap();
             store.reset_for_resync().unwrap();
             assert_eq!(store.len(), 0, "the image is blank");
             assert!(store.session_ids().is_empty());
             assert_eq!(store.epoch(), 3, "the fence survives the wipe");
             // Ids restart from 0 — the resynced stream renumbers them.
-            assert_eq!(store.open_session().unwrap().0, 0);
+            assert_eq!(store.open_session_tracked().unwrap().0, 0);
         }
         // The journal rewrite is what a restart replays: blank ops, the
         // epoch re-asserted.
@@ -909,7 +900,7 @@ mod tests {
             store.apply_replicated(0, SessionOp::Opened);
             store.apply_replicated(1, SessionOp::Opened);
             store.set_epoch(1).unwrap();
-            assert_eq!(store.open_session().unwrap().0, epoch_id_floor(1));
+            assert_eq!(store.open_session_tracked().unwrap().0, epoch_id_floor(1));
         }
         // A restart before any fresh session keeps the floor too.
         std::fs::remove_file(&path).ok();
@@ -920,7 +911,7 @@ mod tests {
             store.set_epoch(2).unwrap();
         }
         let store = SessionStore::open(Some(&path), opts(0xE1D, FsyncPolicy::Never)).unwrap();
-        assert_eq!(store.open_session().unwrap().0, epoch_id_floor(2));
+        assert_eq!(store.open_session_tracked().unwrap().0, epoch_id_floor(2));
         std::fs::remove_file(&path).ok();
     }
 
@@ -945,7 +936,7 @@ mod tests {
         std::fs::remove_file(&path).ok();
         {
             let store = SessionStore::open(Some(&path), opts(0xAAAA, FsyncPolicy::Never)).unwrap();
-            store.open_session().unwrap();
+            store.open_session_tracked().unwrap();
             store.sync().unwrap();
         }
         let err = SessionStore::open(Some(&path), opts(0xBBBB, FsyncPolicy::Never)).unwrap_err();
@@ -959,8 +950,8 @@ mod tests {
         std::fs::remove_file(&path).ok();
         {
             let store = SessionStore::open(Some(&path), opts(0xF00D, FsyncPolicy::Never)).unwrap();
-            let (id, _) = store.open_session().unwrap();
-            store.append(id, ask(0));
+            let (id, _, _) = store.open_session_tracked().unwrap();
+            store.append_tracked(id, ask(0));
             store.sync().unwrap();
         }
         // A crash mid-append: garbage half-record at the tail.
@@ -978,9 +969,9 @@ mod tests {
     #[test]
     fn memory_only_store_works_without_a_path() {
         let store = SessionStore::open(None, opts(0, FsyncPolicy::Never)).unwrap();
-        let (id, durability) = store.open_session().unwrap();
+        let (id, durability, _) = store.open_session_tracked().unwrap();
         assert_eq!(durability, Appended::Durable);
-        store.append(id, SessionOp::Closed);
+        store.append_tracked(id, SessionOp::Closed);
         assert_eq!(store.session_ids(), vec![id]);
         assert!(store.writable());
         store.sync().unwrap();
@@ -989,10 +980,10 @@ mod tests {
     #[test]
     fn reaped_sessions_count_as_ended() {
         let store = SessionStore::open(None, opts(0, FsyncPolicy::Never)).unwrap();
-        let (a, _) = store.open_session().unwrap();
-        let (b, _) = store.open_session().unwrap();
-        store.append(a, ask(0));
-        store.append(a, SessionOp::Reaped { idle_ms: 500 });
+        let (a, _, _) = store.open_session_tracked().unwrap();
+        let (b, _, _) = store.open_session_tracked().unwrap();
+        store.append_tracked(a, ask(0));
+        store.append_tracked(a, SessionOp::Reaped { idle_ms: 500 });
         assert_eq!(store.unclosed_sessions(), vec![b]);
         // The reaped transcript is still there to resume until compaction.
         assert_eq!(store.session_ops(a).len(), 3);
@@ -1006,15 +997,15 @@ mod tests {
         {
             let store =
                 SessionStore::open(Some(&path), opts(0xF00D, FsyncPolicy::EachRecord)).unwrap();
-            let (done, _) = store.open_session().unwrap();
-            store.append(done, ask(1));
-            store.append(done, SessionOp::Closed);
-            let (reaped, _) = store.open_session().unwrap();
-            store.append(reaped, ask(2));
-            store.append(reaped, SessionOp::Reaped { idle_ms: 9 });
-            let (live, _) = store.open_session().unwrap();
+            let (done, _, _) = store.open_session_tracked().unwrap();
+            store.append_tracked(done, ask(1));
+            store.append_tracked(done, SessionOp::Closed);
+            let (reaped, _, _) = store.open_session_tracked().unwrap();
+            store.append_tracked(reaped, ask(2));
+            store.append_tracked(reaped, SessionOp::Reaped { idle_ms: 9 });
+            let (live, _, _) = store.open_session_tracked().unwrap();
             assert_eq!(live, 2);
-            store.append(live, ask(3));
+            store.append_tracked(live, ask(3));
             survivor_ops = store.session_ops(live);
 
             let outcome = store.compact().unwrap();
@@ -1026,7 +1017,7 @@ mod tests {
             assert_eq!(store.session_ops(live), survivor_ops, "survivor intact");
 
             // The store keeps appending to the renamed-over journal.
-            store.append(live, ask(4));
+            store.append_tracked(live, ask(4));
             store.sync().unwrap();
         }
         // Reopen: generation persisted, survivor replay identical, and
@@ -1037,7 +1028,11 @@ mod tests {
         let mut expected = survivor_ops.clone();
         expected.push(ask(4));
         assert_eq!(store.session_ops(2), expected);
-        assert_eq!(store.open_session().unwrap().0, 3, "id floor respected");
+        assert_eq!(
+            store.open_session_tracked().unwrap().0,
+            3,
+            "id floor respected"
+        );
         std::fs::remove_file(&path).ok();
     }
 
@@ -1050,12 +1045,12 @@ mod tests {
             opts(0xF00D, FsyncPolicy::Never).compact_every(2),
         )
         .unwrap();
-        let (keep, _) = store.open_session().unwrap();
-        store.append(keep, ask(0));
+        let (keep, _, _) = store.open_session_tracked().unwrap();
+        store.append_tracked(keep, ask(0));
         for _ in 0..2 {
-            let (id, _) = store.open_session().unwrap();
-            store.append(id, ask(1));
-            store.append(id, SessionOp::Closed);
+            let (id, _, _) = store.open_session_tracked().unwrap();
+            store.append_tracked(id, ask(1));
+            store.append_tracked(id, SessionOp::Closed);
         }
         // Second close crossed the cadence: generation bumped, only the
         // live session left.
@@ -1072,8 +1067,8 @@ mod tests {
         let path = tmp("atomic");
         std::fs::remove_file(&path).ok();
         let store = SessionStore::open(Some(&path), opts(0xF00D, FsyncPolicy::Never)).unwrap();
-        let (id, _) = store.open_session().unwrap();
-        store.append(id, SessionOp::Closed);
+        let (id, _, _) = store.open_session_tracked().unwrap();
+        store.append_tracked(id, SessionOp::Closed);
         store.compact().unwrap();
         let tmp_path = PathBuf::from(format!("{}.compact", path.display()));
         assert!(!tmp_path.exists(), "rewrite must be renamed over");
@@ -1089,7 +1084,7 @@ mod tests {
         )
         .unwrap();
         // Memory-only store: faults never fire (nothing to inject into).
-        let (id, d) = store.open_session().unwrap();
+        let (id, d, _) = store.open_session_tracked().unwrap();
         assert_eq!(d, Appended::Durable);
 
         let path = tmp("faulty");
@@ -1099,7 +1094,7 @@ mod tests {
             opts(0xF00D, FsyncPolicy::Never).faults(Some(DiskFaultConfig::uniform(1.0))),
         )
         .unwrap();
-        let (id2, d2) = store.open_session().unwrap();
+        let (id2, d2, _) = store.open_session_tracked().unwrap();
         assert!(matches!(d2, Appended::Degraded { .. }), "rate 1 must fire");
         // The op is still in the in-memory image for live replay.
         assert_eq!(store.session_ops(id2), vec![SessionOp::Opened]);
@@ -1121,20 +1116,20 @@ mod tests {
             })),
         )
         .unwrap();
-        let (id, d) = store.open_session().unwrap();
+        let (id, d, _) = store.open_session_tracked().unwrap();
         assert_eq!(d, Appended::Durable);
-        assert_eq!(store.append(id, ask(0)), Appended::Durable);
+        assert_eq!(store.append_tracked(id, ask(0)).0, Appended::Durable);
         // Third op crosses the horizon: degraded, store unwritable.
         assert!(matches!(
-            store.append(id, ask(1)),
+            store.append_tracked(id, ask(1)).0,
             Appended::Degraded { .. }
         ));
         assert!(!store.writable());
-        let err = store.open_session().unwrap_err();
+        let err = store.open_session_tracked().unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::StorageFull);
         // The existing session continues memory-only.
         assert!(matches!(
-            store.append(id, ask(2)),
+            store.append_tracked(id, ask(2)).0,
             Appended::Degraded { .. }
         ));
         assert_eq!(store.session_ops(id).len(), 4);
@@ -1153,7 +1148,7 @@ mod tests {
             })),
         )
         .unwrap();
-        store.open_session().unwrap();
+        store.open_session_tracked().unwrap();
         assert!(store.sync().is_err());
         assert_eq!(store.snapshot().sync_faults, 1);
         assert!(store.writable(), "sync faults are not disk-full");

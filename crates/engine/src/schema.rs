@@ -69,11 +69,6 @@ impl Table {
             .position(|c| c.name.eq_ignore_ascii_case(name))
     }
 
-    /// Column names in order.
-    pub fn column_names(&self) -> Vec<&str> {
-        self.columns.iter().map(|c| c.name.as_str()).collect()
-    }
-
     /// Appends a row after checking arity.
     ///
     /// # Panics
@@ -90,11 +85,6 @@ impl Table {
             self.name
         );
         self.rows.push(row);
-    }
-
-    /// Number of rows.
-    pub fn row_count(&self) -> usize {
-        self.rows.len()
     }
 }
 

@@ -20,6 +20,7 @@
 
 use crate::utterance::{verbalize, year_shift_target};
 use fisql_spider::Example;
+use fisql_sqlkit::hash::splitmix;
 use fisql_sqlkit::{diff_queries, normalize_query, EditOp, OpClass, Query, Span, SpannedSql};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -102,12 +103,13 @@ impl SimUser {
     }
 
     fn rng(&self, example_id: usize, round: u64) -> StdRng {
-        let mut h: u64 = 0x2545F4914F6CDD1D;
-        for v in [self.cfg.seed, example_id as u64, round] {
-            h ^= v.wrapping_add(0x9E3779B97F4A7C15).rotate_left(17);
-            h = h.wrapping_mul(0xD6E8FEB86659FD93);
-        }
-        StdRng::seed_from_u64(h)
+        StdRng::seed_from_u64(splitmix(
+            0x2545F4914F6CDD1D,
+            0xD6E8FEB86659FD93,
+            17,
+            None,
+            &[self.cfg.seed, example_id as u64, round],
+        ))
     }
 
     /// Produces this round's feedback on `predicted`, or `None` when the

@@ -166,11 +166,6 @@ pub fn embed_cached(text: &str) -> Arc<Embedding> {
     computed
 }
 
-/// Stats of the process-wide embedding cache alone.
-pub fn embedding_cache_stats() -> CacheStats {
-    embed_cache().stats()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

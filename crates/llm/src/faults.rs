@@ -32,6 +32,7 @@
 use crate::backend::FallibleLanguageModel;
 use crate::error::{BackendError, BackendResult};
 use crate::model::{GenRequest, Generation};
+use fisql_sqlkit::hash::{splitmix, unit};
 use fisql_sqlkit::{fnv64, EditOp, OpClass, Query};
 use std::cell::Cell;
 
@@ -185,13 +186,13 @@ impl<B: FallibleLanguageModel> FaultyBackend<B> {
     /// (seed, role, key, attempt); sub-draws (kind selection, synthetic
     /// delays) reuse its high bits.
     fn latent(&self, role: Role, key: u64) -> u64 {
-        let mut h: u64 = 0x2545F4914F6CDD1D;
-        for v in [self.cfg.seed, role as u64, key, call_attempt() as u64] {
-            h ^= v.wrapping_add(0x9E3779B97F4A7C15).rotate_left(17);
-            h = h.wrapping_mul(0xD6E8FEB86659FD93);
-            h ^= h >> 32;
-        }
-        h
+        splitmix(
+            0x2545F4914F6CDD1D,
+            0xD6E8FEB86659FD93,
+            17,
+            Some(32),
+            &[self.cfg.seed, role as u64, key, call_attempt() as u64],
+        )
     }
 
     /// The fault decision for one call. `example_id` drives outage
@@ -203,7 +204,7 @@ impl<B: FallibleLanguageModel> FaultyBackend<B> {
             });
         }
         let h = self.latent(role, key);
-        let u = (h >> 11) as f64 / (1u64 << 53) as f64;
+        let u = unit(h);
         let mut threshold = self.cfg.timeout;
         if u < threshold {
             return Err(BackendError::Timeout {

@@ -22,6 +22,7 @@
 
 use crate::calibration::Calibration;
 use fisql_spider::{ErrorChannel, Example};
+use fisql_sqlkit::hash::{splitmix, unit};
 use fisql_sqlkit::{apply_edits, fnv64, EditOp, OpClass, Query};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -99,12 +100,13 @@ impl SimLlm {
 
     /// Per-call deterministic RNG.
     fn rng(&self, example_id: usize, salt: u64) -> StdRng {
-        let mut h: u64 = 0x9E3779B97F4A7C15;
-        for v in [self.cfg.seed, example_id as u64, salt] {
-            h ^= v.wrapping_add(0x9E3779B97F4A7C15).rotate_left(31);
-            h = h.wrapping_mul(0xBF58476D1CE4E5B9);
-        }
-        StdRng::seed_from_u64(h)
+        StdRng::seed_from_u64(splitmix(
+            0x9E3779B97F4A7C15,
+            0xBF58476D1CE4E5B9,
+            31,
+            None,
+            &[self.cfg.seed, example_id as u64, salt],
+        ))
     }
 
     /// Deterministic per-(example, channel) latent in [0, 1).
@@ -116,12 +118,13 @@ impl SimLlm {
     /// Rewrite baseline in the paper: restating the question mostly
     /// reproduces the misunderstanding.
     fn latent(&self, example_id: usize, channel_idx: usize) -> f64 {
-        let mut h: u64 = 0xA0761D6478BD642F;
-        for v in [self.cfg.seed, example_id as u64, channel_idx as u64] {
-            h ^= v.wrapping_add(0x9E3779B97F4A7C15).rotate_left(23);
-            h = h.wrapping_mul(0xE7037ED1A0B428DB);
-        }
-        (h >> 11) as f64 / (1u64 << 53) as f64
+        unit(splitmix(
+            0xA0761D6478BD642F,
+            0xE7037ED1A0B428DB,
+            23,
+            None,
+            &[self.cfg.seed, example_id as u64, channel_idx as u64],
+        ))
     }
 
     /// Generates SQL for an example (role 1). The returned query is the

@@ -34,6 +34,7 @@ use crate::backend::FallibleLanguageModel;
 use crate::error::{BackendError, BackendResult, ExhaustedReason};
 use crate::faults;
 use crate::model::{GenRequest, Generation};
+use fisql_sqlkit::hash::{splitmix, unit};
 use fisql_sqlkit::{fnv64, EditOp, OpClass, Query};
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
@@ -254,13 +255,13 @@ impl<B: FallibleLanguageModel> Resilient<B> {
 
     /// Deterministic jitter draw in `[0, 1)` for (call key, attempt).
     fn jitter_unit(&self, key: u64, attempt: u32) -> f64 {
-        let mut h: u64 = 0x9E6C63D0876A9A35;
-        for v in [self.instance_id, key, attempt as u64] {
-            h ^= v.wrapping_add(0x9E3779B97F4A7C15).rotate_left(29);
-            h = h.wrapping_mul(0xC2B2AE3D27D4EB4F);
-            h ^= h >> 31;
-        }
-        (h >> 11) as f64 / (1u64 << 53) as f64
+        unit(splitmix(
+            0x9E6C63D0876A9A35,
+            0xC2B2AE3D27D4EB4F,
+            29,
+            Some(31),
+            &[self.instance_id, key, u64::from(attempt)],
+        ))
     }
 
     /// Backoff delay before retry number `retry` (1-based), honouring a

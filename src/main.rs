@@ -309,8 +309,8 @@ fn run_serve(args: &[String]) {
                 s.append_faults,
                 s.writable,
                 s.epoch,
-                summary.final_active,
-                summary.final_queued,
+                a.active,
+                a.queued,
             );
         }
         Err(e) => {

@@ -6,7 +6,7 @@
 
 use fisql_core::serve::{
     run_chaos, run_load, ChaosBehavior, ChaosConfig, Connected, DiskFaultConfig, ServeClient,
-    ServeSummary, Server, ServerHandle,
+    Server, ServerHandle, ServerStats,
 };
 use fisql_core::{LoadConfig, ServeConfig, SessionEvent};
 use fisql_spider::{build_aep, AepConfig};
@@ -25,7 +25,7 @@ fn test_config() -> ServeConfig {
         .disk_fault_rate(env_rate)
 }
 
-fn boot(config: ServeConfig) -> (String, ServerHandle, JoinHandle<ServeSummary>) {
+fn boot(config: ServeConfig) -> (String, ServerHandle, JoinHandle<ServerStats>) {
     let server = Server::bind(config).expect("bind");
     let handle = server.handle().expect("handle");
     let addr = handle.addr().to_string();
@@ -33,7 +33,7 @@ fn boot(config: ServeConfig) -> (String, ServerHandle, JoinHandle<ServeSummary>)
     (addr, handle, thread)
 }
 
-fn stop(handle: &ServerHandle, thread: JoinHandle<ServeSummary>) -> ServeSummary {
+fn stop(handle: &ServerHandle, thread: JoinHandle<ServerStats>) -> ServerStats {
     handle.shutdown();
     thread.join().expect("server thread")
 }
@@ -87,8 +87,8 @@ fn chaos_clients_never_kill_the_daemon_and_every_slot_returns() {
     client.bye().expect("bye");
 
     let summary = stop(&handle, thread);
-    assert_eq!(summary.final_active, 0, "every slot returned");
-    assert_eq!(summary.final_queued, 0, "no leaked queue entries");
+    assert_eq!(summary.admission.active, 0, "every slot returned");
+    assert_eq!(summary.admission.queued, 0, "no leaked queue entries");
     assert_eq!(summary.contained_panics, 0);
     // Every client-observed reap was a real server-side reap; the server
     // may additionally have reaped attackers whose sockets died before
@@ -120,7 +120,7 @@ fn silent_stalls_observe_their_own_typed_reap() {
 
     let summary = stop(&handle, thread);
     assert_eq!(summary.admission.reaped, 3);
-    assert_eq!(summary.final_active, 0);
+    assert_eq!(summary.admission.active, 0);
 }
 
 #[test]
@@ -176,8 +176,8 @@ fn healthy_session_digests_are_unchanged_by_concurrent_chaos() {
     assert_eq!(report.failed, 0, "{report:?}");
 
     let summary = stop(&handle, thread);
-    assert_eq!(summary.final_active, 0);
-    assert_eq!(summary.final_queued, 0);
+    assert_eq!(summary.admission.active, 0);
+    assert_eq!(summary.admission.queued, 0);
     assert_eq!(summary.contained_panics, 0);
 }
 

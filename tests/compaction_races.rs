@@ -55,18 +55,18 @@ fn compaction_racing_closes_and_reaps_keeps_generation_floor_and_survivors() {
                 let mut opened = Vec::new();
                 let mut survivors = Vec::new();
                 for i in 0..30u64 {
-                    let (id, _) = store.open_session().expect("open session");
+                    let (id, _, _) = store.open_session_tracked().expect("open session");
                     opened.push(id);
-                    match store.append(id, ask(t * 100 + i)) {
+                    match store.append_tracked(id, ask(t * 100 + i)).0 {
                         Appended::Durable => {}
                         Appended::Degraded { error } => panic!("degraded: {error}"),
                     }
                     match i % 3 {
                         0 => {
-                            store.append(id, SessionOp::Closed);
+                            store.append_tracked(id, SessionOp::Closed);
                         }
                         1 => {
-                            store.append(id, SessionOp::Reaped { idle_ms: 1 + i });
+                            store.append_tracked(id, SessionOp::Reaped { idle_ms: 1 + i });
                         }
                         _ => survivors.push(id),
                     }
@@ -143,7 +143,7 @@ fn compaction_racing_closes_and_reaps_keeps_generation_floor_and_survivors() {
     let mut replayed = store.session_ids();
     replayed.sort_unstable();
     assert_eq!(replayed, survivors, "survivor replay after restart");
-    let (fresh, _) = store.open_session().expect("fresh session");
+    let (fresh, _, _) = store.open_session_tracked().expect("fresh session");
     assert!(
         fresh > max_issued,
         "id {fresh} must clear the floor {max_issued}"
@@ -156,16 +156,16 @@ fn a_reap_landing_between_rewrites_never_reuses_its_id() {
     let path = temp_store("floor");
 
     let store = SessionStore::open(Some(&path), options(0xF100)).expect("open");
-    let (first, _) = store.open_session().expect("first");
-    store.append(first, SessionOp::Closed);
+    let (first, _, _) = store.open_session_tracked().expect("first");
+    store.append_tracked(first, SessionOp::Closed);
     let gen1 = store.compact().expect("compact closed").generation;
     assert_eq!(gen1, 1);
 
     // The reap lands after one rewrite already dropped a session, and
     // the next rewrite drops the reaped one too.
-    let (reaped, _) = store.open_session().expect("second");
+    let (reaped, _, _) = store.open_session_tracked().expect("second");
     assert!(reaped > first);
-    store.append(reaped, SessionOp::Reaped { idle_ms: 42 });
+    store.append_tracked(reaped, SessionOp::Reaped { idle_ms: 42 });
     let outcome = store.compact().expect("compact reaped");
     assert_eq!(outcome.generation, 2);
     assert_eq!(outcome.sessions_dropped, 1);
@@ -176,7 +176,7 @@ fn a_reap_landing_between_rewrites_never_reuses_its_id() {
     // the floor: neither dropped id is ever handed out again.
     let store = SessionStore::open(Some(&path), options(0xF100)).expect("reopen");
     assert_eq!(store.snapshot().generation, 2);
-    let (fresh, _) = store.open_session().expect("fresh");
+    let (fresh, _, _) = store.open_session_tracked().expect("fresh");
     assert!(fresh > reaped, "{fresh} must clear the reaped id {reaped}");
     std::fs::remove_file(&path).ok();
 }
@@ -195,15 +195,15 @@ fn compaction_under_full_fault_rate_heals_degraded_sessions() {
     let faulty = options(0x4EA1).faults(Some(DiskFaultConfig::uniform(1.0)));
 
     let store = SessionStore::open(Some(&path), faulty).expect("open");
-    let (id, appended) = store.open_session().expect("open session");
+    let (id, appended, _) = store.open_session_tracked().expect("open session");
     assert!(
         matches!(appended, Appended::Degraded { .. }),
         "a 1.0 fault rate must degrade the append: {appended:?}"
     );
-    store.append(id, ask(0));
-    store.append(id, ask(1));
-    let (closed, _) = store.open_session().expect("second session");
-    store.append(closed, SessionOp::Closed);
+    store.append_tracked(id, ask(0));
+    store.append_tracked(id, ask(1));
+    let (closed, _, _) = store.open_session_tracked().expect("second session");
+    store.append_tracked(closed, SessionOp::Closed);
     assert!(store.snapshot().append_faults >= 5);
 
     let outcome = store.compact().expect("compact with a failing append lane");
@@ -219,7 +219,7 @@ fn compaction_under_full_fault_rate_heals_degraded_sessions() {
     assert_eq!(ops.len(), 3, "opened + two asks: {ops:?}");
     assert_eq!(ops.first(), Some(&SessionOp::Opened));
     assert_eq!(store.snapshot().generation, 1);
-    let (fresh, _) = store.open_session().expect("fresh");
+    let (fresh, _, _) = store.open_session_tracked().expect("fresh");
     assert!(fresh > closed, "floor survives the faulty epoch");
     std::fs::remove_file(&path).ok();
 }
@@ -234,19 +234,21 @@ fn disk_full_fails_compaction_typed_and_the_intact_prefix_replays() {
 
     let store =
         SessionStore::open(Some(&path), options(0xD15F).faults(Some(horizon))).expect("open");
-    let (id, _) = store.open_session().expect("open session");
-    store.append(id, ask(0));
-    store.append(id, ask(1));
-    store.append(id, ask(2));
+    let (id, _, _) = store.open_session_tracked().expect("open session");
+    store.append_tracked(id, ask(0));
+    store.append_tracked(id, ask(1));
+    store.append_tracked(id, ask(2));
     // Past the horizon: appends degrade, the store flips unwritable.
-    let late = store.append(id, ask(3));
+    let (late, _) = store.append_tracked(id, ask(3));
     assert!(matches!(late, Appended::Degraded { .. }));
     assert!(!store.writable());
 
     // Compaction on a full disk is a typed refusal, not a torn rewrite.
     let err = store.compact().expect_err("compaction must refuse");
     assert_eq!(err.kind(), io::ErrorKind::StorageFull);
-    let refused = store.open_session().expect_err("new sessions are shed");
+    let refused = store
+        .open_session_tracked()
+        .expect_err("new sessions are shed");
     assert_eq!(refused.kind(), io::ErrorKind::StorageFull);
 
     // The live session still serves from memory — all five ops.

@@ -4,8 +4,8 @@
 
 use fisql_core::serve::{
     request_promote, request_stats, run_failover, AckMode, ClientRequest, Connected,
-    FailoverConfig, KillPoint, Role, ServeClient, ServeSummary, Server, ServerHandle,
-    ServerResponse, SessionStore, StoreOptions,
+    FailoverConfig, KillPoint, Role, ServeClient, Server, ServerHandle, ServerResponse,
+    ServerStats, SessionStore, StoreOptions,
 };
 use fisql_core::ServeConfig;
 use std::net::SocketAddr;
@@ -29,7 +29,7 @@ struct Node {
     addr: String,
     repl_addr: Option<SocketAddr>,
     handle: ServerHandle,
-    thread: JoinHandle<ServeSummary>,
+    thread: JoinHandle<ServerStats>,
 }
 
 fn boot(config: ServeConfig) -> Node {
@@ -46,7 +46,7 @@ fn boot(config: ServeConfig) -> Node {
     }
 }
 
-fn stop(node: Node) -> ServeSummary {
+fn stop(node: Node) -> ServerStats {
     node.handle.shutdown();
     node.thread.join().expect("server thread")
 }
@@ -477,7 +477,7 @@ fn epoch_persists_across_reopen_and_compaction_and_never_regresses() {
 
     let store = SessionStore::open(Some(&path), options()).expect("open");
     assert_eq!(store.snapshot().epoch, 0);
-    let (id, _) = store.open_session().expect("session");
+    let (id, _, _) = store.open_session_tracked().expect("session");
     store.set_epoch(3).expect("set epoch");
     // Lower (or equal) epochs never regress the fence.
     store.set_epoch(1).expect("stale set is a no-op");
@@ -488,7 +488,8 @@ fn epoch_persists_across_reopen_and_compaction_and_never_regresses() {
     assert_eq!(store.snapshot().epoch, 3, "epoch survives restart");
     // Compaction rewrites the journal; the epoch must be re-asserted.
     store
-        .append(id, fisql_core::serve::SessionOp::Closed)
+        .append_tracked(id, fisql_core::serve::SessionOp::Closed)
+        .0
         .assert_durable();
     store.compact().expect("compact");
     drop(store);
@@ -511,18 +512,20 @@ fn unreplicated_store_never_writes_epoch_records() {
     let options = || StoreOptions::new(0xABE).fsync(fisql_core::FsyncPolicy::EachRecord);
 
     let store = SessionStore::open(Some(&path), options()).expect("open");
-    let (id, _) = store.open_session().expect("session");
+    let (id, _, _) = store.open_session_tracked().expect("session");
     store
-        .append(
+        .append_tracked(
             id,
             fisql_core::serve::SessionOp::Ask {
                 example_idx: 0,
                 question: "q".to_string(),
             },
         )
+        .0
         .assert_durable();
     store
-        .append(id, fisql_core::serve::SessionOp::Closed)
+        .append_tracked(id, fisql_core::serve::SessionOp::Closed)
+        .0
         .assert_durable();
     store.compact().expect("compact");
     drop(store);

@@ -3,8 +3,8 @@
 //! shutdown — all against a real daemon on a real socket.
 
 use fisql_core::serve::{
-    request_compact, request_stats, run_load, Connected, ServeClient, ServeSummary, Server,
-    ServerHandle, SessionStore, StoreOptions,
+    request_compact, request_stats, run_load, Connected, ServeClient, Server, ServerHandle,
+    ServerStats, SessionStore, StoreOptions,
 };
 use fisql_core::{LoadConfig, ServeConfig, SessionEvent};
 use fisql_spider::{build_aep, AepConfig};
@@ -21,7 +21,7 @@ fn test_config() -> ServeConfig {
 
 /// Boots a daemon and returns its address, shutdown handle, and the
 /// thread that will yield the final summary.
-fn boot(config: ServeConfig) -> (String, ServerHandle, JoinHandle<ServeSummary>) {
+fn boot(config: ServeConfig) -> (String, ServerHandle, JoinHandle<ServerStats>) {
     let server = Server::bind(config).expect("bind");
     let handle = server.handle().expect("handle");
     let addr = handle.addr().to_string();
@@ -29,7 +29,7 @@ fn boot(config: ServeConfig) -> (String, ServerHandle, JoinHandle<ServeSummary>)
     (addr, handle, thread)
 }
 
-fn stop(handle: &ServerHandle, thread: JoinHandle<ServeSummary>) -> ServeSummary {
+fn stop(handle: &ServerHandle, thread: JoinHandle<ServerStats>) -> ServerStats {
     handle.shutdown();
     thread.join().expect("server thread")
 }
@@ -293,7 +293,7 @@ fn every_stop_path_wakes_an_idle_daemon_within_a_second() {
                 StopPath::Shutdown => handle.shutdown(),
                 StopPath::Abort => handle.abort(),
                 StopPath::ShutdownFrame => {
-                    assert!(fisql_core::serve::request_shutdown(addr.as_str()).expect("shutdown"))
+                    assert!(fisql_core::serve::request_shutdown(addr.as_str()).expect("shutdown"));
                 }
             }
             let summary = done_rx
@@ -321,7 +321,7 @@ fn session_store_marker_separates_stores_from_eval_journals() {
         StoreOptions::new(7).fsync(fisql_core::FsyncPolicy::EachRecord),
     )
     .unwrap();
-    store.open_session().unwrap();
+    store.open_session_tracked().unwrap();
     store.sync().unwrap();
     drop(store);
     let err = fisql_core::RunJournal::open_resume::<SessionEvent>(
@@ -460,7 +460,7 @@ fn idle_sessions_are_reaped_and_the_slot_returns() {
     let summary = stop(&handle, thread);
     assert_eq!(summary.admission.reaped, 1);
     assert_eq!(summary.sessions_opened, 2);
-    assert_eq!(summary.final_active, 0);
+    assert_eq!(summary.admission.active, 0);
     assert_eq!(summary.contained_panics, 0);
 }
 
