@@ -14,6 +14,7 @@
 //! only needs to be deterministic, which insertion order is.
 
 use serde::{Content, DeError, Serialize};
+use std::fmt::Write as _;
 
 /// Errors from serialization or deserialization.
 #[derive(Debug, Clone)]
@@ -118,18 +119,23 @@ pub fn from_slice<T: serde::de::DeserializeOwned>(bytes: &[u8]) -> Result<T> {
 // --------------------------------------------------------------------------
 
 fn write_content(content: &Content, out: &mut String) {
+    // `fmt::Write` for `String` never fails.
     match content {
         Content::Null => out.push_str("null"),
         Content::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Content::I64(n) => out.push_str(&n.to_string()),
-        Content::U64(n) => out.push_str(&n.to_string()),
+        Content::I64(n) => {
+            let _ = write!(out, "{n}");
+        }
+        Content::U64(n) => {
+            let _ = write!(out, "{n}");
+        }
         Content::F64(x) => {
             if x.is_finite() {
-                let s = format!("{x}");
-                out.push_str(&s);
+                let start = out.len();
+                let _ = write!(out, "{x}");
                 // ryu always keeps a fractional part; Rust's shortest
                 // display drops ".0" — restore it for format parity.
-                if !s.contains('.') && !s.contains('e') && !s.contains('E') {
+                if !out[start..].contains(['.', 'e', 'E']) {
                     out.push_str(".0");
                 }
             } else {
@@ -163,23 +169,34 @@ fn write_content(content: &Content, out: &mut String) {
     }
 }
 
+/// Writes `s` as a JSON string, copying each run that needs no escape in
+/// one piece. Every escaped byte (`"`, `\`, below 0x20) is ASCII, and
+/// ASCII never occurs inside a multi-byte UTF-8 sequence, so each run
+/// boundary is a char boundary.
 fn write_json_string(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{8}' => out.push_str("\\b"),
-            '\u{c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0x08 => "\\b",
+            0x0c => "\\f",
+            0x00..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(escape);
         }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -187,16 +204,26 @@ fn write_json_string(s: &str, out: &mut String) {
 // Parser
 // --------------------------------------------------------------------------
 
+/// Nesting depth at which parsing fails, as in serde_json: 127 nested
+/// arrays or objects parse, the 128th is refused. It bounds the parser's
+/// recursion, so no input can overflow the stack of the thread decoding
+/// it.
+const RECURSION_LIMIT: u32 = 128;
+
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    remaining_depth: u32,
 }
 
 impl<'a> Parser<'a> {
     fn new(text: &'a str) -> Self {
         Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
+            remaining_depth: RECURSION_LIMIT,
         }
     }
 
@@ -243,11 +270,23 @@ impl<'a> Parser<'a> {
             Some(b't') => self.parse_keyword("true", Content::Bool(true)),
             Some(b'f') => self.parse_keyword("false", Content::Bool(false)),
             Some(b'"') => self.parse_string().map(Content::Str),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
+            Some(b'[') => self.nested(Self::parse_array),
+            Some(b'{') => self.nested(Self::parse_object),
             Some(b'-' | b'0'..=b'9') => self.parse_number(),
             _ => Err(self.err("expected JSON value")),
         }
+    }
+
+    /// Runs `parse` one nesting level deeper, refusing to go past
+    /// [`RECURSION_LIMIT`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Content>) -> Result<Content> {
+        self.remaining_depth -= 1;
+        if self.remaining_depth == 0 {
+            return Err(self.err("recursion limit exceeded"));
+        }
+        let value = parse(self);
+        self.remaining_depth += 1;
+        value
     }
 
     fn parse_keyword(&mut self, word: &str, value: Content) -> Result<Content> {
@@ -312,51 +351,72 @@ impl<'a> Parser<'a> {
         self.eat(b'"', "expected string")?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next `"` or `\` in one piece. Both are
+            // ASCII, so the run ends on a char boundary of the already
+            // validated text.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .map_or(self.bytes.len(), |n| self.pos + n);
+            out.push_str(&self.text[self.pos..run]);
+            self.pos = run;
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| self.err("invalid \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("invalid \\u escape"))?;
-                            // Surrogate pairs are not produced by our
-                            // writer; map lone surrogates to U+FFFD.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("invalid escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                Some(_) => self.parse_escape(&mut out)?,
             }
         }
+    }
+
+    /// Decodes the escape at `self.pos` (a `\`) onto `out`.
+    fn parse_escape(&mut self, out: &mut String) -> Result<()> {
+        self.pos += 1;
+        match self.peek() {
+            Some(b'"') => out.push('"'),
+            Some(b'\\') => out.push('\\'),
+            Some(b'/') => out.push('/'),
+            Some(b'n') => out.push('\n'),
+            Some(b'r') => out.push('\r'),
+            Some(b't') => out.push('\t'),
+            Some(b'b') => out.push('\u{8}'),
+            Some(b'f') => out.push('\u{c}'),
+            Some(b'u') => {
+                let mut code = self.hex4(self.pos + 1)?;
+                self.pos += 4;
+                // A high surrogate directly followed by a `\u` low
+                // surrogate is one scalar (how ASCII-only encoders write
+                // non-BMP chars). Any other surrogate is lone and becomes
+                // U+FFFD; what follows it is decoded on its own.
+                if (0xD800..0xDC00).contains(&code)
+                    && self.bytes[self.pos + 1..].starts_with(b"\\u")
+                {
+                    if let Ok(low @ 0xDC00..=0xDFFF) = self.hex4(self.pos + 3) {
+                        code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                        self.pos += 6;
+                    }
+                }
+                out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+            }
+            _ => return Err(self.err("invalid escape")),
+        }
+        self.pos += 1;
+        Ok(())
+    }
+
+    /// Reads the four hex digits of a `\u` escape starting at `at`;
+    /// errors point at the escape's `u`.
+    fn hex4(&self, at: usize) -> Result<u32> {
+        let hex = self
+            .bytes
+            .get(at..at + 4)
+            .ok_or_else(|| self.err("truncated \\u escape"))?;
+        std::str::from_utf8(hex)
+            .ok()
+            .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+            .ok_or_else(|| self.err("invalid \\u escape"))
     }
 
     fn parse_number(&mut self) -> Result<Content> {
@@ -385,8 +445,7 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
+        let text = &self.text[start..self.pos];
         if !is_float {
             if let Ok(n) = text.parse::<i64>() {
                 return Ok(Content::I64(n));
@@ -552,4 +611,193 @@ macro_rules! json_internal {
 #[doc(hidden)]
 macro_rules! json_unexpected {
     () => {};
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(text: &str) -> Result<String> {
+        from_str::<String>(text)
+    }
+
+    /// `\uXXXX` escapes of the UTF-16 code units `units`.
+    fn esc(units: &[u32]) -> String {
+        units.iter().fold(String::new(), |mut out, u| {
+            let _ = write!(out, "\\u{u:04x}");
+            out
+        })
+    }
+
+    fn parse_err(text: &str) -> String {
+        from_str::<Value>(text).unwrap_err().to_string()
+    }
+
+    #[test]
+    fn every_escape_decodes() {
+        assert_eq!(
+            parse(&format!(r#""\"\\\/\b\f\n\r\t{}""#, esc(&[0x41, 0xe9]))).unwrap(),
+            "\"\\/\u{8}\u{c}\n\r\tAé"
+        );
+    }
+
+    #[test]
+    fn multibyte_utf8_next_to_escapes() {
+        // 2-, 3- and 4-byte scalars on both sides of every kind of escape.
+        assert_eq!(
+            parse(r#""é\n中\"😀\\é中😀\t""#).unwrap(),
+            "é\n中\"😀\\é中😀\t"
+        );
+        assert_eq!(parse(r#""\n""#).unwrap(), "\n");
+        assert_eq!(parse(r#""😀""#).unwrap(), "😀");
+        assert_eq!(parse(r#""""#).unwrap(), "");
+    }
+
+    #[test]
+    fn surrogate_pairs_combine_into_one_scalar() {
+        let pair = esc(&[0xd83d, 0xde00]);
+        assert_eq!(parse(&format!(r#""{pair}""#)).unwrap(), "😀");
+        assert_eq!(parse(&format!(r#""a{pair}b""#)).unwrap(), "a😀b");
+        assert_eq!(parse(&format!(r#""{pair}{pair}""#)).unwrap(), "😀😀");
+        let extremes = esc(&[0xd800, 0xdc00, 0xdbff, 0xdfff]);
+        assert_eq!(
+            parse(&format!(r#""{extremes}""#)).unwrap(),
+            "\u{10000}\u{10ffff}"
+        );
+        let upper = pair.to_ascii_uppercase().replace("\\U", "\\u");
+        assert_eq!(parse(&format!(r#""{upper}""#)).unwrap(), "😀");
+    }
+
+    #[test]
+    fn lone_surrogates_become_replacement_chars() {
+        let (high, low, a) = (esc(&[0xd83d]), esc(&[0xde00]), esc(&[0x41]));
+        let cases = [
+            (high.clone(), "\u{fffd}"),
+            (low.clone(), "\u{fffd}"),
+            (format!("{high}x"), "\u{fffd}x"),
+            // What follows a lone high surrogate is decoded on its own.
+            (format!("{high}{a}"), "\u{fffd}A"),
+            (format!("{high}\\n"), "\u{fffd}\n"),
+            (format!("{high}{high}{low}"), "\u{fffd}😀"),
+            (format!("{low}{high}"), "\u{fffd}\u{fffd}"),
+        ];
+        for (body, want) in cases {
+            assert_eq!(parse(&format!(r#""{body}""#)).unwrap(), want, "{body}");
+        }
+        assert_eq!(
+            parse_err(&format!(r#""{high}\uzzzz""#)),
+            "invalid \\u escape at byte 8"
+        );
+    }
+
+    #[test]
+    fn raw_control_characters_are_accepted() {
+        assert_eq!(parse("\"a\u{1}\tb\n\u{1f}\"").unwrap(), "a\u{1}\tb\n\u{1f}");
+    }
+
+    #[test]
+    fn errors_name_the_byte() {
+        assert_eq!(parse_err(r#""abc"#), "unterminated string at byte 4");
+        assert_eq!(parse_err(r#""ab\"#), "invalid escape at byte 4");
+        assert_eq!(parse_err(r#""a\x""#), "invalid escape at byte 3");
+        assert_eq!(parse_err(r#""\u12""#), "truncated \\u escape at byte 2");
+        assert_eq!(parse_err(r#""\u12g4""#), "invalid \\u escape at byte 2");
+        assert_eq!(
+            parse_err("1 2"),
+            "trailing characters after JSON value at byte 2"
+        );
+        assert_eq!(
+            parse_err(r#"{"a":"b"} x"#),
+            "trailing characters after JSON value at byte 10"
+        );
+    }
+
+    #[test]
+    fn recursion_limit_matches_serde_json() {
+        let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(from_str::<Value>(&nest(127)).is_ok());
+        assert_eq!(
+            parse_err(&nest(128)),
+            "recursion limit exceeded at byte 127"
+        );
+        assert_eq!(
+            parse_err(&nest(100_000)),
+            "recursion limit exceeded at byte 127"
+        );
+        let objects = format!("{}1{}", r#"{"a":"#.repeat(128), "}".repeat(128));
+        assert_eq!(parse_err(&objects), "recursion limit exceeded at byte 635");
+        // Depth is nesting, not the number of containers.
+        let wide = format!("[{}]", vec![nest(100); 1000].join(","));
+        assert!(from_str::<Value>(&wide).is_ok());
+    }
+
+    #[test]
+    fn writer_goldens() {
+        assert_eq!(to_string(&1.0f64).unwrap(), "1.0");
+        assert_eq!(to_string(&-0.0f64).unwrap(), "-0.0");
+        assert_eq!(to_string(&0.25f64).unwrap(), "0.25");
+        assert_eq!(
+            to_string(&1e300f64).unwrap(),
+            format!("1{}.0", "0".repeat(300))
+        );
+        assert_eq!(to_string(&f64::NAN).unwrap(), "null");
+        assert_eq!(to_string(&f64::INFINITY).unwrap(), "null");
+        assert_eq!(to_string(&u64::MAX).unwrap(), "18446744073709551615");
+        assert_eq!(to_string(&i64::MIN).unwrap(), "-9223372036854775808");
+        assert_eq!(
+            to_string("a\"b\\c\n\r\t\u{8}\u{c}\u{0}\u{1f}\u{7f}é中😀").unwrap(),
+            r#""a\"b\\c\n\r\t\b\f\u0000\u001f"#.to_string() + "\u{7f}é中😀\""
+        );
+        assert_eq!(to_string("").unwrap(), r#""""#);
+    }
+
+    #[test]
+    fn numbers_round_trip() {
+        for text in [
+            "0",
+            "-1",
+            "18446744073709551615",
+            "-9223372036854775808",
+            "0.5",
+            "1e3",
+        ] {
+            let value: Value = from_str(text).unwrap();
+            assert_eq!(from_str::<Value>(&value.to_string()).unwrap(), value);
+        }
+    }
+
+    #[test]
+    fn a_mebibyte_document_round_trips_in_linear_time() {
+        let pieces = [
+            "plain ascii text ",
+            "é中😀",
+            "\"quoted\"",
+            "back\\slash",
+            "\n\t\u{1}",
+        ];
+        let mut strings = Vec::new();
+        let mut bytes = 0;
+        while bytes < 1 << 20 {
+            let s: String = pieces
+                .iter()
+                .cycle()
+                .skip(strings.len())
+                .take(24)
+                .copied()
+                .collect();
+            bytes += s.len();
+            strings.push(Value(Content::Str(s)));
+        }
+        let doc = Value::array(strings);
+        let started = std::time::Instant::now();
+        let text = doc.to_string();
+        let back: Value = from_str(&text).unwrap();
+        let elapsed = started.elapsed();
+        assert_eq!(back, doc);
+        assert!(text.len() > 1 << 20);
+        assert!(
+            elapsed < std::time::Duration::from_secs(2),
+            "1 MiB round trip took {elapsed:?}"
+        );
+    }
 }

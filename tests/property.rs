@@ -678,6 +678,25 @@ proptest! {
         prop_assert!(result.is_err());
     }
 
+    /// Arbitrary strings — quotes, backslashes, control characters,
+    /// 2- and 3-byte chars and non-BMP chars, in any mix — round-trip
+    /// through the JSON codec unchanged, alone and as an object key.
+    #[test]
+    fn json_strings_round_trip_unchanged(
+        picks in proptest::collection::vec((0u8..6, any::<u32>()), 0..64usize)
+    ) {
+        let text: String = picks.into_iter().map(|(pool, n)| json_char(pool, n)).collect();
+        let json = serde_json::to_string(&text).unwrap();
+        prop_assert_eq!(serde_json::from_str::<String>(&json).unwrap(), text.clone());
+        let keyed = std::collections::BTreeMap::from([(text.clone(), vec![text.clone()])]);
+        let json = serde_json::to_string(&keyed).unwrap();
+        prop_assert_eq!(
+            serde_json::from_str::<std::collections::BTreeMap<String, Vec<String>>>(&json)
+                .unwrap(),
+            keyed
+        );
+    }
+
     /// A frame header may claim any length: oversized claims are
     /// refused before any allocation happens.
     #[test]
@@ -690,4 +709,20 @@ proptest! {
         >(&mut cursor);
         prop_assert!(result.is_err());
     }
+}
+
+/// One char from the pool `pool` picks (0: JSON's escape-worthy ASCII,
+/// 1: control characters, 2: printable ASCII, 3: 2-byte, 4: 3-byte,
+/// 5: 4-byte UTF-8), chosen within it by `n`.
+fn json_char(pool: u8, n: u32) -> char {
+    let code = match pool {
+        0 => [u32::from(b'"'), u32::from(b'\\'), u32::from(b'/')][n as usize % 3],
+        1 => n % 0x20,
+        2 => 0x20 + n % 0x60,
+        3 => 0x80 + n % 0x780,
+        4 => 0x800 + n % 0xF800,
+        _ => 0x10000 + n % 0x10_0000,
+    };
+    // The 3-byte pool spans the surrogate gap, which is no char.
+    char::from_u32(code).unwrap_or('\u{fffd}')
 }

@@ -429,6 +429,44 @@ fn hostile_frames_get_typed_errors_and_the_daemon_keeps_serving() {
 }
 
 #[test]
+fn a_hundred_thousand_deep_frame_is_refused_before_it_reaches_the_stack() {
+    let config = test_config();
+    let seed = config.seed;
+    let n_examples = config.n_examples;
+    let (addr, handle, thread) = boot(config);
+
+    // 200 KB of brackets, well under MAX_FRAME_LEN, sent before Hello.
+    // Parsed by unbounded recursion it would overflow the connection
+    // thread's stack, which aborts the whole process; the parser's
+    // recursion limit answers it with a typed Error instead.
+    let depth = 100_000;
+    let mut nested = Vec::with_capacity(2 * depth);
+    nested.extend(std::iter::repeat_n(b'[', depth));
+    nested.extend(std::iter::repeat_n(b']', depth));
+    let mut framed = (nested.len() as u32).to_le_bytes().to_vec();
+    framed.extend_from_slice(&nested);
+    match first_frame(&poke_raw(&addr, &framed)).expect("a typed reply") {
+        fisql_core::serve::ServerResponse::Error { message } => {
+            assert!(message.contains("recursion limit exceeded"), "{message}");
+        }
+        other => panic!("expected a typed Error, got {other:?}"),
+    }
+
+    // The daemon survived: a normal session completes.
+    let corpus = build_aep(&AepConfig { n_examples, seed });
+    let mut client =
+        admitted(ServeClient::connect_retry(addr.as_str(), None, Duration::from_secs(10)).unwrap());
+    let turn = client.ask(&corpus.examples[0].question).expect("ask");
+    assert!(!turn.sql.is_empty());
+    client.bye().expect("bye");
+
+    let summary = stop(&handle, thread);
+    assert_eq!(summary.sessions_opened, 1);
+    assert_eq!(summary.contained_panics, 0);
+    assert_eq!(summary.errors, 1);
+}
+
+#[test]
 fn idle_sessions_are_reaped_and_the_slot_returns() {
     // One slot, 200 ms idle budget: a stalled session must be reaped
     // and its slot handed to the next client.
