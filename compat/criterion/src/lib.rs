@@ -1,13 +1,13 @@
 //! Offline stand-in for `criterion`, providing the API subset this
 //! workspace's benches use: `Criterion::{bench_function,
-//! benchmark_group}`, groups with `sample_size` / `bench_function` /
-//! `bench_with_input` / `finish`, `Bencher::iter`, `BenchmarkId`, and
-//! the `criterion_group!` / `criterion_main!` macros.
+//! benchmark_group}`, groups with `bench_function` / `bench_with_input` /
+//! `finish`, `Bencher::iter`, `BenchmarkId::from_parameter`, and the
+//! `criterion_group!` / `criterion_main!` macros.
 //!
 //! It runs each closure a small fixed number of iterations and reports
-//! wall-clock medians — enough to exercise every bench target end to end
-//! (the repo's benches double as smoke tests with embedded assertions),
-//! without crates.io access for the real statistics machinery.
+//! wall-clock means — enough for `cargo bench` to build and run the
+//! engine and parser micro-benchmarks end to end, without crates.io
+//! access for the real statistics machinery.
 
 use std::time::Instant;
 
@@ -24,13 +24,6 @@ pub struct BenchmarkId {
 }
 
 impl BenchmarkId {
-    /// An id made of a function name and a parameter.
-    pub fn new(name: impl Into<String>, parameter: impl std::fmt::Display) -> Self {
-        BenchmarkId {
-            text: format!("{}/{}", name.into(), parameter),
-        }
-    }
-
     /// An id made of a parameter alone.
     pub fn from_parameter(parameter: impl std::fmt::Display) -> Self {
         BenchmarkId {
@@ -88,12 +81,6 @@ impl Criterion {
             _parent: std::marker::PhantomData,
         }
     }
-
-    /// Returns a configured driver (config knobs are accepted and
-    /// ignored).
-    pub fn configure_from_args(self) -> Self {
-        self
-    }
 }
 
 /// A group of related benchmarks.
@@ -104,16 +91,6 @@ pub struct BenchmarkGroup<'a> {
 }
 
 impl BenchmarkGroup<'_> {
-    /// Sets the statistical sample count (accepted and ignored).
-    pub fn sample_size(&mut self, _n: usize) -> &mut Self {
-        self
-    }
-
-    /// Sets the measurement time (accepted and ignored).
-    pub fn measurement_time(&mut self, _d: std::time::Duration) -> &mut Self {
-        self
-    }
-
     /// Runs one benchmark in the group.
     pub fn bench_function<F: FnMut(&mut Bencher)>(
         &mut self,

@@ -1,16 +1,15 @@
-//! Shared harness for the experiment binaries and Criterion benches.
+//! Shared harness for the paper driver and the bench binaries.
 //!
-//! Every table and figure of the paper has a binary in `src/bin/` that
-//! regenerates it (see DESIGN.md §4); this library holds the common
-//! corpus/model/user construction so all experiments run off identical,
-//! seeded inputs, and [`emit`], the one writer of the `BENCH_*.json`
-//! files the three bench binaries (`bench_eval`, `bench_serve`,
-//! `bench_ha`) produce.
+//! Every table and figure of the paper is a row of the `exp` binary (see
+//! DESIGN.md §4); this library holds the common corpus/model/user
+//! construction so all experiments run off identical, seeded inputs, and
+//! [`emit`], the one writer of the `BENCH_*.json` files the three bench
+//! binaries (`bench_eval`, `bench_serve`, `bench_ha`) produce.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use fisql_core::{AnnotatedCase, CorrectionReport, CorrectionRun, Strategy};
+use fisql_core::{AnnotatedCase, CorrectionRun};
 use fisql_feedback::{SimUser, UserConfig};
 use fisql_llm::{LlmConfig, SimLlm};
 use fisql_spider::{build_aep, build_spider, AepConfig, Corpus, SpiderConfig};
@@ -127,20 +126,6 @@ pub fn annotated_cases(setup: &Setup, corpus: &Corpus) -> (usize, Vec<AnnotatedC
     let n_errors = errors.len();
     let annotated = run.annotate(&errors);
     (n_errors, annotated)
-}
-
-/// Runs one strategy and returns its report.
-pub fn correction(
-    setup: &Setup,
-    corpus: &Corpus,
-    cases: &[AnnotatedCase],
-    strategy: Strategy,
-    rounds: usize,
-) -> CorrectionReport {
-    runner(setup, corpus)
-        .strategy(strategy)
-        .rounds(rounds)
-        .run(cases)
 }
 
 /// Formats a percentage the way the paper's tables do.

@@ -11,7 +11,7 @@
 //!
 //! [`analyze_round`] classifies every round-1 failure into this taxonomy
 //! (plus the channel composition of the initial errors), producing the
-//! report behind the `exp_error_analysis` binary.
+//! report behind the `errors` row of the `exp` binary.
 
 use crate::experiment::AnnotatedCase;
 use crate::pipeline::{incorporate, IncorporateContext, Strategy};
