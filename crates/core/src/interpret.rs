@@ -19,8 +19,9 @@
 
 use fisql_engine::Database;
 use fisql_sqlkit::ast::*;
-use fisql_sqlkit::{parse_expr, print_query_spanned, EditOp, OpClass, Span};
+use fisql_sqlkit::{parse_expr, print_query_spanned, EditOp, OpClass, SchemaLexicon, Span};
 use rand::Rng;
+use std::sync::Arc;
 
 /// One candidate interpretation.
 #[derive(Debug, Clone)]
@@ -165,6 +166,8 @@ struct Cues {
     columns: Vec<(String, String)>,
     /// Tables mentioned.
     tables: Vec<String>,
+    /// The schema's lexicon, for the de-linker.
+    lexicon: Arc<SchemaLexicon>,
     ascending: bool,
     descending: bool,
 }
@@ -195,53 +198,60 @@ impl Cues {
         let quoted: Vec<String> = extract_quoted(text);
 
         // Column linking: longest humanized names first so "song name"
-        // wins over "name".
+        // wins over "name". Within one length the lexicon orders by name;
+        // columns of tables *outside* the query are tried before those of
+        // tables in it (the user may name a column the query should use).
+        // That tie-break is historical — the key once prefixed
+        // out-of-query names with "\u{1}", which sorts before letters —
+        // and the recorded eval reports depend on it.
+        let lexicon = SchemaLexicon::shared(
+            db.tables
+                .iter()
+                .map(|t| (t.name.as_str(), t.columns.iter().map(|c| c.name.as_str()))),
+        );
+        let mentions = lexicon.mentions(&lower);
         let query_tables = predicted.all_table_names();
-        let mut all_cols: Vec<(String, String, String)> = Vec::new(); // (table, column, humanized)
-        for t in &db.tables {
-            let in_query = query_tables.iter().any(|n| n.eq_ignore_ascii_case(&t.name));
-            for c in &t.columns {
-                let human = c.name.replace('_', " ").to_lowercase();
-                // Columns of tables in the query get priority via a sort
-                // key below; others remain linkable (the user may name a
-                // column the query *should* use).
-                all_cols.push((
-                    t.name.clone(),
-                    c.name.clone(),
-                    format!("{}{human}", if in_query { "" } else { "\u{1}" }),
-                ));
-            }
-        }
-        all_cols.sort_by(|a, b| {
-            b.2.trim_start_matches('\u{1}')
-                .len()
-                .cmp(&a.2.trim_start_matches('\u{1}').len())
-                .then(a.2.cmp(&b.2))
-        });
+        let in_query: Vec<bool> = db
+            .tables
+            .iter()
+            .map(|t| query_tables.iter().any(|n| n.eq_ignore_ascii_case(&t.name)))
+            .collect();
         let mut masked = lower.clone();
         let mut columns = Vec::new();
-        for (table, column, keyed) in &all_cols {
-            let human = keyed.trim_start_matches('\u{1}');
-            if human.len() < 3 {
-                continue;
-            }
-            if let Some(pos) = find_word(&masked, human) {
-                // Mask the matched region so substrings don't re-match.
-                masked.replace_range(pos..pos + human.len(), &"\u{2}".repeat(human.len()));
-                columns.push((table.clone(), column.clone()));
-            } else if let Some(pos) = find_word(&masked, &format!("{human}s")) {
-                masked.replace_range(pos..=(pos + human.len()), &"\u{2}".repeat(human.len() + 1));
-                columns.push((table.clone(), column.clone()));
+        for run in lexicon.ranked_columns() {
+            for want_in_query in [false, true] {
+                for &e in run {
+                    if in_query[lexicon.table(e)] != want_in_query || !mentions.contains(e) {
+                        continue;
+                    }
+                    let human = lexicon.human(e);
+                    if let Some(pos) = find_word(&masked, human) {
+                        // Mask the matched region so substrings don't re-match.
+                        masked.replace_range(pos..pos + human.len(), &"\u{2}".repeat(human.len()));
+                    } else if let Some(pos) = find_word(&masked, &format!("{human}s")) {
+                        masked.replace_range(
+                            pos..=(pos + human.len()),
+                            &"\u{2}".repeat(human.len() + 1),
+                        );
+                    } else {
+                        continue;
+                    }
+                    columns.push((
+                        lexicon.table_name(e).to_string(),
+                        lexicon.name(e).to_string(),
+                    ));
+                }
             }
         }
 
         let mut tables = Vec::new();
-        for t in &db.tables {
-            let human = t.name.replace('_', " ").to_lowercase();
-            if find_word(&lower, &human).is_some()
-                || find_word(&lower, &format!("{human}s")).is_some()
+        for &e in lexicon.tables() {
+            let human = lexicon.human(e);
+            if mentions.contains(e)
+                && (find_word(&lower, human).is_some()
+                    || find_word(&lower, &format!("{human}s")).is_some())
             {
-                tables.push(t.name.clone());
+                tables.push(lexicon.name(e).to_string());
             }
         }
 
@@ -256,6 +266,7 @@ impl Cues {
             quoted,
             columns,
             tables,
+            lexicon,
         }
     }
 
@@ -609,7 +620,7 @@ fn generate_candidates(cues: &Cues, predicted: &Query, db: &Database) -> Vec<Can
         || cues.has("only count")
         || cues.has("restrict")
     {
-        if let Some(pred) = build_predicate(cues, predicted, db) {
+        if let Some(pred) = build_predicate(cues, predicted) {
             if cues.has("groups") && !predicted.core.group_by.is_empty() {
                 out.push(Candidate {
                     edits: vec![EditOp::SetHaving {
@@ -691,7 +702,7 @@ fn generate_candidates(cues: &Cues, predicted: &Query, db: &Database) -> Vec<Can
 
     // --- Generic predicate replacement ("change A to B" / "should be B") ------
     if cues.has("change") || cues.has("should be") || cues.has("condition") {
-        if let Some(new_pred) = build_predicate(cues, predicted, db) {
+        if let Some(new_pred) = build_predicate(cues, predicted) {
             let new_cols = new_pred.columns();
             // Prefer a conjunct on the same column; failing that, a
             // conjunct on any *mentioned* column ("change song name = 'x'
@@ -943,7 +954,7 @@ fn shift_years_in_expr(e: &Expr, year: i64) -> Option<Expr> {
 
 /// Builds a predicate from the cues: prefer re-parsing the tail after a
 /// connective phrase; fall back to (column, comparator, value) assembly.
-fn build_predicate(cues: &Cues, predicted: &Query, db: &Database) -> Option<Expr> {
+fn build_predicate(cues: &Cues, predicted: &Query) -> Option<Expr> {
     // Try structural parse of the tail after "where"/"should be"/"to ".
     // Markers are located case-insensitively, but the tail is sliced from
     // the original text: string literals must keep their case
@@ -952,7 +963,7 @@ fn build_predicate(cues: &Cues, predicted: &Query, db: &Database) -> Option<Expr
     for marker in ["rows where ", "groups where ", "should be ", " to "] {
         if let Some(pos) = searchable.find(marker) {
             let tail = cues.raw[pos + marker.len()..].trim_end_matches(['.', '?']);
-            if let Some(expr) = parse_delinked(tail, db) {
+            if let Some(expr) = parse_delinked(tail, &cues.lexicon) {
                 // Only accept predicate-shaped expressions; "change to
                 // 2024" should not yield a bare literal here.
                 if is_predicate_shaped(&expr) {
@@ -1032,32 +1043,33 @@ fn is_predicate_shaped(e: &Expr) -> bool {
 /// then attempts to parse the result as an expression. This is the
 /// schema-linking step a real NL2SQL model performs when reading feedback
 /// that mentions "song release year" for `song_release_year`.
-fn parse_delinked(text: &str, db: &Database) -> Option<Expr> {
-    let mut delinked = text.to_string();
-    let mut idents: Vec<&str> = Vec::new();
-    for t in &db.tables {
-        idents.push(&t.name);
-        for c in &t.columns {
-            idents.push(&c.name);
-        }
-    }
-    idents.sort_by_key(|i| std::cmp::Reverse(i.len()));
-    for ident in idents {
-        let human = ident.replace('_', " ").to_lowercase();
-        if human.contains(' ') {
-            // Match case-insensitively but replace in the original-case
-            // string (byte offsets coincide under ASCII lowering).
-            loop {
-                let shadow = delinked.to_ascii_lowercase();
-                let Some(pos) = find_word(&shadow, &human) else {
-                    break;
-                };
-                delinked.replace_range(pos..pos + human.len(), ident);
-            }
-        }
-    }
+fn parse_delinked(text: &str, lexicon: &SchemaLexicon) -> Option<Expr> {
     // "count(*)" style words survive; try the parse.
-    parse_expr(&delinked).ok()
+    parse_expr(&delink(text, lexicon)).ok()
+}
+
+/// Replaces every humanized multi-word identifier in `text` with its
+/// schema spelling, longest identifiers first.
+fn delink(text: &str, lexicon: &SchemaLexicon) -> String {
+    let mut delinked = text.to_string();
+    // Match case-insensitively but replace in the original-case string
+    // (byte offsets coincide under ASCII lowering).
+    let mut shadow = delinked.to_ascii_lowercase();
+    let mut mentions = lexicon.mentions(&shadow);
+    for &e in lexicon.idents() {
+        if !mentions.contains(e) {
+            continue;
+        }
+        let human = lexicon.human(e);
+        while let Some(pos) = find_word(&shadow, human) {
+            delinked.replace_range(pos..pos + human.len(), lexicon.name(e));
+            shadow = delinked.to_ascii_lowercase();
+            // Re-read the words: the prefilter must see the text the
+            // remaining identifiers are matched against.
+            mentions = lexicon.mentions(&shadow);
+        }
+    }
+    delinked
 }
 
 /// The expression form of a column as it would appear in the predicted
@@ -1182,6 +1194,9 @@ fn fk_join(db: &Database, present: &[String], target: &str) -> Option<Join> {
 }
 
 #[cfg(test)]
+mod reference;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use fisql_engine::{Column, DataType, Table};
@@ -1239,6 +1254,19 @@ mod tests {
         let interp = interpret(text, &predicted, &db(), routed, None, &mut rng);
         let applied = apply_edits(&predicted, &interp.edits).unwrap_or(predicted);
         (applied, interp)
+    }
+
+    #[test]
+    fn out_of_query_columns_win_equal_length_ties() {
+        // `singer.singer_id` and `concert.singer_id` humanize alike; the
+        // query reads `concert`, yet the out-of-query column links. The
+        // recorded eval reports depend on this tie-break.
+        let predicted = parse_query("SELECT year FROM concert").unwrap();
+        let cues = Cues::extract("show the singer id", &predicted, &db());
+        assert_eq!(
+            cues.columns,
+            vec![("singer".to_string(), "singer_id".to_string())]
+        );
     }
 
     #[test]

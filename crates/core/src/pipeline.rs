@@ -15,9 +15,9 @@ use fisql_llm::{
 use fisql_spider::Example;
 use fisql_sqlkit::check::{check_query, render_report, repair_query, Diagnostic, SchemaInfo};
 use fisql_sqlkit::{
-    apply_edits, diff_queries, enumerate_repairs, literal_year, locate_faults, normalize_query,
-    print_query, print_query_spanned, prune_candidates, realized_classes, same_clause_family, Expr,
-    FeedbackCues, Literal, LocateOptions, OpClass, Query, RepairCandidate,
+    apply_edits, diff_queries, enumerate_repairs, literal_year, locate_faults_with_cues,
+    normalize_query, print_query, print_query_spanned, prune_candidates, realized_classes,
+    same_clause_family, Expr, FeedbackCues, Literal, OpClass, Query, RepairCandidate,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -463,17 +463,10 @@ fn search_step<L: FallibleLanguageModel + ?Sized>(
     let highlight = ctx.feedback.highlight;
     let previous = normalize_query(ctx.previous);
 
-    // Localize: rank fault sites from analyzer, flow, feedback, and
-    // highlight evidence; mine the feedback for repair material.
-    let sites = locate_faults(
-        &previous,
-        &schema,
-        LocateOptions {
-            feedback: Some(&ctx.feedback.text),
-            highlight,
-        },
-    );
+    // Mine the feedback once for the whole round; localize: rank fault
+    // sites from analyzer, flow, feedback, and highlight evidence.
     let cues = FeedbackCues::extract(&ctx.feedback.text, &schema);
+    let sites = locate_faults_with_cues(&previous, &schema, Some(&cues), highlight);
 
     // Enumerate: site-driven repairs, plus the feedback interpreter's
     // full candidate pool (the same pool `interpret` samples one member
@@ -519,14 +512,7 @@ fn search_step<L: FallibleLanguageModel + ?Sized>(
     let beam: Vec<RepairCandidate> = survivors.iter().take(BEAM_WIDTH).cloned().collect();
     let mut enumerated_round2 = 0u64;
     for member in &beam {
-        let member_sites = locate_faults(
-            &member.query,
-            &schema,
-            LocateOptions {
-                feedback: Some(&ctx.feedback.text),
-                highlight: None,
-            },
-        );
+        let member_sites = locate_faults_with_cues(&member.query, &schema, Some(&cues), None);
         let expansions = enumerate_repairs(&member.query, &schema, &member_sites, &cues);
         enumerated_round2 += expansions.len() as u64;
         let expansions: Vec<RepairCandidate> = expansions

@@ -36,8 +36,8 @@ use fisql_engine::Database;
 use fisql_llm::keyword_route;
 use fisql_sqlkit::check::{check_query, render_report, repair_query, Diagnostic, SchemaInfo};
 use fisql_sqlkit::{
-    apply_edits, diff_queries, enumerate_repairs, locate_faults, normalize_query, parse_query,
-    print_query, prune_candidates, realized_classes, EditOp, FeedbackCues, LocateOptions, OpClass,
+    apply_edits, diff_queries, enumerate_repairs, locate_faults_with_cues, normalize_query,
+    parse_query, print_query, prune_candidates, realized_classes, EditOp, FeedbackCues, OpClass,
     Query,
 };
 use rand::rngs::StdRng;
@@ -234,15 +234,8 @@ impl<'a> QueryBuilder<'a> {
     /// the engine.
     pub fn suggest(&self, text: &str) -> Vec<(String, i64)> {
         let routed = keyword_route(text);
-        let sites = locate_faults(
-            &self.current,
-            &self.schema,
-            LocateOptions {
-                feedback: Some(text),
-                highlight: None,
-            },
-        );
         let cues = FeedbackCues::extract(text, &self.schema);
+        let sites = locate_faults_with_cues(&self.current, &self.schema, Some(&cues), None);
         let pool = enumerate_repairs(&self.current, &self.schema, &sites, &cues);
         let mut scored: Vec<(String, i64)> = prune_candidates(&self.current, pool, &self.schema)
             .kept

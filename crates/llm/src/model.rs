@@ -315,7 +315,7 @@ pub fn channel_resolved_by_text(channel: &ErrorChannel, example: &Example, text:
     }
     let lower = text.to_lowercase();
     let mentions = |ident: &str| {
-        let human = ident.replace('_', " ").to_lowercase();
+        let human = fisql_sqlkit::humanize(ident);
         lower.contains(&human) || lower.contains(&ident.to_lowercase())
     };
     match channel {

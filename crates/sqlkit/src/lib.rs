@@ -44,6 +44,7 @@ pub mod error;
 pub mod flow;
 pub mod hash;
 pub mod lexer;
+pub mod lexicon;
 pub mod locate;
 pub mod normalize;
 pub mod parser;
@@ -70,7 +71,11 @@ pub use flow::{
     Provenance,
 };
 pub use hash::{fnv1a_32, fnv64, Fnv64};
-pub use locate::{literal_year, locate_faults, FaultKind, FaultSite, FeedbackCues, LocateOptions};
+pub use lexicon::{humanize, SchemaLexicon};
+pub use locate::{
+    literal_year, locate_faults, locate_faults_with_cues, FaultKind, FaultSite, FeedbackCues,
+    LocateOptions,
+};
 pub use normalize::{normalize_query, structurally_equal};
 pub use parser::{parse_expr, parse_query};
 pub use printer::{print_expr, print_query, print_query_spanned, SpannedSql};

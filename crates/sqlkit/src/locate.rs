@@ -29,6 +29,7 @@
 
 use crate::ast::{ClausePath, Expr, Func, Literal, Query};
 use crate::check::{check_query, DiagCode, SchemaInfo, Severity};
+use crate::lexicon::SchemaLexicon;
 use crate::printer::{print_query_spanned, SpannedSql};
 use crate::span::Span;
 
@@ -226,11 +227,6 @@ fn extract_quoted(text: &str) -> Vec<String> {
     out
 }
 
-/// Underscores to spaces, lowercased — the verbalizer's naming scheme.
-fn humanize(name: &str) -> String {
-    name.to_lowercase().replace('_', " ")
-}
-
 /// Finds `needle` in `hay` at a word boundary (optionally followed by a
 /// plural `s`). Returns the byte range of the match.
 fn find_word(hay: &str, needle: &str) -> Option<(usize, usize)> {
@@ -258,40 +254,28 @@ fn find_word(hay: &str, needle: &str) -> Option<(usize, usize)> {
     None
 }
 
+/// Links table and column mentions: the lexicon's entities, longest
+/// humanized name first so compound names win over their prefixes (ties:
+/// tables before same-length columns, then by name), each match masked
+/// so its substrings do not re-match.
 fn link_entities(lower: &str, schema: &SchemaInfo, cues: &mut FeedbackCues) {
-    // (humanized, canonical, is_table); longest humanized first so
-    // compound names win over their prefixes. Ties break on name for
-    // determinism; tables win over same-length columns.
-    let mut entities: Vec<(String, String, bool)> = Vec::new();
-    for t in &schema.tables {
-        entities.push((humanize(&t.name), t.name.clone(), true));
-        for c in &t.columns {
-            let h = humanize(&c.name);
-            if !entities.iter().any(|(eh, _, it)| !*it && *eh == h) {
-                entities.push((h, c.name.clone(), false));
-            }
-        }
-    }
-    entities.sort_by(|a, b| {
-        b.0.len()
-            .cmp(&a.0.len())
-            .then_with(|| b.2.cmp(&a.2))
-            .then_with(|| a.0.cmp(&b.0))
-    });
-
+    let lexicon = SchemaLexicon::of_schema(schema);
+    let mentions = lexicon.mentions(lower);
     let mut masked = lower.to_string();
-    for (h, canonical, is_table) in entities {
-        if h.len() < 3 {
+    for &e in lexicon.entities() {
+        if !mentions.contains(e) {
             continue;
         }
-        if let Some((start, end)) = find_word(&masked, &h) {
+        if let Some((start, end)) = find_word(&masked, lexicon.human(e)) {
             masked.replace_range(start..end, &"\u{1}".repeat(end - start));
-            if is_table {
-                if !cues.tables.contains(&canonical) {
-                    cues.tables.push(canonical);
-                }
-            } else if !cues.columns.contains(&canonical) {
-                cues.columns.push(canonical);
+            let canonical = lexicon.name(e);
+            let linked = if lexicon.is_table(e) {
+                &mut cues.tables
+            } else {
+                &mut cues.columns
+            };
+            if !linked.iter().any(|l| l == canonical) {
+                linked.push(canonical.to_string());
             }
         }
     }
@@ -414,6 +398,21 @@ pub fn locate_faults(
     schema: &SchemaInfo,
     opts: LocateOptions<'_>,
 ) -> Vec<FaultSite> {
+    let cues = opts
+        .feedback
+        .map(|text| FeedbackCues::extract(text, schema));
+    locate_faults_with_cues(query, schema, cues.as_ref(), opts.highlight)
+}
+
+/// [`locate_faults`] with the feedback already mined into `cues`, so a
+/// caller that localizes several queries against one utterance (the
+/// repair search's beam) extracts the cues once.
+pub fn locate_faults_with_cues(
+    query: &Query,
+    schema: &SchemaInfo,
+    cues: Option<&FeedbackCues>,
+    highlight: Option<Span>,
+) -> Vec<FaultSite> {
     let spanned = print_query_spanned(query);
     let mut b = SiteBuilder { sites: Vec::new() };
 
@@ -448,14 +447,13 @@ pub fn locate_faults(
     }
 
     // Stream 3: feedback cues.
-    if let Some(text) = opts.feedback {
-        let cues = FeedbackCues::extract(text, schema);
-        feedback_sites(query, schema, &spanned, &cues, &mut b);
+    if let Some(cues) = cues {
+        feedback_sites(query, schema, &spanned, cues, &mut b);
     }
 
     // Stream 3b: highlight — boost overlapping sites, or accuse the
     // highlighted clause directly when nothing else pointed there.
-    if let Some(h) = opts.highlight {
+    if let Some(h) = highlight {
         let mut hit = false;
         for s in &mut b.sites {
             if s.span.overlaps(h) {
