@@ -5,10 +5,11 @@
 //! Not part of the paper's tables; used for calibration analysis.
 
 use fisql_bench::{annotated_cases, Setup};
-use fisql_core::{incorporate, CorrectionRun, IncorporateContext, Strategy};
+use fisql_core::{
+    analyze_round, try_incorporate, CorrectionRun, FailureCause, IncorporateContext, Strategy,
+};
 use fisql_engine::execute;
 use fisql_llm::{FaultConfig, FaultyBackend, ResilienceConfig, Resilient};
-use fisql_spider::check_prediction;
 use fisql_sqlkit::{
     diff_queries, locate_faults, normalize_query, print_query_spanned, same_clause_family,
     LocateOptions,
@@ -18,65 +19,34 @@ fn main() {
     let setup = Setup::from_env();
     for (name, corpus) in [("SPIDER", &setup.spider), ("EP", &setup.aep)] {
         let (_, cases) = annotated_cases(&setup, corpus);
-        let mut ok = 0;
-        let mut misaligned = 0;
-        let mut interp_fail = 0;
-        let mut ambiguous_wrong = 0;
-        let mut apply_fail = 0;
-        let mut partial_multi = 0;
-        let mut other = 0;
-        let mut initial_multi = 0;
-        for case in &cases {
-            let example = &corpus.examples[case.error.example_idx];
-            let db = corpus.database(example);
-            let previous = normalize_query(&case.error.initial);
-            let d0 = diff_queries(&previous, &example.gold);
-            let edits_needed_multi =
-                fisql_feedback::year_shift_target(&d0).is_none() && d0.len() > 1;
-            if edits_needed_multi {
-                initial_multi += 1;
-            }
-            let out = incorporate(
-                Strategy::Fisql {
-                    routing: true,
-                    highlighting: false,
-                },
-                &setup.llm,
-                &IncorporateContext {
-                    db,
-                    example,
-                    question: &example.question,
-                    previous: &previous,
-                    feedback: &case.feedback,
-                    round: 0,
-                    conformance_gate: false,
-                },
-            );
-            if check_prediction(db, example, &out.query).is_correct() {
-                ok += 1;
-                continue;
-            }
-            if case.feedback.misaligned {
-                misaligned += 1;
-            } else if let Some(i) = &out.interpretation {
-                if i.candidates == 0 {
-                    interp_fail += 1;
-                } else if out.query == previous {
-                    apply_fail += 1;
-                } else if edits_needed_multi {
-                    partial_multi += 1;
-                } else if i.candidates > 1 {
-                    ambiguous_wrong += 1;
-                } else {
-                    other += 1;
-                }
-            } else {
-                other += 1;
-            }
-        }
+        // The failure taxonomy is `analyze_round`'s; only the count of
+        // initial predictions needing several logical edits is local.
+        let fisql = Strategy::Fisql {
+            routing: true,
+            highlighting: false,
+        };
+        let analysis = analyze_round(corpus, &cases, fisql, &setup.llm);
+        let failed =
+            |cause: FailureCause| analysis.failures.get(cause.label()).copied().unwrap_or(0);
+        let initial_multi = cases
+            .iter()
+            .filter(|case| {
+                let example = &corpus.examples[case.error.example_idx];
+                let d0 = diff_queries(&normalize_query(&case.error.initial), &example.gold);
+                fisql_feedback::year_shift_target(&d0).is_none() && d0.len() > 1
+            })
+            .count();
         println!(
             "{name}: total {} ok {} | misaligned {} interp-fail {} apply-fail {} multi-partial {} ambiguous {} other {} (initial multi-edit {})",
-            cases.len(), ok, misaligned, interp_fail, apply_fail, partial_multi, ambiguous_wrong, other, initial_multi
+            analysis.total,
+            analysis.corrected,
+            failed(FailureCause::MisalignedFeedback),
+            failed(FailureCause::InterpretationFailure),
+            failed(FailureCause::ApplicationFailure),
+            failed(FailureCause::MultipleErrors),
+            failed(FailureCause::WrongGrounding),
+            failed(FailureCause::Other),
+            initial_multi
         );
 
         // Localization accuracy: does the top-ranked fault site land on a
@@ -131,10 +101,7 @@ fn main() {
         // the analyzer flags (and typo-repairs) before they can reach the
         // engine, vs. how many of the gated candidates still fail there.
         for strategy in [
-            Strategy::Fisql {
-                routing: true,
-                highlighting: false,
-            },
+            fisql,
             Strategy::FisqlDynamic,
             Strategy::QueryRewrite,
             Strategy::SearchRefine,
@@ -146,7 +113,7 @@ fn main() {
             for case in &cases {
                 let example = &corpus.examples[case.error.example_idx];
                 let db = corpus.database(example);
-                let out = incorporate(
+                let out = try_incorporate(
                     strategy,
                     &setup.llm,
                     &IncorporateContext {
@@ -158,7 +125,8 @@ fn main() {
                         round: 0,
                         conformance_gate: false,
                     },
-                );
+                )
+                .expect("SimLlm never returns a backend error");
                 if out.gate.has_errors() {
                     flagged += 1;
                 }

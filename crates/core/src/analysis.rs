@@ -14,7 +14,7 @@
 //! report behind the `errors` row of the `exp` binary.
 
 use crate::experiment::AnnotatedCase;
-use crate::pipeline::{incorporate, IncorporateContext, Strategy};
+use crate::pipeline::{try_incorporate, IncorporateContext, Strategy};
 use fisql_feedback::year_shift_target;
 use fisql_llm::SimLlm;
 use fisql_spider::{check_prediction, Corpus};
@@ -126,7 +126,7 @@ pub fn analyze_round(
             initial_diff.len()
         };
 
-        let out = incorporate(
+        let out = try_incorporate(
             strategy,
             llm,
             &IncorporateContext {
@@ -138,7 +138,8 @@ pub fn analyze_round(
                 round: 0,
                 conformance_gate: false,
             },
-        );
+        )
+        .expect("SimLlm never returns a backend error");
         if check_prediction(db, example, &out.query).is_correct() {
             corrected += 1;
             continue;

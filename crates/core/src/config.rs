@@ -159,30 +159,6 @@ impl EvalConfig {
         }
         Ok(())
     }
-
-    /// Builder: sets the strategy.
-    pub fn strategy(mut self, strategy: Strategy) -> Self {
-        self.strategy = strategy;
-        self
-    }
-
-    /// Builder: sets the worker count.
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
-        self
-    }
-
-    /// Builder: sets the injected fault rate.
-    pub fn fault_rate(mut self, rate: f64) -> Self {
-        self.fault_rate = rate;
-        self
-    }
-
-    /// Builder: enables or disables the semantic result cache.
-    pub fn semantic_cache(mut self, on: bool) -> Self {
-        self.semantic_cache = on;
-        self
-    }
 }
 
 /// Configuration for `fisql serve`: the long-lived multi-session daemon.

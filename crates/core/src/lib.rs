@@ -52,8 +52,8 @@ pub use fisql_llm::CacheStats;
 pub use interpret::{interpret, interpret_candidates, Candidate, Interpretation};
 pub use journal::{FsyncPolicy, RunJournal};
 pub use pipeline::{
-    gate_candidate, incorporate, try_incorporate, ConformanceReport, GateOutcome,
-    IncorporateContext, IncorporateOutcome, SearchReport, Strategy,
+    gate_candidate, try_incorporate, ConformanceReport, GateOutcome, IncorporateContext,
+    IncorporateOutcome, SearchReport, Strategy,
 };
 pub use refine::{QueryBuilder, RefineError, RefineStep};
 pub use runner::{

@@ -10,7 +10,6 @@ use fisql_engine::Database;
 use fisql_feedback::Feedback;
 use fisql_llm::{
     prompt, routing_alignment, BackendResult, FallibleLanguageModel, GenMode, GenRequest,
-    LanguageModel,
 };
 use fisql_spider::Example;
 use fisql_sqlkit::check::{check_query, render_report, repair_query, Diagnostic, SchemaInfo};
@@ -259,27 +258,14 @@ pub fn gate_candidate(
     }
 }
 
-/// Runs one feedback-incorporation step with `strategy` on an
-/// *infallible* backend.
+/// Runs one feedback-incorporation step with `strategy`.
 ///
-/// Thin wrapper over [`try_incorporate`]: for a plain [`LanguageModel`]
-/// every backend call returns `Ok` through the blanket lift, so the
-/// result is unwrapped here once, keeping existing call sites untouched.
-pub fn incorporate<L: LanguageModel + ?Sized>(
-    strategy: Strategy,
-    llm: &L,
-    ctx: &IncorporateContext<'_>,
-) -> IncorporateOutcome {
-    try_incorporate(strategy, llm, ctx).expect("infallible backends cannot return backend errors")
-}
-
-/// Runs one feedback-incorporation step with `strategy`, fallibly.
-///
-/// Generic over the fallible backend surface: the simulated model (via
-/// the blanket lift), a faulty/resilient wrapper stack, or a future
-/// real-LLM client all drive the same pipeline. A returned error means a
-/// backend role failed past any middleware's patience — callers decide
-/// whether to degrade (keep the previous round's SQL) or surface it.
+/// Generic over the one backend trait: the simulated model, a
+/// faulty/resilient wrapper stack, or a future real-LLM client all drive
+/// the same pipeline. A returned error means a backend role failed past
+/// any middleware's patience — callers decide whether to degrade (keep
+/// the previous round's SQL) or surface it. [`fisql_llm::SimLlm`] never
+/// fails, so its callers may unwrap.
 pub fn try_incorporate<L: FallibleLanguageModel + ?Sized>(
     strategy: Strategy,
     llm: &L,
@@ -762,7 +748,7 @@ mod tests {
             intended: vec![],
             misaligned: false,
         };
-        let out = incorporate(
+        let out = try_incorporate(
             Strategy::Fisql {
                 routing: true,
                 highlighting: false,
@@ -777,7 +763,8 @@ mod tests {
                 round: 0,
                 conformance_gate: false,
             },
-        );
+        )
+        .unwrap();
         assert!(
             structurally_equal(&out.query, &e.gold),
             "got {}",
@@ -807,7 +794,7 @@ mod tests {
             intended: vec![],
             misaligned: false,
         };
-        let out = incorporate(
+        let out = try_incorporate(
             Strategy::Fisql {
                 routing: true,
                 highlighting: false,
@@ -822,7 +809,8 @@ mod tests {
                 round: 0,
                 conformance_gate: true,
             },
-        );
+        )
+        .unwrap();
         let report = out.conformance.expect("gate should have run");
         assert_eq!(report.routed, OpClass::Edit);
         assert!(report.agreed);
@@ -849,7 +837,7 @@ mod tests {
             intended: vec![],
             misaligned: false,
         };
-        let out = incorporate(
+        let out = try_incorporate(
             Strategy::Fisql {
                 routing: true,
                 highlighting: false,
@@ -864,7 +852,8 @@ mod tests {
                 round: 0,
                 conformance_gate: true,
             },
-        );
+        )
+        .unwrap();
         let report = out.conformance.expect("gate should have run");
         assert!(!report.agreed);
         assert!(report.retried);
@@ -892,7 +881,7 @@ mod tests {
             intended: vec![],
             misaligned: false,
         };
-        let out = incorporate(
+        let out = try_incorporate(
             Strategy::Fisql {
                 routing: true,
                 highlighting: false,
@@ -907,7 +896,8 @@ mod tests {
                 round: 0,
                 conformance_gate: false,
             },
-        );
+        )
+        .unwrap();
         assert!(out.conformance.is_none());
     }
 
@@ -925,7 +915,7 @@ mod tests {
             intended: vec![],
             misaligned: false,
         };
-        let out = incorporate(
+        let out = try_incorporate(
             Strategy::QueryRewrite,
             &flawless_llm(),
             &IncorporateContext {
@@ -937,7 +927,8 @@ mod tests {
                 round: 0,
                 conformance_gate: false,
             },
-        );
+        )
+        .unwrap();
         assert!(out.question.contains("2024"));
         assert!(out.question.contains("January"));
         assert!(out.interpretation.is_none());
@@ -963,7 +954,7 @@ mod tests {
             intended: vec![],
             misaligned: false,
         };
-        let out = incorporate(
+        let out = try_incorporate(
             Strategy::SearchRefine,
             &flawless_llm(),
             &IncorporateContext {
@@ -975,7 +966,8 @@ mod tests {
                 round: 0,
                 conformance_gate: false,
             },
-        );
+        )
+        .unwrap();
         assert!(
             structurally_equal(&out.query, &e.gold),
             "got {}",
@@ -1024,8 +1016,8 @@ mod tests {
             round: 0,
             conformance_gate: false,
         };
-        let a = incorporate(Strategy::SearchRefine, &flawless_llm(), &ctx);
-        let b = incorporate(Strategy::SearchRefine, &flawless_llm(), &ctx);
+        let a = try_incorporate(Strategy::SearchRefine, &flawless_llm(), &ctx).unwrap();
+        let b = try_incorporate(Strategy::SearchRefine, &flawless_llm(), &ctx).unwrap();
         assert_eq!(a.query, b.query);
         assert_eq!(a.search, b.search);
     }
@@ -1044,7 +1036,7 @@ mod tests {
             intended: vec![],
             misaligned: false,
         };
-        let out = incorporate(
+        let out = try_incorporate(
             Strategy::SearchRefine,
             &flawless_llm(),
             &IncorporateContext {
@@ -1056,7 +1048,8 @@ mod tests {
                 round: 0,
                 conformance_gate: false,
             },
-        );
+        )
+        .unwrap();
         let report = out.search.expect("search report should be present");
         if report.survivors == 0 {
             assert!(structurally_equal(&out.query, &previous));

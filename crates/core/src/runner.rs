@@ -297,9 +297,9 @@ pub enum CaseOutcome {
 
 /// Builder for the correction experiment (see the module docs).
 ///
-/// Generic over the *fallible* backend surface, so the simulated model
-/// (via the blanket lift), a fault-injected chaos stack, or a real
-/// remote client all drive the same runner;
+/// Generic over the one backend trait, [`FallibleLanguageModel`], so the
+/// simulated model, a fault-injected chaos stack, or a real remote
+/// client all drive the same runner;
 /// [`collect_errors`](CorrectionRun::collect_errors) alone is specific
 /// to [`SimLlm`] because the Assistant front end is.
 ///
@@ -418,12 +418,6 @@ impl<'a, L: FallibleLanguageModel + ?Sized> CorrectionRun<'a, L> {
     /// [`FsyncPolicy::Batch`]).
     pub fn fsync(mut self, policy: FsyncPolicy) -> Self {
         self.fsync = policy;
-        self
-    }
-
-    /// Replaces the whole configuration at once.
-    pub fn config(mut self, cfg: ExperimentConfig) -> Self {
-        self.cfg = cfg;
         self
     }
 

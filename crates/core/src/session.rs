@@ -168,10 +168,10 @@ impl<'a> Session<'a> {
 
     /// Sends natural-language feedback (optionally with a highlight over
     /// the last shown SQL) through `llm` — the single, backend-generic
-    /// feedback entry point. Infallible backends lift through the blanket
-    /// [`FallibleLanguageModel`] impl; fallible stacks (a
-    /// [`Resilient`](fisql_llm::Resilient) middleware over a remote or
-    /// fault-injected client) plug in directly.
+    /// feedback entry point. [`SimLlm`](fisql_llm::SimLlm) and fallible
+    /// stacks (a [`Resilient`](fisql_llm::Resilient) middleware over a
+    /// remote or fault-injected client) all implement
+    /// [`FallibleLanguageModel`] and plug in directly.
     ///
     /// Failure containment is always on: a backend error **degrades** the
     /// round ([`SessionEvent::Degraded`], previous SQL kept) and a panic

@@ -1,84 +1,37 @@
 //! The LLM-backend abstraction.
 //!
-//! The feedback-incorporation pipeline and the parallel evaluation runner
-//! are generic over [`LanguageModel`] rather than tied to [`SimLlm`], so a
-//! real-LLM backend (an HTTP client for `gpt-3.5-turbo`-class models, a
-//! local inference server, …) can slot in without touching the pipeline.
-//! The `Send + Sync` bound is load-bearing: the runner shares one backend
+//! The feedback-incorporation pipeline, the parallel evaluation runner,
+//! the chat `Session` and the daemon are generic over
+//! [`FallibleLanguageModel`] rather than tied to [`SimLlm`], so a real-LLM
+//! backend (an HTTP client for `gpt-3.5-turbo`-class models, a local
+//! inference server, …) can slot in without touching the pipeline. The
+//! `Send + Sync` bound is load-bearing: the runner shares one backend
 //! reference across its scoped worker threads.
 //!
-//! Two traits, one failure story:
-//!
-//! - [`LanguageModel`] is the *infallible* surface: in-process backends
-//!   ([`SimLlm`]) that cannot fail.
-//! - [`FallibleLanguageModel`] is what the pipeline actually consumes:
-//!   every role returns `Result<_, BackendError>`, so remote backends can
-//!   report timeouts, rate limits, and malformed completions honestly. A
-//!   blanket impl lifts every `LanguageModel` into it (returning `Ok`
-//!   always), so existing call sites and custom infallible backends keep
-//!   working unchanged.
-//!
-//! The fault injector ([`crate::faults::FaultyBackend`]) and the retry
-//! middleware ([`crate::resilience::Resilient`]) implement only the
-//! fallible trait — they are the layers where failure is real.
+//! [`FallibleLanguageModel`] is the one backend trait: every role returns
+//! `Result<_, BackendError>`, because a remote model can always time out,
+//! rate-limit or return a malformed completion. [`SimLlm`] cannot fail, so
+//! its impl wraps each inherent role in `Ok`. The fault injector
+//! ([`crate::faults::FaultyBackend`]) and the retry middleware
+//! ([`crate::resilience::Resilient`]) are the layers where failure is real.
 
 use crate::error::BackendResult;
 use crate::model::{GenRequest, Generation, SimLlm};
 use crate::resilience::ResilienceStats;
 use fisql_sqlkit::{EditOp, OpClass, Query};
 
-/// The three roles the paper prompts its LLM for (§3.2-3.3), plus the
-/// calibration surface the pipeline consults when deciding how reliably
-/// an edit will be applied.
-///
-/// Implementations must be deterministic for a fixed input (the
-/// evaluation protocol depends on replayability); a stochastic backend
-/// should derive its sampling from the call arguments, as [`SimLlm`]
-/// does from `(seed, example_id, salt)`.
-pub trait LanguageModel: Send + Sync {
-    /// NL2SQL generation (role 1, Figure 1/6 prompts).
-    fn generate_sql(&self, req: &GenRequest<'_>) -> Generation;
-
-    /// Feedback-type identification (role 2, §3.3).
-    fn classify_feedback(&self, utterance: &str, salt: u64) -> OpClass;
-
-    /// The Query Rewrite baseline's paraphrasing step (§4.1).
-    fn rewrite_question(&self, question: &str, feedback: &str) -> String;
-
-    /// Success probability of applying a feedback edit, given whether
-    /// routed (type-matched) demonstrations are in context and whether
-    /// they were selected dynamically.
-    fn edit_success_prob(&self, routed: bool, dynamic: bool) -> f64;
-
-    /// Reliability multiplier for a concrete set of edits (literal swaps
-    /// are easy, structural changes are hard).
-    fn edit_complexity_factor(&self, edits: &[EditOp]) -> f64;
-
-    /// Applies interpreted feedback edits to the previous query with an
-    /// explicit success probability (role 3).
-    fn apply_feedback_edit_with_prob(
-        &self,
-        previous: &Query,
-        edits: &[EditOp],
-        p: f64,
-        example_id: usize,
-        salt: u64,
-    ) -> Query;
-}
-
-/// The fallible backend surface the pipeline consumes: the same six
-/// roles as [`LanguageModel`], each returning
+/// The backend surface the pipeline consumes: the three roles the paper
+/// prompts its LLM for (§3.2-3.3), plus the calibration surface the
+/// pipeline consults when deciding how reliably an edit will be applied,
+/// each returning
 /// `Result<_, `[`BackendError`](crate::error::BackendError)`>`.
 ///
-/// Implement this directly for backends that can fail (remote clients,
-/// the fault injector, the resilience middleware); implement
-/// [`LanguageModel`] for backends that cannot — the blanket impl lifts
-/// them here for free.
-///
-/// Determinism contract: like [`LanguageModel`], every method must be a
-/// pure function of its arguments (plus per-call attempt context, see
+/// Determinism contract: every method must be a pure function of its
+/// arguments (plus per-call attempt context, see
 /// [`crate::faults::call_attempt`]) — the evaluation runner replays
-/// faulted runs bit-for-bit at any worker count on the strength of it.
+/// faulted runs bit-for-bit at any worker count on the strength of it. A
+/// stochastic backend should derive its sampling from the call
+/// arguments, as [`SimLlm`] does from `(seed, example_id, salt)`.
 pub trait FallibleLanguageModel: Send + Sync {
     /// NL2SQL generation (role 1), fallibly.
     fn try_generate_sql(&self, req: &GenRequest<'_>) -> BackendResult<Generation>;
@@ -129,8 +82,8 @@ pub trait FallibleLanguageModel: Send + Sync {
     }
 }
 
-/// Every infallible backend is trivially a fallible one.
-impl<T: LanguageModel + ?Sized> FallibleLanguageModel for T {
+/// `SimLlm` cannot fail: each role is its inherent method wrapped in `Ok`.
+impl FallibleLanguageModel for SimLlm {
     fn try_generate_sql(&self, req: &GenRequest<'_>) -> BackendResult<Generation> {
         Ok(self.generate_sql(req))
     }
@@ -163,53 +116,16 @@ impl<T: LanguageModel + ?Sized> FallibleLanguageModel for T {
     }
 }
 
-impl LanguageModel for SimLlm {
-    fn generate_sql(&self, req: &GenRequest<'_>) -> Generation {
-        SimLlm::generate_sql(self, req)
-    }
-
-    fn classify_feedback(&self, utterance: &str, salt: u64) -> OpClass {
-        SimLlm::classify_feedback(self, utterance, salt)
-    }
-
-    fn rewrite_question(&self, question: &str, feedback: &str) -> String {
-        SimLlm::rewrite_question(self, question, feedback)
-    }
-
-    fn edit_success_prob(&self, routed: bool, dynamic: bool) -> f64 {
-        SimLlm::edit_success_prob(self, routed, dynamic)
-    }
-
-    fn edit_complexity_factor(&self, edits: &[EditOp]) -> f64 {
-        SimLlm::edit_complexity_factor(self, edits)
-    }
-
-    fn apply_feedback_edit_with_prob(
-        &self,
-        previous: &Query,
-        edits: &[EditOp],
-        p: f64,
-        example_id: usize,
-        salt: u64,
-    ) -> Query {
-        SimLlm::apply_feedback_edit_with_prob(self, previous, edits, p, example_id, salt)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::model::{GenMode, LlmConfig};
     use fisql_spider::{build_aep, AepConfig};
 
-    fn assert_model<L: LanguageModel>(_: &L) {}
-
     #[test]
-    fn sim_llm_satisfies_the_trait_and_agrees_with_inherent_methods() {
+    fn sim_llm_roles_agree_with_its_inherent_methods() {
         let llm = SimLlm::new(LlmConfig::default());
-        assert_model(&llm);
-        let dynamic: &dyn LanguageModel = &llm;
-
+        let backend: &dyn FallibleLanguageModel = &llm;
         let corpus = build_aep(&AepConfig {
             n_examples: 3,
             seed: 21,
@@ -221,55 +137,34 @@ mod tests {
             salt: 0,
             mode: GenMode::Initial,
         };
+        let initial = llm.generate_sql(&req).query;
+        assert_eq!(backend.try_generate_sql(&req).unwrap().query, initial);
         assert_eq!(
-            dynamic.generate_sql(&req).query,
-            llm.generate_sql(&req).query
-        );
-        assert_eq!(
-            dynamic.classify_feedback("we are in 2024", 0),
+            backend.try_classify_feedback("we are in 2024", 0).unwrap(),
             llm.classify_feedback("we are in 2024", 0)
         );
         assert_eq!(
-            dynamic.rewrite_question("how many?", "we are in 2024"),
-            llm.rewrite_question("how many?", "we are in 2024")
-        );
-        assert_eq!(
-            dynamic.edit_success_prob(true, false),
-            llm.edit_success_prob(true, false)
-        );
-    }
-
-    #[test]
-    fn blanket_impl_lifts_infallible_backends() {
-        let llm = SimLlm::new(LlmConfig::default());
-        let fallible: &dyn FallibleLanguageModel = &llm;
-        let corpus = build_aep(&AepConfig {
-            n_examples: 3,
-            seed: 21,
-        });
-        let req = GenRequest {
-            example: &corpus.examples[0],
-            demos: 0,
-            hint_text: "",
-            salt: 0,
-            mode: GenMode::Initial,
-        };
-        assert_eq!(
-            fallible.try_generate_sql(&req).unwrap().query,
-            llm.generate_sql(&req).query
-        );
-        assert_eq!(
-            fallible.try_classify_feedback("we are in 2024", 0).unwrap(),
-            llm.classify_feedback("we are in 2024", 0)
-        );
-        assert_eq!(
-            fallible
+            backend
                 .try_rewrite_question("how many?", "we are in 2024")
                 .unwrap(),
             llm.rewrite_question("how many?", "we are in 2024")
         );
-        // Plain backends expose no resilience machinery.
-        assert!(fallible.resilience_stats().is_none());
-        fallible.begin_session(); // a no-op, but callable
+        assert_eq!(
+            backend.try_edit_success_prob(true, false).unwrap(),
+            llm.edit_success_prob(true, false)
+        );
+        assert_eq!(
+            backend.try_edit_complexity_factor(&[]).unwrap(),
+            llm.edit_complexity_factor(&[])
+        );
+        assert_eq!(
+            backend
+                .try_apply_feedback_edit_with_prob(&initial, &[], 0.5, 0, 0)
+                .unwrap(),
+            llm.apply_feedback_edit_with_prob(&initial, &[], 0.5, 0, 0)
+        );
+        // A plain backend exposes no resilience machinery.
+        assert!(backend.resilience_stats().is_none());
+        backend.begin_session(); // a no-op, but callable
     }
 }

@@ -177,11 +177,6 @@ impl<B: FallibleLanguageModel> FaultyBackend<B> {
         &self.inner
     }
 
-    /// The fault schedule.
-    pub fn config(&self) -> &FaultConfig {
-        &self.cfg
-    }
-
     /// SplitMix-style avalanche over the call key. One latent per
     /// (seed, role, key, attempt); sub-draws (kind selection, synthetic
     /// delays) reuse its high bits.

@@ -32,7 +32,7 @@ pub mod retrieval;
 pub mod routing_pool;
 
 pub use agreement::{routing_alignment, AgreementStats};
-pub use backend::{FallibleLanguageModel, LanguageModel};
+pub use backend::FallibleLanguageModel;
 pub use cache::{CacheStats, ConcurrentCache};
 pub use calibration::Calibration;
 pub use embedding::Embedding;

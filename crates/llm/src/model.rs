@@ -12,10 +12,11 @@
 //! 2. **Feedback-type identification** — [`SimLlm::classify_feedback`]:
 //!    the few-shot router of §3.3, simulated as keyword classification
 //!    with calibrated noise.
-//! 3. **Feedback-conditioned editing** — [`SimLlm::apply_feedback_edit`]:
-//!    applying an interpreted clause edit to the previous query, with a
-//!    success probability that depends on whether type-matched (routed)
-//!    demonstrations were in context.
+//! 3. **Feedback-conditioned editing** —
+//!    [`SimLlm::apply_feedback_edit_with_prob`]: applying an interpreted
+//!    clause edit to the previous query, with a success probability that
+//!    depends on whether type-matched (routed) demonstrations were in
+//!    context.
 //!
 //! All sampling is derived deterministically from `(config seed, example
 //! id, salt)`, so every experiment is reproducible bit-for-bit.
@@ -189,23 +190,6 @@ impl SimLlm {
         }
     }
 
-    /// Applies interpreted feedback edits to the previous query (role 3).
-    /// Success probability depends on whether routed, type-matched
-    /// demonstrations were provided. On failure the model returns the
-    /// previous query unchanged (it "did not understand" the feedback —
-    /// the paper's error cause (b)).
-    pub fn apply_feedback_edit(
-        &self,
-        previous: &Query,
-        edits: &[EditOp],
-        routed: bool,
-        example_id: usize,
-        salt: u64,
-    ) -> Query {
-        let p = self.edit_success_prob(routed, false);
-        self.apply_feedback_edit_with_prob(previous, edits, p, example_id, salt)
-    }
-
     /// The edit-apply success probability for a routing configuration.
     /// `dynamic` marks dynamically-selected demonstrations (the §5
     /// extension), which add [`Calibration::dynamic_demo_bonus`].
@@ -259,8 +243,12 @@ impl SimLlm {
             .fold(1.0, |acc, f: f64| acc.min(f))
     }
 
-    /// [`SimLlm::apply_feedback_edit`] with an explicit success
-    /// probability.
+    /// Applies interpreted feedback edits to the previous query (role 3)
+    /// with success probability `p`, usually
+    /// [`edit_success_prob`](SimLlm::edit_success_prob) for the routing
+    /// configuration. On failure the model returns the previous query
+    /// unchanged (it "did not understand" the feedback — the paper's
+    /// error cause (b)).
     pub fn apply_feedback_edit_with_prob(
         &self,
         previous: &Query,
@@ -641,10 +629,10 @@ mod tests {
         let edits = fisql_sqlkit::diff_queries(&prev, &gold);
         let ok = (0..200)
             .filter(|salt| {
-                let out = llm.apply_feedback_edit(
+                let out = llm.apply_feedback_edit_with_prob(
                     &fisql_sqlkit::normalize_query(&prev),
                     &edits,
-                    true,
+                    llm.edit_success_prob(true, false),
                     1,
                     *salt,
                 );

@@ -224,16 +224,6 @@ impl<B: FallibleLanguageModel> Resilient<B> {
         Resilient::new(inner, ResilienceConfig::default())
     }
 
-    /// The wrapped backend.
-    pub fn inner(&self) -> &B {
-        &self.inner
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &ResilienceConfig {
-        &self.cfg
-    }
-
     /// Telemetry snapshot.
     pub fn stats(&self) -> ResilienceStats {
         self.stats.snapshot()

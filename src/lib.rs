@@ -47,7 +47,7 @@ pub use fisql_sqlkit;
 /// The commonly-used surface of the whole workspace in one import.
 pub mod prelude {
     pub use fisql_core::{
-        explain_query, incorporate, interpret, reformulate, render_events, run_fingerprint,
+        explain_query, interpret, reformulate, render_events, run_fingerprint, try_incorporate,
         zero_shot_report, AnnotatedCase, Assistant, AssistantTurn, CaseOutcome, CaseVerdict,
         ConfigError, ConformanceReport, CorrectionReport, CorrectionRun, ErrorCase, EvalConfig,
         ExperimentConfig, FsyncPolicy, IncorporateContext, LoadConfig, RunJournal, RunMetrics,
@@ -59,8 +59,8 @@ pub mod prelude {
     pub use fisql_feedback::{Feedback, SimUser, UserConfig, UserView};
     pub use fisql_llm::{
         BackendError, BackendResult, Calibration, DemoStore, Demonstration, ExhaustedReason,
-        FallibleLanguageModel, FaultConfig, FaultyBackend, GenMode, GenRequest, LanguageModel,
-        LlmConfig, ResilienceConfig, ResilienceStats, Resilient, SimLlm,
+        FallibleLanguageModel, FaultConfig, FaultyBackend, GenMode, GenRequest, LlmConfig,
+        ResilienceConfig, ResilienceStats, Resilient, SimLlm,
     };
     pub use fisql_spider::{
         build_aep, build_spider, AepConfig, Corpus, Example, Hardness, SpiderConfig,

@@ -82,7 +82,7 @@ fn every_channel_kind_is_closable_by_feedback() {
                 };
                 let spanned = fisql::fisql_sqlkit::print_query_spanned(&current);
                 user.add_highlight(&mut fb, &spanned, e.id, round);
-                let out = fisql_core::incorporate(
+                let out = fisql_core::try_incorporate(
                     Strategy::Fisql {
                         routing: true,
                         highlighting: true,
@@ -97,7 +97,8 @@ fn every_channel_kind_is_closable_by_feedback() {
                         round,
                         conformance_gate: false,
                     },
-                );
+                )
+                .unwrap();
                 current = out.query;
                 if fisql_spider::check_prediction(db, e, &current).is_correct() {
                     closed = true;
@@ -185,7 +186,7 @@ fn aep_jargon_channels_close_too() {
         let Some(fb) = user.feedback(e, &bad, &view, 0) else {
             continue;
         };
-        let out = fisql_core::incorporate(
+        let out = fisql_core::try_incorporate(
             Strategy::Fisql {
                 routing: true,
                 highlighting: false,
@@ -200,7 +201,8 @@ fn aep_jargon_channels_close_too() {
                 round: 0,
                 conformance_gate: false,
             },
-        );
+        )
+        .unwrap();
         if fisql_spider::check_prediction(db, e, &out.query).is_correct() {
             closed += 1;
         }

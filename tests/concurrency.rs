@@ -27,7 +27,7 @@ fn shared_components_are_send_and_sync() {
     assert_send_sync::<DemoStore>();
     assert_send_sync::<fisql_llm::RoutingPool>();
     // The backend trait object the generic runner accepts.
-    assert_send_sync::<&dyn LanguageModel>();
+    assert_send_sync::<&dyn FallibleLanguageModel>();
 }
 
 #[test]

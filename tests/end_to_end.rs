@@ -146,7 +146,7 @@ fn corrections_are_verified_by_execution_not_syntax() {
     for case in &cases {
         let example = &spider.examples[case.error.example_idx];
         let db = spider.database(example);
-        let out = fisql_core::incorporate(
+        let out = fisql_core::try_incorporate(
             Strategy::Fisql {
                 routing: true,
                 highlighting: false,
@@ -161,7 +161,8 @@ fn corrections_are_verified_by_execution_not_syntax() {
                 round: 0,
                 conformance_gate: false,
             },
-        );
+        )
+        .unwrap();
         if fisql_spider::check_prediction(db, example, &out.query).is_correct() {
             corrected_any = true;
         }
@@ -196,7 +197,7 @@ fn gate_corrects_hallucinated_column_without_engine_execution() {
         misaligned: false,
     };
     let llm = SimLlm::new(LlmConfig::default());
-    let out = incorporate(
+    let out = try_incorporate(
         Strategy::Fisql {
             routing: true,
             highlighting: false,
@@ -211,7 +212,8 @@ fn gate_corrects_hallucinated_column_without_engine_execution() {
             round: 0,
             conformance_gate: false,
         },
-    );
+    )
+    .unwrap();
     assert!(out.gate.has_errors(), "gate saw no errors");
     assert!(
         out.gate.repaired,
