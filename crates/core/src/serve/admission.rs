@@ -27,7 +27,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -42,26 +42,7 @@ pub struct AdmissionConfig {
     pub queue_wait_ms: u64,
 }
 
-/// Cumulative gate telemetry (atomic, monotone).
-#[derive(Debug, Default)]
-pub struct AdmissionStats {
-    /// Admissions granted without queueing.
-    pub admitted_direct: AtomicU64,
-    /// Admissions granted after a queue wait.
-    pub admitted_queued: AtomicU64,
-    /// Rejections because the queue was full.
-    pub rejected_full: AtomicU64,
-    /// Rejections because the queue wait budget expired.
-    pub rejected_timeout: AtomicU64,
-    /// Rejections because the gate was closed (shutdown).
-    pub rejected_closed: AtomicU64,
-    /// Sessions whose slot was reclaimed by the idle reaper.
-    pub reaped: AtomicU64,
-    /// Highest concurrent-session count observed.
-    pub peak_active: AtomicU64,
-}
-
-/// A snapshot of [`AdmissionStats`] counter values (serde-serializable,
+/// The gate's cumulative counters and current gauges (serde-serializable,
 /// so the `Stats` admin request can carry it over the wire).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AdmissionSnapshot {
@@ -106,6 +87,9 @@ struct GateState {
     /// Waiting tickets, front = next to be served.
     queue: VecDeque<u64>,
     next_ticket: u64,
+    /// Cumulative counters, mutated under the same lock as the queue;
+    /// the `active`/`queued` gauges are filled in by `snapshot`.
+    counts: AdmissionSnapshot,
 }
 
 /// The admission gate (see the module docs).
@@ -115,7 +99,6 @@ pub struct AdmissionGate {
     state: Mutex<GateState>,
     freed: Condvar,
     closed: AtomicBool,
-    stats: AdmissionStats,
 }
 
 /// Why a connection was refused.
@@ -152,6 +135,14 @@ impl Rejection {
     }
 }
 
+impl GateState {
+    /// Takes one slot and tracks the concurrency peak.
+    fn grant(&mut self) {
+        self.active += 1;
+        self.counts.peak_active = self.counts.peak_active.max(self.active as u64);
+    }
+}
+
 impl AdmissionGate {
     /// Builds a gate.
     pub fn new(config: AdmissionConfig) -> Arc<AdmissionGate> {
@@ -161,27 +152,26 @@ impl AdmissionGate {
                 active: 0,
                 queue: VecDeque::new(),
                 next_ticket: 0,
+                counts: AdmissionSnapshot::default(),
             }),
             freed: Condvar::new(),
             closed: AtomicBool::new(false),
-            stats: AdmissionStats::default(),
         })
     }
 
     /// Requests a session slot: granted immediately, granted after a
     /// bounded FIFO queue wait, or rejected.
     pub fn admit(self: &Arc<Self>) -> Result<Permit, Rejection> {
+        let mut state = self.lock_state();
         if self.closed.load(Ordering::Acquire) {
-            self.stats.rejected_closed.fetch_add(1, Ordering::Relaxed);
+            state.counts.rejected_closed += 1;
             return Err(Rejection::Closed);
         }
-        let mut state = self.lock_state();
         // Direct admission only when nobody is queued ahead — a slot
         // freed under contention always goes to the oldest waiter.
         if state.active < self.config.max_sessions && state.queue.is_empty() {
-            state.active += 1;
-            self.note_active(state.active);
-            self.stats.admitted_direct.fetch_add(1, Ordering::Relaxed);
+            state.grant();
+            state.counts.admitted_direct += 1;
             return Ok(Permit {
                 gate: Arc::clone(self),
             });
@@ -191,8 +181,7 @@ impl AdmissionGate {
                 active: state.active,
                 queued: state.queue.len(),
             };
-            drop(state);
-            self.stats.rejected_full.fetch_add(1, Ordering::Relaxed);
+            state.counts.rejected_full += 1;
             return Err(rejection);
         }
         let ticket = state.next_ticket;
@@ -202,15 +191,13 @@ impl AdmissionGate {
         loop {
             if self.closed.load(Ordering::Acquire) {
                 state.queue.retain(|t| *t != ticket);
-                drop(state);
-                self.stats.rejected_closed.fetch_add(1, Ordering::Relaxed);
+                state.counts.rejected_closed += 1;
                 return Err(Rejection::Closed);
             }
             if state.queue.front() == Some(&ticket) && state.active < self.config.max_sessions {
                 state.queue.pop_front();
-                state.active += 1;
-                self.note_active(state.active);
-                self.stats.admitted_queued.fetch_add(1, Ordering::Relaxed);
+                state.grant();
+                state.counts.admitted_queued += 1;
                 // The next ticket may also be admissible (several slots
                 // freed at once): pass the wakeup along.
                 self.freed.notify_all();
@@ -222,8 +209,8 @@ impl AdmissionGate {
             if now >= deadline {
                 let active = state.active;
                 state.queue.retain(|t| *t != ticket);
+                state.counts.rejected_timeout += 1;
                 drop(state);
-                self.stats.rejected_timeout.fetch_add(1, Ordering::Relaxed);
                 // A timed-out head of queue may have been blocking a
                 // later admissible ticket.
                 self.freed.notify_all();
@@ -258,32 +245,18 @@ impl AdmissionGate {
     /// Records one idle-reaped session (the permit itself returns via
     /// its normal RAII drop; this only counts the event).
     pub fn note_reaped(&self) {
-        self.stats.reaped.fetch_add(1, Ordering::Relaxed);
+        self.lock_state().counts.reaped += 1;
     }
 
-    /// Snapshot of the cumulative counters and the current gauges.
+    /// Snapshot of the cumulative counters and the current gauges, all
+    /// read under one lock.
     pub fn snapshot(&self) -> AdmissionSnapshot {
-        let (active, queued) = {
-            let state = self.lock_state();
-            (state.active as u64, state.queue.len() as u64)
-        };
+        let state = self.lock_state();
         AdmissionSnapshot {
-            admitted_direct: self.stats.admitted_direct.load(Ordering::Relaxed),
-            admitted_queued: self.stats.admitted_queued.load(Ordering::Relaxed),
-            rejected_full: self.stats.rejected_full.load(Ordering::Relaxed),
-            rejected_timeout: self.stats.rejected_timeout.load(Ordering::Relaxed),
-            rejected_closed: self.stats.rejected_closed.load(Ordering::Relaxed),
-            reaped: self.stats.reaped.load(Ordering::Relaxed),
-            peak_active: self.stats.peak_active.load(Ordering::Relaxed),
-            active,
-            queued,
+            active: state.active as u64,
+            queued: state.queue.len() as u64,
+            ..state.counts
         }
-    }
-
-    fn note_active(&self, active: usize) {
-        self.stats
-            .peak_active
-            .fetch_max(active as u64, Ordering::Relaxed);
     }
 
     fn lock_state(&self) -> std::sync::MutexGuard<'_, GateState> {

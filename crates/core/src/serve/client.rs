@@ -239,22 +239,15 @@ pub fn request_shutdown<A: ToSocketAddrs>(addr: A) -> io::Result<bool> {
 
 /// Fetches a daemon's live statistics without opening a session.
 pub fn request_stats<A: ToSocketAddrs>(addr: A) -> io::Result<ServerStats> {
-    let mut stream = TcpStream::connect(addr)?;
-    prepare_stream(&mut stream)?;
-    write_frame(&mut stream, &ClientRequest::Stats)?;
-    match read_response(&mut stream, DEFAULT_READ_DEADLINE)? {
+    match admin_request(addr, &ClientRequest::Stats)? {
         ServerResponse::Stats(stats) => Ok(stats),
-        ServerResponse::Error { message } => Err(proto_err(message)),
         other => Err(proto_err(format!("unexpected stats reply {other:?}"))),
     }
 }
 
 /// Asks a daemon to compact its session store now (no session needed).
 pub fn request_compact<A: ToSocketAddrs>(addr: A) -> io::Result<CompactionOutcome> {
-    let mut stream = TcpStream::connect(addr)?;
-    prepare_stream(&mut stream)?;
-    write_frame(&mut stream, &ClientRequest::Compact)?;
-    match read_response(&mut stream, DEFAULT_READ_DEADLINE)? {
+    match admin_request(addr, &ClientRequest::Compact)? {
         ServerResponse::Compacted {
             generation,
             ops_before,
@@ -266,7 +259,6 @@ pub fn request_compact<A: ToSocketAddrs>(addr: A) -> io::Result<CompactionOutcom
             ops_after,
             sessions_dropped,
         }),
-        ServerResponse::Error { message } => Err(proto_err(message)),
         other => Err(proto_err(format!("unexpected compact reply {other:?}"))),
     }
 }
@@ -276,13 +268,21 @@ pub fn request_compact<A: ToSocketAddrs>(addr: A) -> io::Result<CompactionOutcom
 /// that is already primary. A *fenced* node refuses — promoting it
 /// would fork history.
 pub fn request_promote<A: ToSocketAddrs>(addr: A) -> io::Result<u64> {
+    match admin_request(addr, &ClientRequest::Promote)? {
+        ServerResponse::Promoted { epoch } => Ok(epoch),
+        other => Err(proto_err(format!("unexpected promote reply {other:?}"))),
+    }
+}
+
+/// One sessionless admin round-trip: connect, send `request`, read the
+/// reply. A typed `Error` reply becomes `Err`.
+fn admin_request<A: ToSocketAddrs>(addr: A, request: &ClientRequest) -> io::Result<ServerResponse> {
     let mut stream = TcpStream::connect(addr)?;
     prepare_stream(&mut stream)?;
-    write_frame(&mut stream, &ClientRequest::Promote)?;
+    write_frame(&mut stream, request)?;
     match read_response(&mut stream, DEFAULT_READ_DEADLINE)? {
-        ServerResponse::Promoted { epoch } => Ok(epoch),
         ServerResponse::Error { message } => Err(proto_err(message)),
-        other => Err(proto_err(format!("unexpected promote reply {other:?}"))),
+        other => Ok(other),
     }
 }
 

@@ -974,19 +974,30 @@ fn follow_once(
     running: &AtomicBool,
     fingerprint: u64,
 ) -> FollowEnd {
-    let Ok(mut stream) = TcpStream::connect(primary) else {
-        return FollowEnd::LinkLost {
-            was_connected: false,
-        };
-    };
-    if stream.set_nodelay(true).is_err() || stream.set_read_timeout(Some(REPL_POLL)).is_err() {
-        return FollowEnd::LinkLost {
-            was_connected: false,
-        };
+    match follow_handshake(primary, repl, fingerprint) {
+        Ok(stream) => follow_stream(stream, repl, running).unwrap_or(FollowEnd::LinkLost {
+            was_connected: true,
+        }),
+        Err(end) => end,
     }
+}
+
+/// Connects and handshakes: the armed stream once the primary welcomes
+/// us, or why the attempt ended before it did.
+fn follow_handshake(
+    primary: &str,
+    repl: &ReplState,
+    fingerprint: u64,
+) -> Result<TcpStream, FollowEnd> {
+    let lost = |_: io::Error| FollowEnd::LinkLost {
+        was_connected: false,
+    };
+    let mut stream = TcpStream::connect(primary).map_err(lost)?;
+    stream.set_nodelay(true).map_err(lost)?;
+    stream.set_read_timeout(Some(REPL_POLL)).map_err(lost)?;
     let have = repl.log.tail();
     let have_hash = repl.log.prefix_hash(have).unwrap_or(LINEAGE_HASH_SEED);
-    if write_frame(
+    write_frame(
         &mut stream,
         &ReplFrame::Hello {
             version: REPL_PROTOCOL_VERSION,
@@ -996,113 +1007,87 @@ fn follow_once(
             have_hash,
         },
     )
-    .is_err()
-    {
-        return FollowEnd::LinkLost {
-            was_connected: false,
-        };
-    }
+    .map_err(lost)?;
     let deadline = Instant::now() + HANDSHAKE_TIMEOUT;
     match read_frame_deadline::<_, ReplFrame>(&mut stream, deadline, true) {
         Ok(Some(ReplFrame::Welcome { epoch, .. })) => {
             let _ = repl.adopt_epoch(epoch);
+            Ok(stream)
         }
-        Ok(Some(ReplFrame::Fenced { .. })) => return FollowEnd::PeerFenced,
-        Ok(Some(ReplFrame::Refused { .. })) => return FollowEnd::Refused,
-        Ok(Some(ReplFrame::Resync { .. })) => return FollowEnd::Resync,
-        _ => {
-            return FollowEnd::LinkLost {
-                was_connected: false,
-            }
-        }
+        Ok(Some(ReplFrame::Fenced { .. })) => Err(FollowEnd::PeerFenced),
+        Ok(Some(ReplFrame::Refused { .. })) => Err(FollowEnd::Refused),
+        Ok(Some(ReplFrame::Resync { .. })) => Err(FollowEnd::Resync),
+        _ => Err(FollowEnd::LinkLost {
+            was_connected: false,
+        }),
     }
+}
 
+/// The receive loop of a handshaken link: applies shipped records and
+/// acknowledges each `Ship` or `Heartbeat` with our tail. `None` means
+/// the link dropped (EOF, transport error, frame timeout, or a sequence
+/// gap).
+fn follow_stream(
+    mut stream: TcpStream,
+    repl: &ReplState,
+    running: &AtomicBool,
+) -> Option<FollowEnd> {
     let mut last_frame = Instant::now();
     loop {
         if !running.load(Ordering::Acquire) || !repl.is_follower() {
-            return FollowEnd::Stopped;
+            return Some(FollowEnd::Stopped);
         }
-        match read_frame::<_, ReplFrame>(&mut stream) {
-            Ok(Some(ReplFrame::Ship {
-                seq,
-                session_id,
-                op,
-            })) => {
-                last_frame = Instant::now();
-                let tail = repl.log.tail();
-                if seq > tail {
-                    // A gap means the streams desynchronized; drop the
-                    // link and re-handshake from our actual count.
-                    return FollowEnd::LinkLost {
-                        was_connected: true,
-                    };
-                }
-                if seq == tail {
-                    // Applying through the store feeds the same replay
-                    // image a restart uses — and the attached log, so
-                    // our `have` advances with it.
-                    let durability = repl.store.apply_replicated(session_id, op);
-                    if !matches!(durability, Appended::Durable) {
-                        // A degraded apply is in memory only; claiming
-                        // durability to the primary would be a lie, so
-                        // the ack stream simply stops advancing.
-                        continue;
-                    }
-                }
-                if write_frame(
-                    &mut stream,
-                    &ReplFrame::Ack {
-                        upto: repl.log.tail(),
-                    },
-                )
-                .is_err()
-                {
-                    return FollowEnd::LinkLost {
-                        was_connected: true,
-                    };
-                }
-            }
-            Ok(Some(ReplFrame::Heartbeat { .. })) => {
-                last_frame = Instant::now();
-                if write_frame(
-                    &mut stream,
-                    &ReplFrame::Ack {
-                        upto: repl.log.tail(),
-                    },
-                )
-                .is_err()
-                {
-                    return FollowEnd::LinkLost {
-                        was_connected: true,
-                    };
-                }
-            }
-            Ok(Some(ReplFrame::Fenced { .. })) => return FollowEnd::PeerFenced,
-            Ok(Some(ReplFrame::Resync { .. })) => return FollowEnd::Resync,
-            Ok(Some(_)) => {}
-            Ok(None) => {
-                return FollowEnd::LinkLost {
-                    was_connected: true,
-                }
-            }
+        let frame = match read_frame::<_, ReplFrame>(&mut stream) {
+            Ok(Some(frame)) => frame,
             Err(e)
                 if matches!(
                     e.kind(),
                     io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
+                ) && last_frame.elapsed() < LINK_TIMEOUT =>
             {
-                if last_frame.elapsed() >= LINK_TIMEOUT {
-                    return FollowEnd::LinkLost {
-                        was_connected: true,
-                    };
+                continue
+            }
+            _ => return None,
+        };
+        match frame {
+            ReplFrame::Ship {
+                seq,
+                session_id,
+                op,
+            } => {
+                last_frame = Instant::now();
+                let tail = repl.log.tail();
+                // A gap means the streams desynchronized; drop the link
+                // and re-handshake from our actual count.
+                if seq > tail {
+                    return None;
+                }
+                // Applying through the store feeds the same replay image
+                // a restart uses — and the attached log, so our `have`
+                // advances with it. A degraded apply is in memory only;
+                // claiming durability to the primary would be a lie, so
+                // the ack stream simply stops advancing.
+                if seq == tail
+                    && !matches!(
+                        repl.store.apply_replicated(session_id, op),
+                        Appended::Durable
+                    )
+                {
+                    continue;
                 }
             }
-            Err(_) => {
-                return FollowEnd::LinkLost {
-                    was_connected: true,
-                }
-            }
+            ReplFrame::Heartbeat { .. } => last_frame = Instant::now(),
+            ReplFrame::Fenced { .. } => return Some(FollowEnd::PeerFenced),
+            ReplFrame::Resync { .. } => return Some(FollowEnd::Resync),
+            _ => continue,
         }
+        write_frame(
+            &mut stream,
+            &ReplFrame::Ack {
+                upto: repl.log.tail(),
+            },
+        )
+        .ok()?;
     }
 }
 

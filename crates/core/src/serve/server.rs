@@ -22,6 +22,15 @@
 //!   [`SessionStore`], so a SIGKILL costs at most the in-flight round
 //!   and a restart replays every session bit-identically.
 //!
+//! One op path: a live Ask or Feedback journals its [`SessionOp`] and
+//! then applies it through `Hosted::apply`, the same function a client
+//! reconnect or a daemon restart runs over the stored ops. Replay is
+//! bit-identical by construction, not by keeping two paths in step.
+//! Everything the accept loop, the connections and [`ServerHandle`]
+//! share lives in one private `Daemon` behind one `Arc`; admin requests
+//! (Shutdown, Stats, Compact, Promote) are answered by one responder
+//! before and after `Hello`.
+//!
 //! Graceful shutdown: a `Shutdown` request (or
 //! [`ServerHandle::shutdown`]) closes the admission gate, flips the
 //! running flag, and wakes the replication accept loop (`--repl-listen`)
@@ -41,7 +50,7 @@ use super::protocol::{
 };
 use super::replicate::{notify_deposed, run_follower, run_repl_acceptor, ReplState, Role};
 use super::store::{Appended, SessionOp, SessionStore, StoreOptions};
-use crate::assistant::Assistant;
+use crate::assistant::{Assistant, AssistantTurn};
 use crate::config::{chaos_stack, ServeConfig};
 use crate::session::{Session, SessionEvent};
 use fisql_llm::{Embedding, FallibleLanguageModel, FaultyBackend, LlmConfig, Resilient, SimLlm};
@@ -73,70 +82,39 @@ struct ServerCounters {
     sessions_degraded: AtomicU64,
 }
 
-impl ServerCounters {
-    /// The daemon's one stats surface: what a `Stats` request answers
-    /// and what [`Server::serve`] returns after the drain.
-    fn stats(
-        &self,
-        gate: &AdmissionGate,
-        store: &SessionStore,
-        repl: &ReplState,
-        started: Instant,
-    ) -> ServerStats {
-        ServerStats {
-            admission: gate.snapshot(),
-            store: store.snapshot(),
-            sessions_opened: self.sessions_opened.load(Ordering::Relaxed),
-            sessions_resumed: self.sessions_resumed.load(Ordering::Relaxed),
-            questions_served: self.questions_served.load(Ordering::Relaxed),
-            rounds_served: self.rounds_served.load(Ordering::Relaxed),
-            sessions_degraded: self.sessions_degraded.load(Ordering::Relaxed),
-            errors: self.errors.load(Ordering::Relaxed),
-            contained_panics: self.contained_panics.load(Ordering::Relaxed),
-            uptime_ms: started.elapsed().as_millis() as u64,
-            role: repl.role(),
-            epoch: repl.epoch(),
-            replication_lag_records: repl.log.lag(),
-            repl_followers: repl.log.followers() as u64,
-            repl_records_shipped: repl.log.shipped(),
-            repl_ack_timeouts: repl.ack_timeouts(),
-            repl_ack_degraded: repl.ack_degraded(),
-            repl_ack_degraded_entries: repl.ack_degraded_entries(),
-        }
-    }
+/// Counts one event.
+fn bump(counter: &AtomicU64) {
+    counter.fetch_add(1, Ordering::Relaxed);
 }
 
-/// Shared per-connection context.
-struct ConnCtx {
+/// The daemon's one shared context: the serving world, the stop switch
+/// and the counters. The accept loop, every connection thread and every
+/// [`ServerHandle`] hold it through one `Arc`.
+struct Daemon {
     config: ServeConfig,
-    corpus: Arc<Corpus>,
-    embeddings: Arc<Vec<Embedding>>,
+    corpus: Corpus,
+    /// Question embeddings, one per corpus example (see
+    /// [`resolve_example`]).
+    embeddings: Vec<Embedding>,
     assistant: Assistant,
     store: Arc<SessionStore>,
     gate: Arc<AdmissionGate>,
-    stop: Arc<Stopper>,
     repl: Arc<ReplState>,
-    counters: Arc<ServerCounters>,
-    started: Instant,
-}
-
-/// The daemon's one stop switch, shared by [`ServerHandle`] and the
-/// `Shutdown` admin request.
-struct Stopper {
-    gate: Arc<AdmissionGate>,
     /// Cleared by a stop; every daemon thread watches it.
     running: Arc<AtomicBool>,
     /// Set by [`ServerHandle::abort`]: stop without farewells.
     aborted: AtomicBool,
-    /// The replication listener (`--repl-listen`), whose accept loop
-    /// blocks and so must be woken by a stop.
-    repl_listener: Option<SocketAddr>,
+    /// The replication listener's address (`--repl-listen`): its accept
+    /// loop blocks and so must be woken by a stop.
+    repl_wake: Option<SocketAddr>,
     /// A scripted kill armed by the failover harness (see
     /// [`ServerHandle::arm_kill`]).
     kill: OnceLock<KillPoint>,
+    counters: ServerCounters,
+    started: Instant,
 }
 
-impl Stopper {
+impl Daemon {
     /// Stops the daemon (idempotent): closes the admission gate, clears
     /// the running flag, and wakes the replication accept loop blocked
     /// in `accept()` with one loopback connect. That loop checks the
@@ -146,10 +124,16 @@ impl Stopper {
     fn stop(&self) {
         self.gate.close();
         if self.running.swap(false, Ordering::AcqRel) {
-            if let Some(addr) = self.repl_listener {
+            if let Some(addr) = self.repl_wake {
                 let _ = TcpStream::connect_timeout(&loopback(addr), WAKE_TIMEOUT);
             }
         }
+    }
+
+    /// Stops without farewells (see [`ServerHandle::abort`]).
+    fn abort(&self) {
+        self.aborted.store(true, Ordering::Release);
+        self.stop();
     }
 
     fn running(&self) -> bool {
@@ -160,10 +144,31 @@ impl Stopper {
         self.aborted.load(Ordering::Acquire)
     }
 
-    /// Stops without farewells (see [`ServerHandle::abort`]).
-    fn abort(&self) {
-        self.aborted.store(true, Ordering::Release);
-        self.stop();
+    /// The daemon's one stats surface: what a `Stats` request answers
+    /// and what [`Server::serve`] returns after the drain.
+    fn stats(&self) -> ServerStats {
+        let counters = &self.counters;
+        let repl = &self.repl;
+        ServerStats {
+            admission: self.gate.snapshot(),
+            store: self.store.snapshot(),
+            sessions_opened: counters.sessions_opened.load(Ordering::Relaxed),
+            sessions_resumed: counters.sessions_resumed.load(Ordering::Relaxed),
+            questions_served: counters.questions_served.load(Ordering::Relaxed),
+            rounds_served: counters.rounds_served.load(Ordering::Relaxed),
+            sessions_degraded: counters.sessions_degraded.load(Ordering::Relaxed),
+            errors: counters.errors.load(Ordering::Relaxed),
+            contained_panics: counters.contained_panics.load(Ordering::Relaxed),
+            uptime_ms: self.started.elapsed().as_millis() as u64,
+            role: repl.role(),
+            epoch: repl.epoch(),
+            replication_lag_records: repl.log.lag(),
+            repl_followers: repl.log.followers() as u64,
+            repl_records_shipped: repl.log.shipped(),
+            repl_ack_timeouts: repl.ack_timeouts(),
+            repl_ack_degraded: repl.ack_degraded(),
+            repl_ack_degraded_entries: repl.ack_degraded_entries(),
+        }
     }
 }
 
@@ -182,15 +187,14 @@ fn loopback(mut addr: SocketAddr) -> SocketAddr {
 /// A handle for stopping a serving daemon from another thread.
 #[derive(Clone)]
 pub struct ServerHandle {
-    stop: Arc<Stopper>,
-    repl: Arc<ReplState>,
+    daemon: Arc<Daemon>,
     addr: SocketAddr,
 }
 
 impl ServerHandle {
     /// Begins a graceful shutdown (idempotent).
     pub fn shutdown(&self) {
-        self.stop.stop();
+        self.daemon.stop();
     }
 
     /// Kills the daemon without farewell: no `ShuttingDown` frames, no
@@ -199,7 +203,7 @@ impl ServerHandle {
     /// store is NOT synced beyond what write-ahead appends already
     /// flushed.
     pub fn abort(&self) {
-        self.stop.abort();
+        self.daemon.abort();
     }
 
     /// Arms a scripted [`abort`](ServerHandle::abort) at `kill`: the
@@ -211,13 +215,13 @@ impl ServerHandle {
     /// dies with the primary has nothing left to re-attach for.) The
     /// first armed point wins.
     pub(crate) fn arm_kill(&self, kill: KillPoint) {
-        let _ = self.stop.kill.set(kill);
+        let _ = self.daemon.kill.set(kill);
     }
 
     /// The daemon's replication state (role, epoch, log) — the failover
     /// suites read lag and hold shipping through this.
     pub fn repl(&self) -> &ReplState {
-        &self.repl
+        &self.daemon.repl
     }
 
     /// The daemon's bound address.
@@ -228,18 +232,9 @@ impl ServerHandle {
 
 /// The serve daemon (see the module docs).
 pub struct Server {
-    config: ServeConfig,
     listener: TcpListener,
     repl_listener: Option<TcpListener>,
-    corpus: Arc<Corpus>,
-    embeddings: Arc<Vec<Embedding>>,
-    assistant: Assistant,
-    store: Arc<SessionStore>,
-    gate: Arc<AdmissionGate>,
-    stop: Arc<Stopper>,
-    repl: Arc<ReplState>,
-    counters: Arc<ServerCounters>,
-    started: Instant,
+    daemon: Arc<Daemon>,
 }
 
 impl Server {
@@ -249,17 +244,15 @@ impl Server {
     pub fn bind(config: ServeConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(config.addr())?;
         listener.set_nonblocking(true)?;
-        let corpus = Arc::new(build_aep(&AepConfig {
+        let corpus = build_aep(&AepConfig {
             n_examples: config.n_examples,
             seed: config.seed,
-        }));
-        let embeddings = Arc::new(
-            corpus
-                .examples
-                .iter()
-                .map(|e| Embedding::embed(&e.question))
-                .collect::<Vec<_>>(),
-        );
+        });
+        let embeddings = corpus
+            .examples
+            .iter()
+            .map(|e| Embedding::embed(&e.question))
+            .collect();
         let assistant = Assistant::for_corpus(&corpus, SimLlm::new(LlmConfig::default()), 3);
         let faults = (config.disk_fault_rate > 0.0)
             .then(|| DiskFaultConfig::uniform(config.disk_fault_rate));
@@ -289,29 +282,29 @@ impl Server {
             Some(addr) => Some(TcpListener::bind(addr)?),
             None => None,
         };
-        let stop = Arc::new(Stopper {
-            gate: Arc::clone(&gate),
-            running: Arc::new(AtomicBool::new(true)),
-            aborted: AtomicBool::new(false),
-            repl_listener: match &repl_listener {
-                Some(listener) => Some(listener.local_addr()?),
-                None => None,
-            },
-            kill: OnceLock::new(),
-        });
-        Ok(Server {
+        let repl_wake = match &repl_listener {
+            Some(listener) => Some(listener.local_addr()?),
+            None => None,
+        };
+        let daemon = Arc::new(Daemon {
             config,
-            listener,
-            repl_listener,
             corpus,
             embeddings,
             assistant,
             store,
             gate,
-            stop,
             repl,
-            counters: Arc::new(ServerCounters::default()),
+            running: Arc::new(AtomicBool::new(true)),
+            aborted: AtomicBool::new(false),
+            repl_wake,
+            kill: OnceLock::new(),
+            counters: ServerCounters::default(),
             started: Instant::now(),
+        });
+        Ok(Server {
+            listener,
+            repl_listener,
+            daemon,
         })
     }
 
@@ -331,14 +324,13 @@ impl Server {
     /// Sessions recovered from the store at bind time that a previous
     /// daemon never saw closed.
     pub fn recovered_sessions(&self) -> Vec<u64> {
-        self.store.unclosed_sessions()
+        self.daemon.store.unclosed_sessions()
     }
 
     /// A shutdown handle usable from another thread.
     pub fn handle(&self) -> io::Result<ServerHandle> {
         Ok(ServerHandle {
-            stop: Arc::clone(&self.stop),
-            repl: Arc::clone(&self.repl),
+            daemon: Arc::clone(&self.daemon),
             addr: self.local_addr()?,
         })
     }
@@ -348,51 +340,36 @@ impl Server {
     pub fn serve(mut self) -> io::Result<ServerStats> {
         // Replication threads: an acceptor + per-follower shippers on
         // the primary side, the receive/apply loop on the follower side.
+        let d = &self.daemon;
         let mut repl_threads: Vec<std::thread::JoinHandle<()>> = Vec::new();
         if let Some(listener) = self.repl_listener.take() {
-            let repl = Arc::clone(&self.repl);
-            let running = Arc::clone(&self.stop.running);
-            let fingerprint = self.config.fingerprint();
+            let repl = Arc::clone(&d.repl);
+            let running = Arc::clone(&d.running);
+            let fingerprint = d.config.fingerprint();
             repl_threads.push(std::thread::spawn(move || {
                 run_repl_acceptor(listener, repl, running, fingerprint);
             }));
         }
-        if let Some(primary) = self.config.replica_of.clone() {
-            let repl = Arc::clone(&self.repl);
-            let running = Arc::clone(&self.stop.running);
-            let fingerprint = self.config.fingerprint();
-            let auto_promote = self.config.auto_promote;
+        if let Some(primary) = d.config.replica_of.clone() {
+            let repl = Arc::clone(&d.repl);
+            let running = Arc::clone(&d.running);
+            let fingerprint = d.config.fingerprint();
+            let auto_promote = d.config.auto_promote;
             repl_threads.push(std::thread::spawn(move || {
                 run_follower(&primary, &repl, &running, fingerprint, auto_promote);
             }));
         }
         let mut workers: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        while self.stop.running() {
+        while d.running() {
             match self.listener.accept() {
                 Ok((stream, _peer)) => {
-                    let ctx = ConnCtx {
-                        config: self.config.clone(),
-                        corpus: Arc::clone(&self.corpus),
-                        embeddings: Arc::clone(&self.embeddings),
-                        assistant: self.assistant.clone(),
-                        store: Arc::clone(&self.store),
-                        gate: Arc::clone(&self.gate),
-                        stop: Arc::clone(&self.stop),
-                        repl: Arc::clone(&self.repl),
-                        counters: Arc::clone(&self.counters),
-                        started: self.started,
-                    };
+                    let d = Arc::clone(d);
                     workers.push(std::thread::spawn(move || {
-                        let corpus = Arc::clone(&ctx.corpus);
                         // The connection thread is itself isolated: a bug
                         // in the handler kills one connection, never the
                         // daemon.
-                        if crate::isolate::run_isolated(|| handle_conn(&ctx, &corpus, stream))
-                            .is_err()
-                        {
-                            ctx.counters
-                                .contained_panics
-                                .fetch_add(1, Ordering::Relaxed);
+                        if crate::isolate::run_isolated(|| handle_conn(&d, stream)).is_err() {
+                            bump(&d.counters.contained_panics);
                         }
                     }));
                 }
@@ -414,23 +391,20 @@ impl Server {
         }
         // A chaos-degraded store may legitimately fail its final sync
         // (injected fsync fault, disk-full); the drain still reports.
-        let _ = self.store.sync();
-        Ok(self
-            .counters
-            .stats(&self.gate, &self.store, &self.repl, self.started))
+        let _ = d.store.sync();
+        Ok(d.stats())
     }
 }
 
-/// The per-connection chaos stack: deterministic fault injection (rate 0
-/// passes through) under retry/breaker middleware — the same stack the
-/// batch evaluator runs, now scoped to one connection.
-type ConnBackend = Resilient<FaultyBackend<SimLlm>>;
-
-/// One live session hosted by a connection.
+/// One live session hosted by a connection: the session actor every
+/// journaled op is applied to, live or replayed.
 struct Hosted<'a> {
     id: u64,
     session: Session<'a>,
-    backend: ConnBackend,
+    /// The per-session chaos stack: deterministic fault injection (rate
+    /// 0 passes through) under retry/breaker middleware — the same stack
+    /// the batch evaluator runs, scoped to one session.
+    backend: Resilient<FaultyBackend<SimLlm>>,
     example: Option<Example>,
     /// The session has lost its journal lane (disk fault) and now lives
     /// in memory only.
@@ -442,51 +416,124 @@ struct Hosted<'a> {
     repl_upto: u64,
 }
 
-fn handle_conn(ctx: &ConnCtx, corpus: &Corpus, mut stream: TcpStream) {
+impl<'a> Hosted<'a> {
+    /// A fresh session actor for session `id`: its own chaos backend,
+    /// reset at open exactly like the runner's per-case reset, and an
+    /// empty session.
+    fn new(d: &'a Daemon, id: u64, repl_upto: u64) -> Hosted<'a> {
+        let backend = chaos_stack(&d.assistant.llm, d.config.fault_rate, d.config.retry_budget);
+        backend.begin_session();
+        Hosted {
+            id,
+            session: Session::new(
+                &d.corpus.databases[0],
+                d.assistant.clone(),
+                d.config.strategy,
+            )
+            .semantic_cache(d.config.semantic_cache),
+            backend,
+            example: None,
+            degraded: false,
+            repl_upto,
+        }
+    }
+
+    /// Journals `op` write-ahead and tracks its replication position.
+    fn journal(&mut self, d: &Daemon, op: SessionOp) {
+        let (durability, upto) = d.store.append_tracked(self.id, op);
+        self.repl_upto = self.repl_upto.max(upto);
+        self.note_append(d, durability);
+    }
+
+    /// Folds one append's durability into the session: the first
+    /// degraded append flips the session to memory-only, records a
+    /// transcript `Degraded` event, and counts it — the daemon serves on.
+    fn note_append(&mut self, d: &Daemon, durability: Appended) {
+        if let Appended::Degraded { error } = durability {
+            if !self.degraded {
+                self.degraded = true;
+                bump(&d.counters.sessions_degraded);
+                self.session.transcript.push(SessionEvent::Degraded {
+                    round: self.session.round(),
+                    error: format!("session store degraded to memory-only: {error}"),
+                });
+            }
+        }
+    }
+
+    /// Applies one journaled op to the session — the one code path behind
+    /// live turns, client reconnects and daemon restarts. Determinism of
+    /// the whole pipeline makes a replayed transcript bit-identical to
+    /// the live one. `None` for an op that runs no turn (bookkeeping, or
+    /// feedback with no question to correct); `Err` for an `ask` that
+    /// panicked, contained here — live, the client gets an `Error`; in
+    /// replay the op is skipped. (`give_feedback` contains backend
+    /// errors and panics internally as `Degraded`/`Crashed` events, so
+    /// it always returns a turn.)
+    fn apply(
+        &mut self,
+        corpus: &'a Corpus,
+        op: &SessionOp,
+    ) -> Option<Result<AssistantTurn, String>> {
+        match op {
+            SessionOp::Ask { example_idx, .. } => {
+                let idx = (*example_idx as usize).min(corpus.examples.len() - 1);
+                let example = corpus.examples[idx].clone();
+                self.session.db = corpus.database(&example);
+                let session = &mut self.session;
+                let turn = crate::isolate::run_isolated(|| session.ask(&example));
+                self.example = Some(example);
+                Some(turn)
+            }
+            SessionOp::Feedback { text, highlight } => {
+                let example = self.example.as_ref()?;
+                Some(Ok(self.session.give_feedback(
+                    &self.backend,
+                    example,
+                    text,
+                    *highlight,
+                )))
+            }
+            SessionOp::Opened
+            | SessionOp::Closed
+            | SessionOp::Reaped { .. }
+            | SessionOp::Checkpoint { .. }
+            | SessionOp::Epoch { .. } => None,
+        }
+    }
+}
+
+fn handle_conn(d: &Daemon, mut stream: TcpStream) {
     let _ = stream.set_nodelay(true);
     if stream.set_read_timeout(Some(POLL_INTERVAL)).is_err() {
         return;
     }
 
-    // Pre-session frames: admin requests (Shutdown/Stats/Compact) need
-    // no session slot; everything else must be Hello. The idle clock
-    // runs here too — a connection that never says Hello cannot pin its
-    // thread forever.
+    // Pre-session frames: admin requests need no session slot;
+    // everything else must be Hello. The idle clock runs here too — a
+    // connection that never says Hello cannot pin its thread forever.
     let resume = loop {
-        let first = match next_request(ctx, &mut stream) {
+        let request = match next_request(d, &mut stream) {
             NextFrame::Request(request) => request,
             NextFrame::Gone => return,
             NextFrame::Idle { idle_ms } => {
                 // No slot held yet; close the half-open connection.
-                let _ = write_frame(&mut stream, &reaped_frame(ctx, idle_ms));
+                let _ = write_frame(&mut stream, &reaped_frame(d, idle_ms));
                 return;
             }
         };
-        match first {
-            ClientRequest::Shutdown => {
-                ctx.stop.stop();
-                let _ = write_frame(&mut stream, &ServerResponse::ShuttingDown);
+        if let Some(response) = admin_response(d, &request) {
+            let last = matches!(response, ServerResponse::ShuttingDown);
+            if write_frame(&mut stream, &response).is_err() || last {
                 return;
             }
-            ClientRequest::Stats => {
-                if write_frame(&mut stream, &ServerResponse::Stats(server_stats(ctx))).is_err() {
-                    return;
-                }
-            }
-            ClientRequest::Compact => {
-                if write_frame(&mut stream, &compact_response(ctx)).is_err() {
-                    return;
-                }
-            }
-            ClientRequest::Promote => {
-                if write_frame(&mut stream, &promote_response(ctx)).is_err() {
-                    return;
-                }
-            }
+            continue;
+        }
+        match request {
             ClientRequest::Hello { version, resume } => {
                 if version != PROTOCOL_VERSION {
                     send_error(
-                        ctx,
+                        d,
                         &mut stream,
                         format!(
                             "protocol version {version} unsupported (server speaks {PROTOCOL_VERSION})"
@@ -497,34 +544,34 @@ fn handle_conn(ctx: &ConnCtx, corpus: &Corpus, mut stream: TcpStream) {
                 // A standby follower or a fenced ex-primary does not
                 // open sessions: the typed refusal is the client's
                 // signal to try the next endpoint.
-                if ctx.repl.refuses_sessions() {
-                    let _ = write_frame(&mut stream, &fenced_frame(ctx));
+                if d.repl.refuses_sessions() {
+                    let _ = write_frame(&mut stream, &fenced_frame(d));
                     return;
                 }
                 break resume;
             }
             other => {
-                send_error(ctx, &mut stream, format!("expected Hello, got {other:?}"));
+                send_error(d, &mut stream, format!("expected Hello, got {other:?}"));
                 return;
             }
         }
     };
 
     // Admission: slot, bounded queue, or typed rejection.
-    let _permit = match ctx.gate.admit() {
+    let _permit = match d.gate.admit() {
         Ok(permit) => permit,
         Err(rejection) => {
             // An aborted (killed) daemon writes nothing — the gate is
             // closed as a side effect of the abort, but answering with
             // a typed rejection would turn "your peer died, fail over"
             // into "backpressure, give up" for the connecting client.
-            if ctx.stop.aborted() {
+            if d.aborted() {
                 return;
             }
             let (active, queued) = match &rejection {
                 super::admission::Rejection::QueueFull { active, queued } => (*active, *queued),
                 super::admission::Rejection::WaitExpired { active } => (*active, 0),
-                super::admission::Rejection::Closed => (ctx.gate.active(), 0),
+                super::admission::Rejection::Closed => (d.gate.active(), 0),
             };
             let _ = write_frame(
                 &mut stream,
@@ -538,56 +585,45 @@ fn handle_conn(ctx: &ConnCtx, corpus: &Corpus, mut stream: TcpStream) {
         }
     };
 
-    // Open or replay the session. An unwritable store (disk-full) sheds
+    // Open or resume the session. An unwritable store (disk-full) sheds
     // *new* sessions with a typed rejection — durability is gone and
     // accepting fresh work the restart would lose is worse than
-    // backpressure.
+    // backpressure. A resume replays the session's journaled ops through
+    // the same `Hosted::apply` its live turns ran through.
     let mut hosted = match resume {
         None => {
-            let (id, durability, repl_upto) = match ctx.store.open_session_tracked() {
+            let (id, durability, repl_upto) = match d.store.open_session_tracked() {
                 Ok(opened) => opened,
                 Err(e) => {
-                    ctx.counters.errors.fetch_add(1, Ordering::Relaxed);
+                    bump(&d.counters.errors);
                     let _ = write_frame(
                         &mut stream,
                         &ServerResponse::Rejected {
                             reason: format!("session store: {e}"),
-                            active: ctx.gate.active(),
-                            queued: ctx.gate.waiting(),
+                            active: d.gate.active(),
+                            queued: d.gate.waiting(),
                         },
                     );
                     return;
                 }
             };
-            ctx.counters.sessions_opened.fetch_add(1, Ordering::Relaxed);
-            let backend = conn_backend(ctx);
-            backend.begin_session();
-            let mut hosted = Hosted {
-                id,
-                session: Session::new(
-                    &corpus.databases[0],
-                    ctx.assistant.clone(),
-                    ctx.config.strategy,
-                )
-                .semantic_cache(ctx.config.semantic_cache),
-                backend,
-                example: None,
-                degraded: false,
-                repl_upto,
-            };
-            note_append(ctx, &mut hosted, durability);
+            bump(&d.counters.sessions_opened);
+            let mut hosted = Hosted::new(d, id, repl_upto);
+            hosted.note_append(d, durability);
             hosted
         }
         Some(id) => {
-            let ops = ctx.store.session_ops(id);
+            let ops = d.store.session_ops(id);
             if ops.is_empty() {
-                send_error(ctx, &mut stream, format!("unknown session {id}"));
+                send_error(d, &mut stream, format!("unknown session {id}"));
                 return;
             }
-            ctx.counters
-                .sessions_resumed
-                .fetch_add(1, Ordering::Relaxed);
-            replay_session(ctx, corpus, id, &ops)
+            bump(&d.counters.sessions_resumed);
+            let mut hosted = Hosted::new(d, id, 0);
+            for op in &ops {
+                let _ = hosted.apply(&d.corpus, op);
+            }
+            hosted
         }
     };
     // Under quorum acks, even the Welcome (whose open was journaled)
@@ -595,8 +631,8 @@ fn handle_conn(ctx: &ConnCtx, corpus: &Corpus, mut stream: TcpStream) {
     // the session — gated on the open's own stream position, so a
     // resume (no new append, `repl_upto` 0) passes straight through.
     // An aborted (killed) daemon writes nothing more.
-    ctx.repl.quorum_gate(hosted.repl_upto, &ctx.stop.running);
-    if ctx.stop.aborted() {
+    d.repl.quorum_gate(hosted.repl_upto, &d.running);
+    if d.aborted() {
         return;
     }
     let replayed_rounds = hosted.session.round();
@@ -617,17 +653,13 @@ fn handle_conn(ctx: &ConnCtx, corpus: &Corpus, mut stream: TcpStream) {
     // with a typed close frame, and lets the RAII permit return the
     // slot.
     loop {
-        let request = match next_request(ctx, &mut stream) {
+        let request = match next_request(d, &mut stream) {
             NextFrame::Request(request) => request,
             NextFrame::Gone => return,
             NextFrame::Idle { idle_ms } => {
-                let (durability, upto) = ctx
-                    .store
-                    .append_tracked(hosted.id, SessionOp::Reaped { idle_ms });
-                hosted.repl_upto = hosted.repl_upto.max(upto);
-                note_append(ctx, &mut hosted, durability);
-                ctx.gate.note_reaped();
-                let _ = write_frame(&mut stream, &reaped_frame(ctx, idle_ms));
+                hosted.journal(d, SessionOp::Reaped { idle_ms });
+                d.gate.note_reaped();
+                let _ = write_frame(&mut stream, &reaped_frame(d, idle_ms));
                 return;
             }
         };
@@ -642,18 +674,18 @@ fn handle_conn(ctx: &ConnCtx, corpus: &Corpus, mut stream: TcpStream) {
             ClientRequest::Ask { .. } | ClientRequest::Feedback { .. }
         );
         let gated = turn || matches!(request, ClientRequest::Bye);
-        let response = dispatch(ctx, corpus, &mut hosted, request);
+        let response = dispatch(d, &mut hosted, request);
         // A scripted kill (see `ServerHandle::arm_kill`) fires here.
-        if let Some(kill) = ctx.stop.kill.get().filter(|_| turn) {
-            let rounds = ctx.counters.rounds_served.load(Ordering::Relaxed);
-            if kill.reached(rounds, &ctx.repl, &ctx.store) {
-                ctx.stop.abort();
+        if let Some(kill) = d.kill.get().filter(|_| turn) {
+            let rounds = d.counters.rounds_served.load(Ordering::Relaxed);
+            if kill.reached(rounds, &d.repl, &d.store) {
+                d.abort();
             }
         }
         if gated {
-            ctx.repl.quorum_gate(hosted.repl_upto, &ctx.stop.running);
+            d.repl.quorum_gate(hosted.repl_upto, &d.running);
         }
-        if ctx.stop.aborted() {
+        if d.aborted() {
             // Killed mid-request: drop the response on the floor — the
             // client must see a dead socket, not a farewell.
             return;
@@ -669,28 +701,22 @@ fn handle_conn(ctx: &ConnCtx, corpus: &Corpus, mut stream: TcpStream) {
 }
 
 /// The typed close frame for an idle-reaped connection.
-fn reaped_frame(ctx: &ConnCtx, idle_ms: u64) -> ServerResponse {
+fn reaped_frame(d: &Daemon, idle_ms: u64) -> ServerResponse {
     ServerResponse::Reaped {
         reason: format!(
             "connection idle for {idle_ms} ms (limit {} ms); slot reclaimed",
-            ctx.config.idle_timeout_ms
+            d.config.idle_timeout_ms
         ),
         idle_ms,
     }
 }
 
-/// Live daemon statistics for the `Stats` admin request.
-fn server_stats(ctx: &ConnCtx) -> ServerStats {
-    ctx.counters
-        .stats(&ctx.gate, &ctx.store, &ctx.repl, ctx.started)
-}
-
 /// The typed write refusal a follower or fenced ex-primary answers
 /// session traffic with — sent *before* any store append, so a deposed
 /// node's store never diverges from the promoted one's.
-fn fenced_frame(ctx: &ConnCtx) -> ServerResponse {
-    let role = ctx.repl.role();
-    let epoch = ctx.repl.epoch();
+fn fenced_frame(d: &Daemon) -> ServerResponse {
+    let role = d.repl.role();
+    let epoch = d.repl.epoch();
     let message = match role {
         Role::Follower => format!(
             "standing by as a follower (epoch {epoch}); not accepting session writes — \
@@ -699,7 +725,7 @@ fn fenced_frame(ctx: &ConnCtx) -> ServerResponse {
         Role::Fenced => format!(
             "write fenced: this node (epoch {epoch}) was deposed by epoch {}; \
              restart it as a follower of the new primary",
-            ctx.repl.fenced_by()
+            d.repl.fenced_by()
         ),
         Role::Primary => format!("not accepting session writes (epoch {epoch})"),
     };
@@ -710,20 +736,50 @@ fn fenced_frame(ctx: &ConnCtx) -> ServerResponse {
     }
 }
 
+/// Answers the sessionless admin requests (Shutdown, Stats, Compact,
+/// Promote), the same before and after `Hello`; `None` for session
+/// traffic.
+fn admin_response(d: &Daemon, request: &ClientRequest) -> Option<ServerResponse> {
+    let response = match request {
+        ClientRequest::Shutdown => {
+            d.stop();
+            ServerResponse::ShuttingDown
+        }
+        ClientRequest::Stats => ServerResponse::Stats(d.stats()),
+        ClientRequest::Compact => match d.store.compact() {
+            Ok(outcome) => ServerResponse::Compacted {
+                generation: outcome.generation,
+                ops_before: outcome.ops_before,
+                ops_after: outcome.ops_after,
+                sessions_dropped: outcome.sessions_dropped,
+            },
+            Err(e) => {
+                bump(&d.counters.errors);
+                ServerResponse::Error {
+                    message: format!("compaction failed: {e}"),
+                }
+            }
+        },
+        ClientRequest::Promote => promote_response(d),
+        _ => return None,
+    };
+    Some(response)
+}
+
 /// Serves the `Promote` admin request: a follower (or an idle primary,
 /// idempotently) bumps its epoch and starts accepting sessions; the old
 /// primary is fenced best-effort. A fenced node refuses — promoting it
 /// would fork history.
-fn promote_response(ctx: &ConnCtx) -> ServerResponse {
-    if ctx.repl.role() == Role::Primary {
+fn promote_response(d: &Daemon) -> ServerResponse {
+    if d.repl.role() == Role::Primary {
         return ServerResponse::Promoted {
-            epoch: ctx.repl.epoch(),
+            epoch: d.repl.epoch(),
         };
     }
-    match ctx.repl.promote() {
+    match d.repl.promote() {
         Ok(epoch) => {
-            if let Some(primary) = ctx.config.replica_of.clone() {
-                let fingerprint = ctx.config.fingerprint();
+            if let Some(primary) = d.config.replica_of.clone() {
+                let fingerprint = d.config.fingerprint();
                 // Off-thread: the old primary may be dead, and a client
                 // asking us to promote must not wait on its timeout.
                 std::thread::spawn(move || notify_deposed(&primary, epoch, fingerprint));
@@ -731,57 +787,12 @@ fn promote_response(ctx: &ConnCtx) -> ServerResponse {
             ServerResponse::Promoted { epoch }
         }
         Err(e) => {
-            ctx.counters.errors.fetch_add(1, Ordering::Relaxed);
+            bump(&d.counters.errors);
             ServerResponse::Error {
                 message: format!("promotion refused: {e}"),
             }
         }
     }
-}
-
-/// Runs an on-demand store compaction for the `Compact` admin request.
-fn compact_response(ctx: &ConnCtx) -> ServerResponse {
-    match ctx.store.compact() {
-        Ok(outcome) => ServerResponse::Compacted {
-            generation: outcome.generation,
-            ops_before: outcome.ops_before,
-            ops_after: outcome.ops_after,
-            sessions_dropped: outcome.sessions_dropped,
-        },
-        Err(e) => {
-            ctx.counters.errors.fetch_add(1, Ordering::Relaxed);
-            ServerResponse::Error {
-                message: format!("compaction failed: {e}"),
-            }
-        }
-    }
-}
-
-/// Folds one append's durability into the session: the first degraded
-/// append flips the session to memory-only, records a transcript
-/// `Degraded` event, and counts it — the daemon serves on.
-fn note_append(ctx: &ConnCtx, hosted: &mut Hosted<'_>, durability: Appended) {
-    if let Appended::Degraded { error } = durability {
-        if !hosted.degraded {
-            hosted.degraded = true;
-            ctx.counters
-                .sessions_degraded
-                .fetch_add(1, Ordering::Relaxed);
-            hosted.session.transcript.push(SessionEvent::Degraded {
-                round: hosted.session.round(),
-                error: format!("session store degraded to memory-only: {error}"),
-            });
-        }
-    }
-}
-
-/// Builds one connection's resilient chaos backend.
-fn conn_backend(ctx: &ConnCtx) -> ConnBackend {
-    chaos_stack(
-        &ctx.assistant.llm,
-        ctx.config.fault_rate,
-        ctx.config.retry_budget,
-    )
 }
 
 /// What waiting for the next frame resolved to.
@@ -804,15 +815,15 @@ enum NextFrame {
 /// frame and is checked both between reads (silent peer) and inside a
 /// frame (trickling peer), virtual-clock style — the deadline is
 /// computed once and compared, never slept against.
-fn next_request(ctx: &ConnCtx, stream: &mut TcpStream) -> NextFrame {
+fn next_request(d: &Daemon, stream: &mut TcpStream) -> NextFrame {
     let armed = Instant::now();
-    let deadline = (ctx.config.idle_timeout_ms > 0)
-        .then(|| armed + Duration::from_millis(ctx.config.idle_timeout_ms));
+    let deadline = (d.config.idle_timeout_ms > 0)
+        .then(|| armed + Duration::from_millis(d.config.idle_timeout_ms));
     loop {
-        if !ctx.stop.running() {
+        if !d.running() {
             // A graceful drain says goodbye; an abort (in-process kill)
             // just drops the connection mid-conversation.
-            if !ctx.stop.aborted() {
+            if !d.aborted() {
                 let _ = write_frame(stream, &ServerResponse::ShuttingDown);
             }
             return NextFrame::Gone;
@@ -842,236 +853,114 @@ fn next_request(ctx: &ConnCtx, stream: &mut TcpStream) -> NextFrame {
                     io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
                 ) => {}
             Err(e) => {
-                ctx.counters.errors.fetch_add(1, Ordering::Relaxed);
-                let _ = write_frame(
-                    stream,
-                    &ServerResponse::Error {
-                        message: format!("bad frame: {e}"),
-                    },
-                );
+                send_error(d, stream, format!("bad frame: {e}"));
                 return NextFrame::Gone;
             }
         }
     }
 }
 
-fn send_error(ctx: &ConnCtx, stream: &mut TcpStream, message: String) {
-    ctx.counters.errors.fetch_add(1, Ordering::Relaxed);
+fn send_error(d: &Daemon, stream: &mut TcpStream, message: String) {
+    bump(&d.counters.errors);
     let _ = write_frame(stream, &ServerResponse::Error { message });
 }
 
 /// Serves one in-session request.
-fn dispatch<'a>(
-    ctx: &ConnCtx,
-    corpus: &'a Corpus,
-    hosted: &mut Hosted<'a>,
-    request: ClientRequest,
-) -> ServerResponse {
+fn dispatch<'a>(d: &'a Daemon, hosted: &mut Hosted<'a>, request: ClientRequest) -> ServerResponse {
     // A node fenced mid-session refuses every further write on the
     // session — the append must never happen, or the deposed store
     // diverges from the promoted follower's. Reads (Transcript, Stats)
     // still serve: they help the client re-attach elsewhere.
-    if ctx.repl.fenced()
+    if d.repl.fenced()
         && matches!(
             request,
             ClientRequest::Ask { .. } | ClientRequest::Feedback { .. } | ClientRequest::Bye
         )
     {
-        return fenced_frame(ctx);
+        return fenced_frame(d);
+    }
+    if let Some(response) = admin_response(d, &request) {
+        return response;
     }
     match request {
         ClientRequest::Ask { question } => {
-            let example_idx = resolve_example(ctx, &question);
-            let (durability, upto) = ctx.store.append_tracked(
-                hosted.id,
+            let example_idx = resolve_example(d, &question) as u64;
+            serve_turn(
+                d,
+                hosted,
                 SessionOp::Ask {
-                    example_idx: example_idx as u64,
+                    example_idx,
                     question,
                 },
-            );
-            hosted.repl_upto = hosted.repl_upto.max(upto);
-            note_append(ctx, hosted, durability);
-            let response = serve_ask(ctx, corpus, hosted, example_idx);
-            if matches!(response, ServerResponse::Turn { .. }) {
-                ctx.counters
-                    .questions_served
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            response
+            )
         }
         ClientRequest::Feedback { text, highlight } => {
+            // Refused before the journal: a feedback with no question
+            // to correct must leave no record for replay to skip.
             if !hosted.session.has_question() {
-                ctx.counters.errors.fetch_add(1, Ordering::Relaxed);
+                bump(&d.counters.errors);
                 return ServerResponse::Error {
                     message: "feedback before any question".to_string(),
                 };
             }
-            let (durability, upto) = ctx.store.append_tracked(
-                hosted.id,
-                SessionOp::Feedback {
-                    text: text.clone(),
-                    highlight,
-                },
-            );
-            hosted.repl_upto = hosted.repl_upto.max(upto);
-            note_append(ctx, hosted, durability);
-            let response = serve_feedback(ctx, hosted, &text, highlight);
-            if matches!(response, ServerResponse::Turn { .. }) {
-                ctx.counters.rounds_served.fetch_add(1, Ordering::Relaxed);
-            }
-            response
+            serve_turn(d, hosted, SessionOp::Feedback { text, highlight })
         }
         ClientRequest::Transcript => ServerResponse::TranscriptDump {
             events: hosted.session.transcript.clone(),
         },
         ClientRequest::Bye => {
-            let (durability, upto) = ctx.store.append_tracked(hosted.id, SessionOp::Closed);
-            hosted.repl_upto = hosted.repl_upto.max(upto);
-            note_append(ctx, hosted, durability);
+            hosted.journal(d, SessionOp::Closed);
             ServerResponse::Goodbye {
                 rounds: feedback_turns(&hosted.session),
             }
         }
-        ClientRequest::Hello { .. } => {
-            ctx.counters.errors.fetch_add(1, Ordering::Relaxed);
+        _ => {
+            bump(&d.counters.errors);
             ServerResponse::Error {
                 message: "session already open".to_string(),
             }
         }
-        ClientRequest::Shutdown => {
-            ctx.stop.stop();
-            ServerResponse::ShuttingDown
-        }
-        ClientRequest::Stats => ServerResponse::Stats(server_stats(ctx)),
-        ClientRequest::Compact => compact_response(ctx),
-        ClientRequest::Promote => promote_response(ctx),
     }
 }
 
-/// Runs `ask` under panic isolation and packages the turn.
-fn serve_ask<'a>(
-    ctx: &ConnCtx,
-    corpus: &'a Corpus,
-    hosted: &mut Hosted<'a>,
-    example_idx: usize,
-) -> ServerResponse {
-    let example = corpus.examples[example_idx].clone();
+/// Serves a live Ask or Feedback: journal the op write-ahead, then apply
+/// it exactly as a replay will, and package the new events as the turn.
+fn serve_turn<'a>(d: &'a Daemon, hosted: &mut Hosted<'a>, op: SessionOp) -> ServerResponse {
+    hosted.journal(d, op.clone());
     let cursor = hosted.session.events().len();
-    hosted.session.db = corpus.database(&example);
-    let outcome = {
-        let session = &mut hosted.session;
-        let example = &example;
-        crate::isolate::run_isolated(|| session.ask(example))
-    };
-    hosted.example = Some(example);
-    turn_response(ctx, hosted, cursor, outcome)
-}
-
-/// Runs one feedback round under panic isolation and packages the turn.
-fn serve_feedback(
-    ctx: &ConnCtx,
-    hosted: &mut Hosted<'_>,
-    text: &str,
-    highlight: Option<fisql_sqlkit::Span>,
-) -> ServerResponse {
-    // The caller checked has_question(), so the example is present in
-    // practice — but a typed error beats panicking a daemon thread on a
-    // future call-site slip.
-    let Some(example) = hosted.example.clone() else {
-        ctx.counters.errors.fetch_add(1, Ordering::Relaxed);
-        return ServerResponse::Error {
-            message: "feedback before any question".to_string(),
-        };
-    };
-    let cursor = hosted.session.events().len();
-    // give_feedback contains backend errors and panics internally
-    // (Degraded/Crashed events), so it always returns a turn.
-    let Hosted {
-        session, backend, ..
-    } = hosted;
-    let turn = session.give_feedback(backend, &example, text, highlight);
-    turn_response(ctx, hosted, cursor, Ok(turn))
-}
-
-/// Folds an isolated turn outcome into the wire response.
-fn turn_response(
-    ctx: &ConnCtx,
-    hosted: &mut Hosted<'_>,
-    cursor: usize,
-    outcome: Result<crate::assistant::AssistantTurn, String>,
-) -> ServerResponse {
-    match outcome {
-        Ok(turn) => ServerResponse::Turn {
-            round: hosted.session.round(),
-            sql: turn.sql_text.clone(),
-            rendered: Assistant::render_turn(&turn),
-            events: hosted.session.events_since(cursor).to_vec(),
-        },
-        Err(message) => {
-            ctx.counters
-                .contained_panics
-                .fetch_add(1, Ordering::Relaxed);
+    match hosted.apply(&d.corpus, &op) {
+        Some(Ok(turn)) => {
+            bump(match op {
+                SessionOp::Ask { .. } => &d.counters.questions_served,
+                _ => &d.counters.rounds_served,
+            });
+            ServerResponse::Turn {
+                round: hosted.session.round(),
+                sql: turn.sql_text.clone(),
+                rendered: Assistant::render_turn(&turn),
+                events: hosted.session.events_since(cursor).to_vec(),
+            }
+        }
+        Some(Err(message)) => {
+            bump(&d.counters.contained_panics);
             ServerResponse::Error {
                 message: format!("request panicked (contained): {message}"),
             }
         }
-    }
-}
-
-/// Reconstructs a session by replaying its journaled ops — the one code
-/// path behind both client reconnects and daemon restarts. Determinism
-/// of the whole pipeline makes the replayed transcript bit-identical to
-/// the original; a replayed op that panics is contained and skipped,
-/// exactly as the live round answered `Error` without mutating state.
-fn replay_session<'a>(ctx: &ConnCtx, corpus: &'a Corpus, id: u64, ops: &[SessionOp]) -> Hosted<'a> {
-    let backend = conn_backend(ctx);
-    backend.begin_session();
-    let mut hosted = Hosted {
-        id,
-        session: Session::new(
-            &corpus.databases[0],
-            ctx.assistant.clone(),
-            ctx.config.strategy,
-        )
-        .semantic_cache(ctx.config.semantic_cache),
-        backend,
-        example: None,
-        degraded: false,
-        repl_upto: 0,
-    };
-    for op in ops {
-        match op {
-            SessionOp::Opened
-            | SessionOp::Closed
-            | SessionOp::Reaped { .. }
-            | SessionOp::Checkpoint { .. }
-            | SessionOp::Epoch { .. } => {}
-            SessionOp::Ask { example_idx, .. } => {
-                let idx = (*example_idx as usize).min(corpus.examples.len() - 1);
-                let example = corpus.examples[idx].clone();
-                hosted.session.db = corpus.database(&example);
-                let _ = crate::isolate::run_isolated(|| hosted.session.ask(&example));
-                hosted.example = Some(example);
-            }
-            SessionOp::Feedback { text, highlight } => {
-                let Some(example) = hosted.example.clone() else {
-                    continue;
-                };
-                let Hosted {
-                    session, backend, ..
-                } = &mut hosted;
-                session.give_feedback(&*backend, &example, text, *highlight);
+        None => {
+            bump(&d.counters.errors);
+            ServerResponse::Error {
+                message: "feedback before any question".to_string(),
             }
         }
     }
-    hosted
 }
 
 /// Resolves a question onto the corpus: exact text match first, nearest
 /// embedding otherwise (both deterministic; the resolved index is
 /// journaled, so replay never re-runs this).
-fn resolve_example(ctx: &ConnCtx, question: &str) -> usize {
-    if let Some(idx) = ctx
+fn resolve_example(d: &Daemon, question: &str) -> usize {
+    if let Some(idx) = d
         .corpus
         .examples
         .iter()
@@ -1080,7 +969,7 @@ fn resolve_example(ctx: &ConnCtx, question: &str) -> usize {
         return idx;
     }
     let q = Embedding::embed(question);
-    ctx.embeddings
+    d.embeddings
         .iter()
         .enumerate()
         .max_by(|a, b| {

@@ -4,13 +4,15 @@
 //! `fisql serve` persists **inputs, not outputs**. Every state-changing
 //! client operation is appended as a `(session_id, SessionOp)` record to
 //! a [`RunJournal`] *before* it executes (write-ahead), and a session is
-//! reconstructed — after a client reconnect or a daemon restart, same
-//! code path — by replaying its ops through a fresh [`Session`]
-//! (../session.rs). Because the whole pipeline is deterministic (the
-//! simulated model, the fault injector, and the resilience middleware
-//! are all pure functions of their inputs), replay reproduces the
-//! transcript bit-identically; there is no second on-disk format and no
-//! snapshot to keep consistent.
+//! reconstructed — after a client reconnect or a daemon restart — by
+//! replaying its ops through a fresh [`Session`] (../session.rs). The
+//! daemon applies a live op and a replayed one through the same
+//! function (`Hosted::apply` in `serve::server`), so live turns,
+//! reconnects and restarts share one code path. Because the whole
+//! pipeline is deterministic (the simulated model, the fault injector,
+//! and the resilience middleware are all pure functions of their
+//! inputs), replay reproduces the transcript bit-identically; there is
+//! no second on-disk format and no snapshot to keep consistent.
 //!
 //! The journal's existing integrity machinery carries over unchanged:
 //! checksummed records mean a torn tail from a crash mid-append costs at
@@ -35,7 +37,8 @@
 //! to epoch `e` issues ids from `epoch_id_floor(e)` up, so it never
 //! reissues an id a deposed primary handed out but did not replicate.
 //! The rewrite goes to a `<path>.compact` sibling and is **atomically
-//! renamed over** the live journal; a crash mid-compaction
+//! renamed over** the live journal (a follower's resync wipe rewrites
+//! the same way, through `<path>.resync`); a crash mid-compaction
 //! leaves the old journal untouched. Compaction triggers automatically
 //! every `compact_every` closed sessions, or on demand (the `Compact`
 //! admin request). Surviving sessions replay byte-identically before
@@ -544,59 +547,11 @@ impl SessionStore {
             .count() as u64;
         let generation = inner.generation + 1;
 
-        if let Some(path) = inner.path.clone() {
-            if !inner.writable {
-                return Err(io::Error::new(
-                    io::ErrorKind::StorageFull,
-                    "session store is unwritable (disk full); cannot compact",
-                ));
-            }
-            let tmp = PathBuf::from(format!("{}.compact", path.display()));
-            let epoch = inner.epoch;
-            let rewrite = (|| -> io::Result<RunJournal> {
-                let mut journal = RunJournal::create(
-                    &tmp,
-                    self.options.fingerprint,
-                    SESSION_STORE_MARKER,
-                    self.options.fsync,
-                )?;
-                journal.append(
-                    META_SESSION,
-                    &SessionOp::Checkpoint {
-                        generation,
-                        next_session_id: inner.next_id,
-                    },
-                )?;
-                // The rewrite drops every old metadata record, so a
-                // nonzero fencing epoch must be re-asserted or a restart
-                // would forget it was ever promoted.
-                if epoch > 0 {
-                    journal.append(META_SESSION, &SessionOp::Epoch { epoch })?;
-                }
-                for (id, op) in &kept {
-                    journal.append(*id, op)?;
-                }
-                journal.sync()?;
-                Ok(journal)
-            })();
-            match rewrite {
-                Ok(journal) => {
-                    // Rename-over is atomic; the open handle follows the
-                    // inode, so the store keeps appending to the file
-                    // now living at `path`.
-                    std::fs::rename(&tmp, &path)?;
-                    inner.journal = Some(journal);
-                }
-                Err(err) => {
-                    std::fs::remove_file(&tmp).ok();
-                    if err.kind() == io::ErrorKind::StorageFull {
-                        inner.writable = false;
-                    }
-                    return Err(err);
-                }
-            }
-        }
-
+        let checkpoint = SessionOp::Checkpoint {
+            generation,
+            next_session_id: inner.next_id,
+        };
+        self.rewrite_journal(inner, "compact", Some(checkpoint), &kept)?;
         inner.ops = kept;
         inner.op_counts.clear();
         for (id, _) in &inner.ops {
@@ -615,6 +570,71 @@ impl SessionStore {
         })
     }
 
+    /// Atomically replaces the journal file (a no-op for an in-memory
+    /// store) with `head`, the re-asserted fencing epoch, then `records`
+    /// — written to a `<path>.<what>` sibling, synced, and renamed over
+    /// the live file. A failed rewrite removes the sibling and leaves
+    /// the old journal in place; a disk-full failure also flips the
+    /// store unwritable.
+    fn rewrite_journal(
+        &self,
+        inner: &mut Inner,
+        what: &str,
+        head: Option<SessionOp>,
+        records: &[(u64, SessionOp)],
+    ) -> io::Result<()> {
+        let Some(path) = inner.path.clone() else {
+            return Ok(());
+        };
+        if !inner.writable {
+            return Err(io::Error::new(
+                io::ErrorKind::StorageFull,
+                format!("session store is unwritable (disk full); cannot {what}"),
+            ));
+        }
+        let tmp = PathBuf::from(format!("{}.{what}", path.display()));
+        let epoch = inner.epoch;
+        let rewrite = (|| -> io::Result<RunJournal> {
+            let mut journal = RunJournal::create(
+                &tmp,
+                self.options.fingerprint,
+                SESSION_STORE_MARKER,
+                self.options.fsync,
+            )?;
+            if let Some(head) = &head {
+                journal.append(META_SESSION, head)?;
+            }
+            // The rewrite drops every old metadata record, so a nonzero
+            // fencing epoch must be re-asserted or a restart would
+            // forget it was ever promoted.
+            if epoch > 0 {
+                journal.append(META_SESSION, &SessionOp::Epoch { epoch })?;
+            }
+            for (id, op) in records {
+                journal.append(*id, op)?;
+            }
+            journal.sync()?;
+            Ok(journal)
+        })();
+        match rewrite {
+            Ok(journal) => {
+                // Rename-over is atomic; the open handle follows the
+                // inode, so the store keeps appending to the file now
+                // living at `path`.
+                std::fs::rename(&tmp, &path)?;
+                inner.journal = Some(journal);
+                Ok(())
+            }
+            Err(err) => {
+                std::fs::remove_file(&tmp).ok();
+                if err.kind() == io::ErrorKind::StorageFull {
+                    inner.writable = false;
+                }
+                Err(err)
+            }
+        }
+    }
+
     /// Empties the store back to a blank image so a follower can
     /// re-bootstrap from a primary whose stream lineage no longer
     /// matches (see `serve::replicate`). The journal is atomically
@@ -625,42 +645,7 @@ impl SessionStore {
     /// fault-schedule keys (`total_ops`, `sync_count`) stay monotonic.
     pub fn reset_for_resync(&self) -> io::Result<()> {
         let mut inner = self.lock();
-        if let Some(path) = inner.path.clone() {
-            if !inner.writable {
-                return Err(io::Error::new(
-                    io::ErrorKind::StorageFull,
-                    "session store is unwritable (disk full); cannot resync",
-                ));
-            }
-            let tmp = PathBuf::from(format!("{}.resync", path.display()));
-            let epoch = inner.epoch;
-            let rewrite = (|| -> io::Result<RunJournal> {
-                let mut journal = RunJournal::create(
-                    &tmp,
-                    self.options.fingerprint,
-                    SESSION_STORE_MARKER,
-                    self.options.fsync,
-                )?;
-                if epoch > 0 {
-                    journal.append(META_SESSION, &SessionOp::Epoch { epoch })?;
-                }
-                journal.sync()?;
-                Ok(journal)
-            })();
-            match rewrite {
-                Ok(journal) => {
-                    std::fs::rename(&tmp, &path)?;
-                    inner.journal = Some(journal);
-                }
-                Err(err) => {
-                    std::fs::remove_file(&tmp).ok();
-                    if err.kind() == io::ErrorKind::StorageFull {
-                        inner.writable = false;
-                    }
-                    return Err(err);
-                }
-            }
-        }
+        self.rewrite_journal(&mut inner, "resync", None, &[])?;
         inner.ops.clear();
         inner.op_counts.clear();
         inner.next_id = 0;

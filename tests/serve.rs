@@ -4,7 +4,7 @@
 
 use fisql_core::serve::{
     request_compact, request_stats, run_load, Connected, ServeClient, Server, ServerHandle,
-    ServerStats, SessionStore, StoreOptions,
+    ServerStats, SessionOp, SessionStore, StoreOptions,
 };
 use fisql_core::{LoadConfig, ServeConfig, SessionEvent};
 use fisql_spider::{build_aep, AepConfig};
@@ -174,23 +174,86 @@ fn restart_replays_journaled_sessions_bit_identically() {
     let n_examples = config.n_examples;
     let corpus = build_aep(&AepConfig { n_examples, seed });
 
-    // Run a session against the first daemon, then stop it WITHOUT the
-    // client saying Bye — as a crash/restart would.
+    // A question that is not corpus text resolves by nearest embedding;
+    // the journal records the resolved index, so replay never re-runs
+    // the resolution.
+    let paraphrase = "roughly how many audiences got activated this year?";
+    assert!(corpus
+        .examples
+        .iter()
+        .all(|e| !e.question.eq_ignore_ascii_case(paraphrase)));
+
+    // Run a session against the first daemon, then drop the connection
+    // WITHOUT the client saying Bye — as a crash would.
     let (addr, handle, thread) = boot(config.clone());
     let (session_id, before) = {
         let mut client = admitted(
             ServeClient::connect_retry(addr.as_str(), None, Duration::from_secs(10)).unwrap(),
+        );
+        // Feedback before any question is a typed error, journaled never.
+        let err = client.feedback("we are in 2024", None).unwrap_err();
+        assert!(
+            err.to_string().contains("feedback before any question"),
+            "{err}"
         );
         client.ask(&corpus.examples[1].question).unwrap();
         client.feedback("we are in 2024", None).unwrap();
         client
             .feedback("only the january rows please", None)
             .unwrap();
+        // A second question in the same session, off the corpus text.
+        client.ask(paraphrase).unwrap();
+        client.feedback("count them instead", None).unwrap();
         let transcript = client.transcript().unwrap();
         (client.session_id, transcript)
         // client drops here: connection closes, session stays journaled.
     };
+
+    // A same-daemon reconnect replays the journal into a transcript
+    // byte-identical to the live one.
+    {
+        let mut client = admitted(
+            ServeClient::connect_retry(addr.as_str(), Some(session_id), Duration::from_secs(10))
+                .unwrap(),
+        );
+        assert_eq!(client.replayed_rounds, 1);
+        assert_eq!(
+            serde_json::to_vec(&client.transcript().unwrap()).unwrap(),
+            serde_json::to_vec(&before).unwrap(),
+            "reconnect transcript not bit-identical"
+        );
+    }
     stop(&handle, thread);
+
+    // The journal holds exactly the ops that ran: no record for the
+    // refused feedback, and the paraphrase as a resolved corpus index.
+    {
+        let journal = SessionStore::open(Some(&store), StoreOptions::new(config.fingerprint()))
+            .expect("reopen store");
+        let ops = journal.session_ops(session_id);
+        let kinds: Vec<&str> = ops
+            .iter()
+            .map(|op| match op {
+                SessionOp::Opened => "opened",
+                SessionOp::Ask { .. } => "ask",
+                SessionOp::Feedback { .. } => "feedback",
+                _ => "other",
+            })
+            .collect();
+        assert_eq!(
+            kinds,
+            ["opened", "ask", "feedback", "feedback", "ask", "feedback"]
+        );
+        let SessionOp::Ask {
+            example_idx,
+            question,
+        } = &ops[4]
+        else {
+            unreachable!()
+        };
+        assert_eq!(question, paraphrase);
+        assert!((*example_idx as usize) < n_examples);
+    }
 
     // A fresh daemon on the same store reports the unclosed session and
     // replays it bit-identically on resume.
@@ -205,7 +268,7 @@ fn restart_replays_journaled_sessions_bit_identically() {
             .unwrap(),
     );
     assert_eq!(client.session_id, session_id);
-    assert_eq!(client.replayed_rounds, 2);
+    assert_eq!(client.replayed_rounds, 1);
     let after = client.transcript().unwrap();
     assert_eq!(after, before, "replayed transcript diverged");
     assert_eq!(
@@ -214,10 +277,8 @@ fn restart_replays_journaled_sessions_bit_identically() {
         "replayed transcript not bit-identical"
     );
     // The resumed session is live: another round works on top of it.
-    let turn = client
-        .feedback("count them instead of listing", None)
-        .unwrap();
-    assert_eq!(turn.round, 3);
+    let turn = client.feedback("only this year's rows", None).unwrap();
+    assert_eq!(turn.round, 2);
     client.bye().unwrap();
 
     let summary = stop(&handle, thread);
