@@ -8,7 +8,7 @@
 //! grounds feedback on.
 
 use fisql_sqlkit::ast::*;
-use fisql_sqlkit::print_expr;
+use fisql_sqlkit::{print_expr, spaced as humanize};
 
 /// Generates the Figure 4-style step-by-step explanation of `query`.
 pub fn explain_query(query: &Query) -> String {
@@ -140,10 +140,6 @@ fn describe_projection(core: &SelectCore) -> String {
 
 fn humanize_expr(e: &Expr) -> String {
     humanize(&print_expr(e))
-}
-
-fn humanize(ident: &str) -> String {
-    ident.replace('_', " ")
 }
 
 fn pluralize(noun: &str) -> String {

@@ -204,11 +204,7 @@ impl Cues {
         // That tie-break is historical — the key once prefixed
         // out-of-query names with "\u{1}", which sorts before letters —
         // and the recorded eval reports depend on it.
-        let lexicon = SchemaLexicon::shared(
-            db.tables
-                .iter()
-                .map(|t| (t.name.as_str(), t.columns.iter().map(|c| c.name.as_str()))),
-        );
+        let lexicon = Arc::clone(db.context().lexicon());
         let mentions = lexicon.mentions(&lower);
         let query_tables = predicted.all_table_names();
         let in_query: Vec<bool> = db

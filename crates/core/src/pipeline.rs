@@ -15,8 +15,9 @@ use fisql_spider::Example;
 use fisql_sqlkit::check::{check_query, render_report, repair_query, Diagnostic, SchemaInfo};
 use fisql_sqlkit::{
     apply_edits, diff_queries, enumerate_repairs, literal_year, locate_faults_with_cues,
-    normalize_query, print_query, print_query_spanned, prune_candidates, realized_classes,
-    same_clause_family, Expr, FeedbackCues, Literal, OpClass, Query, RepairCandidate,
+    normalize_query, print_query, print_query_spanned, prune_against, realized_classes,
+    same_clause_family, Expr, FeedbackCues, Literal, OpClass, PruneBase, PruneOutcome, Query,
+    RepairCandidate,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -222,8 +223,19 @@ pub fn gate_candidate(
     candidate: Query,
     prompt: &mut String,
 ) -> (Query, GateOutcome) {
-    let schema = db.schema_info();
-    let diagnostics = check_query(&candidate, &schema);
+    let schema = &db.context().schema;
+    let diagnostics = check_query(&candidate, schema);
+    gate_checked(schema, candidate, diagnostics, prompt)
+}
+
+/// [`gate_candidate`] for a candidate whose analyzer `diagnostics`
+/// against `schema` are already known.
+fn gate_checked(
+    schema: &SchemaInfo,
+    candidate: Query,
+    diagnostics: Vec<Diagnostic>,
+    prompt: &mut String,
+) -> (Query, GateOutcome) {
     if !diagnostics.iter().any(Diagnostic::is_error) {
         return (
             candidate,
@@ -238,7 +250,7 @@ pub fn gate_candidate(
         &sql,
         &diagnostics,
     )));
-    match repair_query(&candidate, &schema) {
+    match repair_query(&candidate, schema) {
         Some(fixed) => (
             normalize_query(&fixed),
             GateOutcome {
@@ -436,6 +448,16 @@ fn builtin_pool() -> &'static fisql_llm::RoutingPool {
 /// Beam width of the repair search: survivors re-localized in round two.
 const BEAM_WIDTH: usize = 4;
 
+/// One statically-surviving repair candidate, scored once: its analyzer
+/// diagnostics from pruning, its closeness score, and its printed SQL
+/// (the rank's tie-break).
+struct Ranked {
+    cand: RepairCandidate,
+    diagnostics: Vec<Diagnostic>,
+    score: i64,
+    sql: String,
+}
+
 fn search_step<L: FallibleLanguageModel + ?Sized>(
     llm: &L,
     ctx: &IncorporateContext<'_>,
@@ -445,29 +467,33 @@ fn search_step<L: FallibleLanguageModel + ?Sized>(
     // deterministic in (query, feedback, schema) — a requirement for the
     // runner's bit-identical-reports contract.
     let routed = llm.try_classify_feedback(&ctx.feedback.text, ctx.round)?;
-    let schema = ctx.db.schema_info();
+    let db = ctx.db.context();
+    let schema = &db.schema;
     let highlight = ctx.feedback.highlight;
-    let previous = normalize_query(ctx.previous);
+    // The original's normalized form, canonical fingerprint and empty
+    // arity, derived once for every pool pruned this round.
+    let base = PruneBase::new(ctx.previous);
+    let previous = base.query();
 
     // Mine the feedback once for the whole round; localize: rank fault
     // sites from analyzer, flow, feedback, and highlight evidence.
-    let cues = FeedbackCues::extract(&ctx.feedback.text, &schema);
-    let sites = locate_faults_with_cues(&previous, &schema, Some(&cues), highlight);
+    let cues = FeedbackCues::extract_linked(&ctx.feedback.text, db.lexicon());
+    let sites = locate_faults_with_cues(previous, schema, Some(&cues), highlight);
 
     // Enumerate: site-driven repairs, plus the feedback interpreter's
     // full candidate pool (the same pool `interpret` samples one member
     // from) re-expressed as repair candidates. Interpreter candidates
     // carry the out-of-range site index `sites.len()` so diagnostics can
     // tell the two generators apart.
-    let mut pool = enumerate_repairs(&previous, &schema, &sites, &cues);
+    let mut pool = enumerate_repairs(previous, schema, &sites, &cues);
     for cand in interpret_candidates(
         &ctx.feedback.text,
-        &previous,
+        previous,
         ctx.db,
         Some(routed),
         highlight,
     ) {
-        if let Ok(query) = apply_edits(&previous, &cand.edits) {
+        if let Ok(query) = apply_edits(previous, &cand.edits) {
             pool.push(RepairCandidate {
                 query,
                 edits: cand.edits,
@@ -480,26 +506,39 @@ fn search_step<L: FallibleLanguageModel + ?Sized>(
 
     // Prune: abstract interpretation (contradictory/empty), analyzer
     // (invalid names), and the equivalence oracle (no-ops, duplicates)
-    // drop candidates before anything can reach the engine.
-    let outcome = prune_candidates(&previous, pool, &schema);
-    let mut pruned_static = outcome.pruned_static();
-    let mut survivors = outcome.kept;
-
-    let score_of = |cand: &RepairCandidate| closeness(&previous, cand, &cues, routed, &schema);
-    let rank = |pool: &mut Vec<RepairCandidate>| {
-        pool.sort_by_cached_key(|c| (std::cmp::Reverse(score_of(c)), print_query(&c.query)));
+    // drop candidates before anything can reach the engine. Each
+    // survivor is scored once, from the diagnostics pruning kept.
+    let ranked = |outcome: PruneOutcome| {
+        outcome
+            .kept
+            .into_iter()
+            .zip(outcome.diagnostics)
+            .map(|(cand, diagnostics)| Ranked {
+                score: closeness(previous, &cand, &diagnostics, &cues, routed),
+                sql: print_query(&cand.query),
+                cand,
+                diagnostics,
+            })
     };
+    let rank = |pool: &mut Vec<Ranked>| {
+        pool.sort_by(|a, b| b.score.cmp(&a.score).then_with(|| a.sql.cmp(&b.sql)));
+    };
+    let outcome = prune_against(&base, pool, schema);
+    let mut pruned_static = outcome.pruned_static();
+    let mut survivors: Vec<Ranked> = ranked(outcome).collect();
     rank(&mut survivors);
 
     // Expand: a second localization round on the top beam members, so
     // multi-edit faults (join + literal, table + column) are reachable.
     // Second-round candidates are re-pruned against the *original* query
-    // and the accumulated pool, then ranked into it.
-    let beam: Vec<RepairCandidate> = survivors.iter().take(BEAM_WIDTH).cloned().collect();
+    // and the accumulated pool, then ranked into it. Survivors are only
+    // appended here, so the beam stays at the front of the pool.
+    let beam = survivors.len().min(BEAM_WIDTH);
     let mut enumerated_round2 = 0u64;
-    for member in &beam {
-        let member_sites = locate_faults_with_cues(&member.query, &schema, Some(&cues), None);
-        let expansions = enumerate_repairs(&member.query, &schema, &member_sites, &cues);
+    for i in 0..beam {
+        let member = &survivors[i].cand;
+        let member_sites = locate_faults_with_cues(&member.query, schema, Some(&cues), None);
+        let expansions = enumerate_repairs(&member.query, schema, &member_sites, &cues);
         enumerated_round2 += expansions.len() as u64;
         let expansions: Vec<RepairCandidate> = expansions
             .into_iter()
@@ -510,10 +549,10 @@ fn search_step<L: FallibleLanguageModel + ?Sized>(
                 label: e.label,
             })
             .collect();
-        let second = prune_candidates(&previous, expansions, &schema);
+        let second = prune_against(&base, expansions, schema);
         pruned_static += second.pruned_static();
-        for cand in second.kept {
-            let duplicate = survivors.iter().any(|k| k.query == cand.query);
+        for cand in ranked(second) {
+            let duplicate = survivors.iter().any(|k| k.cand.query == cand.cand.query);
             if duplicate {
                 pruned_static += 1;
             } else {
@@ -528,29 +567,28 @@ fn search_step<L: FallibleLanguageModel + ?Sized>(
         enumerated: enumerated_round1 + enumerated_round2,
         pruned_static,
         survivors: survivors.len() as u64,
-        expanded: beam.len() as u64,
-        score: survivors.first().map(&score_of).unwrap_or(0),
-        chosen: survivors.first().map(|c| c.label).unwrap_or("none"),
+        expanded: beam as u64,
+        score: survivors.first().map_or(0, |r| r.score),
+        chosen: survivors.first().map_or("none", |r| r.cand.label),
     };
-
-    // Choose: the top-ranked survivor goes to the runner's validator; an
-    // empty pool keeps the previous query (interpretation failure, the
-    // paper's error cause (b)).
-    let chosen = survivors
-        .into_iter()
-        .next()
-        .map(|c| c.query)
-        .unwrap_or_else(|| previous.clone());
 
     let mut prompt_text = prompt::feedback_prompt(
         ctx.db,
         &[],
         &[],
         ctx.question,
-        &print_query(&previous),
+        &print_query(previous),
         &ctx.feedback.text,
     );
-    let (query, gate) = gate_candidate(ctx.db, chosen, &mut prompt_text);
+    // Choose: the top-ranked survivor goes to the runner's validator,
+    // gated on the diagnostics pruning already found; an empty pool keeps
+    // the previous query (interpretation failure, the paper's error
+    // cause (b)).
+    let (chosen, diagnostics) = match survivors.into_iter().next() {
+        Some(top) => (top.cand.query, top.diagnostics),
+        None => (previous.clone(), check_query(previous, schema)),
+    };
+    let (query, gate) = gate_checked(schema, chosen, diagnostics, &mut prompt_text);
 
     Ok(IncorporateOutcome {
         query,
@@ -566,18 +604,19 @@ fn search_step<L: FallibleLanguageModel + ?Sized>(
 
 /// Static closeness score for one repair candidate: cue coverage
 /// dominates, routed-class agreement breaks coverage ties, and edit
-/// count plus analyzer warnings act as minimality penalties. Integer
-/// arithmetic throughout — scores must be exactly reproducible.
+/// count plus analyzer warnings (the candidate's `diagnostics`, as
+/// pruning found them) act as minimality penalties. Integer arithmetic
+/// throughout — scores must be exactly reproducible.
 pub(crate) fn closeness(
     previous: &Query,
     cand: &RepairCandidate,
+    diagnostics: &[Diagnostic],
     cues: &FeedbackCues,
     routed: OpClass,
-    schema: &SchemaInfo,
 ) -> i64 {
     let realized = realized_classes(&diff_queries(previous, &cand.query));
     let coverage = cue_coverage(&cand.query, cues);
-    let warnings = check_query(&cand.query, schema).len() as i64;
+    let warnings = diagnostics.len() as i64;
     coverage * 30 + routing_alignment(routed, &realized) * 12
         - 3 * (cand.edits.len() as i64)
         - 2 * warnings

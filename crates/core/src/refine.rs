@@ -32,9 +32,9 @@
 //! ```
 
 use crate::interpret::interpret;
-use fisql_engine::Database;
+use fisql_engine::{Database, DbContext};
 use fisql_llm::keyword_route;
-use fisql_sqlkit::check::{check_query, render_report, repair_query, Diagnostic, SchemaInfo};
+use fisql_sqlkit::check::{check_query, render_report, repair_query, Diagnostic};
 use fisql_sqlkit::{
     apply_edits, diff_queries, enumerate_repairs, locate_faults_with_cues, normalize_query,
     parse_query, print_query, prune_candidates, realized_classes, EditOp, FeedbackCues, OpClass,
@@ -43,6 +43,7 @@ use fisql_sqlkit::{
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt;
+use std::sync::Arc;
 
 /// Why a refinement step failed.
 #[derive(Debug, Clone, PartialEq)]
@@ -124,7 +125,8 @@ impl RefineStep {
 /// An incremental query builder.
 pub struct QueryBuilder<'a> {
     db: &'a Database,
-    schema: SchemaInfo,
+    /// The database's memoized context (analyzer schema, lexicon).
+    ctx: Arc<DbContext>,
     current: Query,
     history: Vec<RefineStep>,
     diagnostics: Vec<Diagnostic>,
@@ -133,12 +135,12 @@ pub struct QueryBuilder<'a> {
 impl<'a> QueryBuilder<'a> {
     /// Starts from an existing query.
     pub fn new(db: &'a Database, seed: Query) -> Self {
-        let schema = db.schema_info();
+        let ctx = db.context();
         let current = normalize_query(&seed);
-        let diagnostics = check_query(&current, &schema);
+        let diagnostics = check_query(&current, &ctx.schema);
         QueryBuilder {
             db,
-            schema,
+            ctx,
             current,
             history: Vec::new(),
             diagnostics,
@@ -200,12 +202,13 @@ impl<'a> QueryBuilder<'a> {
         // Static gate: a refinement that makes the query semantically
         // invalid is repaired when it is a unique typo, rejected otherwise.
         let mut next = next;
-        let mut diags = check_query(&next, &self.schema);
+        let schema = &self.ctx.schema;
+        let mut diags = check_query(&next, schema);
         if diags.iter().any(Diagnostic::is_error) {
-            match repair_query(&next, &self.schema) {
+            match repair_query(&next, schema) {
                 Some(fixed) => {
                     next = normalize_query(&fixed);
-                    diags = check_query(&next, &self.schema);
+                    diags = check_query(&next, schema);
                 }
                 None => {
                     return Err(RefineError::Invalid {
@@ -234,15 +237,18 @@ impl<'a> QueryBuilder<'a> {
     /// the engine.
     pub fn suggest(&self, text: &str) -> Vec<(String, i64)> {
         let routed = keyword_route(text);
-        let cues = FeedbackCues::extract(text, &self.schema);
-        let sites = locate_faults_with_cues(&self.current, &self.schema, Some(&cues), None);
-        let pool = enumerate_repairs(&self.current, &self.schema, &sites, &cues);
-        let mut scored: Vec<(String, i64)> = prune_candidates(&self.current, pool, &self.schema)
+        let schema = &self.ctx.schema;
+        let cues = FeedbackCues::extract_linked(text, self.ctx.lexicon());
+        let sites = locate_faults_with_cues(&self.current, schema, Some(&cues), None);
+        let pool = enumerate_repairs(&self.current, schema, &sites, &cues);
+        let outcome = prune_candidates(&self.current, pool, schema);
+        let mut scored: Vec<(String, i64)> = outcome
             .kept
             .iter()
-            .map(|cand| {
+            .zip(&outcome.diagnostics)
+            .map(|(cand, diagnostics)| {
                 let score =
-                    crate::pipeline::closeness(&self.current, cand, &cues, routed, &self.schema);
+                    crate::pipeline::closeness(&self.current, cand, diagnostics, &cues, routed);
                 (print_query(&cand.query), score)
             })
             .collect();
@@ -256,7 +262,7 @@ impl<'a> QueryBuilder<'a> {
         match self.history.pop() {
             Some(step) => {
                 self.current = step.before;
-                self.diagnostics = check_query(&self.current, &self.schema);
+                self.diagnostics = check_query(&self.current, &self.ctx.schema);
                 true
             }
             None => false,

@@ -709,7 +709,7 @@ impl<'a, L: FallibleLanguageModel + ?Sized> CorrectionRun<'a, L> {
         let mut verdict = CaseVerdict::default();
         // The initial prediction seeds the refuted lane: the case exists
         // because that query was wrong.
-        semcache.begin_case((!case.error.execution_error).then_some(&current));
+        semcache.begin_case(db, (!case.error.execution_error).then_some(&current));
 
         for round in 0..self.cfg.rounds {
             // Heartbeat plus stall checks at every round boundary: the

@@ -42,6 +42,14 @@
 //!   byte-identical query text on the same database — so it may cache
 //!   `Err` strings too.
 //!
+//! Every lookup prints its query once. One map keyed by
+//! `(db fingerprint, print fingerprint)` holds what the lanes derive
+//! from a query: its canonical fingerprint and empty-arity key (computed
+//! on first need) and its analyzer verdict against that database — so
+//! a case's gold query is checked once per shard, not once per round.
+//! The database fingerprint, like the analyzer schema, is read from the
+//! database's memoized [`DbContext`](fisql_engine::DbContext).
+//!
 //! The cache is deliberately **per-shard** (one per worker thread, one
 //! per serve session): no cross-thread state means worker count cannot
 //! change which executions hit, and reports stay bit-identical at any
@@ -51,13 +59,10 @@
 //! perturbing replay contracts; refuted-lane skips are report fields
 //! (`executions_skipped_static`).
 
-use fisql_engine::{Database, ExecLimits, ResultSet};
+use fisql_engine::{Database, DbContext, ExecLimits, ResultSet};
 use fisql_llm::CacheStats;
 use fisql_spider::{check_prediction_with, Example, Verdict};
-use fisql_sqlkit::{
-    check_query, fnv64, normalize_query, output_arity, print_query, provably_empty, Query,
-    SchemaInfo,
-};
+use fisql_sqlkit::{canon_fingerprint, check_query, empty_arity, fnv64, print_query, Query};
 use std::collections::{HashMap, HashSet};
 
 /// A query's keys in the refuted lane (see the module docs).
@@ -69,7 +74,7 @@ enum RefutedKey {
     Empty(usize),
 }
 
-/// Fingerprints of one query, memoized by its printed SQL.
+/// Fingerprints of one query.
 #[derive(Debug, Clone, Copy)]
 struct QueryKeys {
     canon: u64,
@@ -77,10 +82,34 @@ struct QueryKeys {
 }
 
 impl QueryKeys {
+    fn of(query: &Query) -> QueryKeys {
+        QueryKeys {
+            canon: canon_fingerprint(query),
+            empty_arity: empty_arity(query),
+        }
+    }
+
     fn refuted(self) -> impl Iterator<Item = RefutedKey> {
         std::iter::once(RefutedKey::Canon(self.canon))
             .chain(self.empty_arity.map(RefutedKey::Empty))
     }
+}
+
+/// What the lanes know about one query on one database, each fact
+/// derived on first need.
+#[derive(Debug, Default)]
+struct QueryFacts {
+    keys: Option<QueryKeys>,
+    /// No error-severity analyzer diagnostics against the database.
+    clean: Option<bool>,
+}
+
+/// The key of one query on one database: `(db fingerprint, print
+/// fingerprint)`.
+type QueryKey = (u64, u64);
+
+fn query_key(db: &DbContext, query: &Query) -> QueryKey {
+    (db.fingerprint, fnv64(print_query(query).as_bytes()))
 }
 
 /// A per-shard execution gate: refuted + semantic + exact lanes. See
@@ -88,22 +117,14 @@ impl QueryKeys {
 #[derive(Debug, Default)]
 pub struct SemanticCache {
     enabled: bool,
-    /// Database fingerprints, memoized by database name (corpus
-    /// databases are unique by name; the fingerprint content-checks that
-    /// assumption cheaply).
-    db_fps: HashMap<String, u64>,
-    /// Schema introspection memo for the analyzer gate, keyed by db
-    /// fingerprint.
-    schemas: HashMap<u64, SchemaInfo>,
-    /// Query fingerprints keyed by exact printed SQL (computing the
-    /// canonical form is pure AST work but not free).
-    keys: HashMap<u64, QueryKeys>,
+    /// Per-query facts (see the module docs).
+    queries: HashMap<QueryKey, QueryFacts>,
     /// Refuted lane: keys of queries the current case found incorrect.
     refuted: HashSet<RefutedKey>,
     /// Semantic lane: `(db_fp, canon_fp)` → unlimited-budget `Ok` rows.
     semantic: HashMap<(u64, u64), ResultSet>,
     /// Exact lane: `(db_fp, print_fp)` → interactive-budget outcome.
-    exact: HashMap<(u64, u64), Result<ResultSet, String>>,
+    exact: HashMap<QueryKey, Result<ResultSet, String>>,
     /// Result-lane counters.
     pub stats: CacheStats,
 }
@@ -119,61 +140,32 @@ impl SemanticCache {
         }
     }
 
-    /// Fingerprint of a database: FNV-1a over its name plus every
-    /// table's name, column names, and row count. Cheap (no row data)
-    /// but strong enough to content-check the name-uniqueness assumption
-    /// the corpus already guarantees.
-    pub fn db_fingerprint(db: &Database) -> u64 {
-        let mut payload = Vec::new();
-        payload.extend_from_slice(db.name.as_bytes());
-        for table in &db.tables {
-            payload.push(0x1f);
-            payload.extend_from_slice(table.name.as_bytes());
-            for col in &table.columns {
-                payload.push(0x1e);
-                payload.extend_from_slice(col.name.as_bytes());
-            }
-            payload.push(0x1d);
-            payload.extend_from_slice(&(table.rows.len() as u64).to_le_bytes());
-        }
-        fnv64(&payload)
+    fn keys(&mut self, key: QueryKey, query: &Query) -> QueryKeys {
+        *self
+            .queries
+            .entry(key)
+            .or_default()
+            .keys
+            .get_or_insert_with(|| QueryKeys::of(query))
     }
 
-    fn db_fp(&mut self, db: &Database) -> u64 {
-        if let Some(fp) = self.db_fps.get(&db.name) {
-            return *fp;
-        }
-        let fp = Self::db_fingerprint(db);
-        self.db_fps.insert(db.name.clone(), fp);
-        fp
+    fn analyzer_clean(&mut self, db: &DbContext, key: QueryKey, query: &Query) -> bool {
+        *self
+            .queries
+            .entry(key)
+            .or_default()
+            .clean
+            .get_or_insert_with(|| !check_query(query, &db.schema).iter().any(|d| d.is_error()))
     }
 
-    fn analyzer_clean(&mut self, db_fp: u64, db: &Database, query: &Query) -> bool {
-        let schema = self
-            .schemas
-            .entry(db_fp)
-            .or_insert_with(|| db.schema_info());
-        !check_query(query, schema).iter().any(|d| d.is_error())
-    }
-
-    fn query_keys(&mut self, query: &Query) -> QueryKeys {
-        let print_fp = fnv64(print_query(query).as_bytes());
-        *self.keys.entry(print_fp).or_insert_with(|| {
-            let normalized = normalize_query(query);
-            QueryKeys {
-                canon: fisql_sqlkit::canon_fingerprint(query),
-                empty_arity: output_arity(&normalized).filter(|_| provably_empty(&normalized)),
-            }
-        })
-    }
-
-    /// Starts a new case: clears the refuted lane and seeds it with the
-    /// case's initial prediction when that query executed without error
-    /// (it is known incorrect — that is why the case exists).
-    pub fn begin_case(&mut self, initial: Option<&Query>) {
+    /// Starts a new case on `db`: clears the refuted lane and seeds it
+    /// with the case's initial prediction when that query executed
+    /// without error (it is known incorrect — that is why the case
+    /// exists).
+    pub fn begin_case(&mut self, db: &Database, initial: Option<&Query>) {
         self.refuted.clear();
         if let Some(query) = initial {
-            let keys = self.query_keys(query);
+            let keys = self.keys(query_key(&db.context(), query), query);
             self.refuted.extend(keys.refuted());
         }
     }
@@ -193,12 +185,22 @@ impl SemanticCache {
         query: &Query,
         analyzer_clean: bool,
     ) -> Option<Verdict> {
-        let keys = analyzer_clean.then(|| self.query_keys(query));
+        let ctx = db.context();
+        let key = query_key(&ctx, query);
+        let keys = analyzer_clean.then(|| self.keys(key, query));
         if keys.is_some_and(|k| k.refuted().any(|key| self.refuted.contains(&key))) {
             return None;
         }
-        let verdict =
-            check_prediction_with(db, example, query, |db, q| self.execute_semantic(db, q));
+        let verdict = check_prediction_with(db, example, query, |db, q| {
+            // The predicted query's key is already printed; the gold's
+            // is printed here.
+            let key = if std::ptr::eq(q, query) {
+                key
+            } else {
+                query_key(&ctx, q)
+            };
+            self.semantic(db, &ctx, key, q)
+        });
         if let (Some(keys), Verdict::WrongResult) = (keys, &verdict) {
             self.refuted.extend(keys.refuted());
         }
@@ -215,20 +217,33 @@ impl SemanticCache {
         if !self.enabled {
             return fisql_engine::execute(db, query).map_err(|e| e.to_string());
         }
-        let db_fp = self.db_fp(db);
-        if !self.analyzer_clean(db_fp, db, query) {
+        let ctx = db.context();
+        self.semantic(db, &ctx, query_key(&ctx, query), query)
+    }
+
+    fn semantic(
+        &mut self,
+        db: &Database,
+        ctx: &DbContext,
+        key: QueryKey,
+        query: &Query,
+    ) -> Result<ResultSet, String> {
+        if !self.enabled {
+            return fisql_engine::execute(db, query).map_err(|e| e.to_string());
+        }
+        if !self.analyzer_clean(ctx, key, query) {
             self.stats.misses += 1;
             return fisql_engine::execute(db, query).map_err(|e| e.to_string());
         }
-        let canon_fp = self.query_keys(query).canon;
-        if let Some(rs) = self.semantic.get(&(db_fp, canon_fp)) {
+        let lane_key = (ctx.fingerprint, self.keys(key, query).canon);
+        if let Some(rs) = self.semantic.get(&lane_key) {
             self.stats.hits += 1;
             return Ok(rs.clone());
         }
         self.stats.misses += 1;
         let res = fisql_engine::execute(db, query).map_err(|e| e.to_string());
         if let Ok(rs) = &res {
-            self.semantic.insert((db_fp, canon_fp), rs.clone());
+            self.semantic.insert(lane_key, rs.clone());
         }
         res
     }
@@ -245,15 +260,14 @@ impl SemanticCache {
         if !self.enabled {
             return fisql_engine::execute_with_limits(db, query, guard).map_err(|e| e.to_string());
         }
-        let db_fp = self.db_fp(db);
-        let print_fp = fnv64(print_query(query).as_bytes());
-        if let Some(res) = self.exact.get(&(db_fp, print_fp)) {
+        let key = query_key(&db.context(), query);
+        if let Some(res) = self.exact.get(&key) {
             self.stats.hits += 1;
             return res.clone();
         }
         self.stats.misses += 1;
         let res = fisql_engine::execute_with_limits(db, query, guard).map_err(|e| e.to_string());
-        self.exact.insert((db_fp, print_fp), res.clone());
+        self.exact.insert(key, res.clone());
         res
     }
 }
@@ -306,6 +320,36 @@ mod tests {
         assert!(cache.execute_semantic(&db, &bad).is_err());
         assert_eq!(cache.stats.hits, 0, "error executions are never served");
         assert_eq!(cache.stats.misses, 2);
+    }
+
+    #[test]
+    fn analyzer_verdicts_are_keyed_per_database() {
+        use fisql_engine::{Column, DataType, Table, Value};
+        let db_with = |name: &str, columns: &[&str]| {
+            let mut db = Database::new(name);
+            let mut t = Table::new(
+                "t",
+                columns
+                    .iter()
+                    .map(|c| Column::new(*c, DataType::Int))
+                    .collect(),
+            );
+            t.push_row(vec![Value::Int(1); columns.len()]);
+            db.add_table(t);
+            db
+        };
+        let narrow = db_with("narrow", &["a"]);
+        let wide = db_with("wide", &["a", "b"]);
+        let q = parse_query("SELECT b FROM t").unwrap();
+        let mut cache = SemanticCache::new(true);
+        assert!(cache.execute_semantic(&narrow, &q).is_err());
+        // The same text is analyzer-clean on `wide`, so the semantic
+        // lane serves its second run.
+        assert!(cache.execute_semantic(&wide, &q).is_ok());
+        assert!(cache.execute_semantic(&wide, &q).is_ok());
+        assert_eq!(cache.stats, CacheStats { hits: 1, misses: 2 });
+        assert!(cache.execute_semantic(&narrow, &q).is_err());
+        assert_eq!(cache.stats, CacheStats { hits: 1, misses: 3 });
     }
 
     #[test]
@@ -362,7 +406,7 @@ mod tests {
         // Disabled result lanes: the refuted lane works regardless.
         for enabled in [true, false] {
             let mut cache = SemanticCache::new(enabled);
-            cache.begin_case(None);
+            cache.begin_case(db, None);
             let wrong = parse_query(&format!("SELECT {c} FROM {t} WHERE {c} < -999")).unwrap();
             let same =
                 parse_query(&format!("SELECT {c} FROM {t} WHERE NOT ({c} >= -999)")).unwrap();
@@ -398,10 +442,10 @@ mod tests {
         let db = corpus.database(example);
         let wrong = parse_query(&format!("SELECT {c} FROM {t} WHERE {c} < -999")).unwrap();
         let mut cache = SemanticCache::new(true);
-        cache.begin_case(Some(&wrong));
+        cache.begin_case(db, Some(&wrong));
         assert_eq!(cache.check_prediction(db, example, &wrong, true), None);
         // The next case starts with an empty lane.
-        cache.begin_case(None);
+        cache.begin_case(db, None);
         assert_eq!(
             cache.check_prediction(db, example, &wrong, true),
             Some(Verdict::WrongResult)
@@ -415,7 +459,7 @@ mod tests {
         let db = corpus.database(example);
         let broken = parse_query(&format!("SELECT no_such_column FROM {t}")).unwrap();
         let mut cache = SemanticCache::new(true);
-        cache.begin_case(None);
+        cache.begin_case(db, None);
         for _ in 0..2 {
             // Even when the caller vouches for it, an erroring query's
             // verdict is not recorded: it executes every time.
@@ -432,7 +476,7 @@ mod tests {
         let mut fps: Vec<u64> = corpus
             .databases
             .iter()
-            .map(SemanticCache::db_fingerprint)
+            .map(|db| db.context().fingerprint)
             .collect();
         fps.sort_unstable();
         fps.dedup();

@@ -439,24 +439,24 @@ impl<'a> Hosted<'a> {
     }
 
     /// Journals `op` write-ahead and tracks its replication position.
-    fn journal(&mut self, d: &Daemon, op: SessionOp) {
+    fn journal(&mut self, d: &'a Daemon, op: SessionOp) {
         let (durability, upto) = d.store.append_tracked(self.id, op);
         self.repl_upto = self.repl_upto.max(upto);
         self.note_append(d, durability);
     }
 
     /// Folds one append's durability into the session: the first
-    /// degraded append flips the session to memory-only, records a
-    /// transcript `Degraded` event, and counts it — the daemon serves on.
-    fn note_append(&mut self, d: &Daemon, durability: Appended) {
+    /// degraded append flips the session to memory-only and counts it —
+    /// the daemon serves on. The degradation point enters the session's
+    /// in-memory op history as a [`SessionOp::Degraded`] marker, applied
+    /// here like any op, so a same-daemon resume replays the transcript
+    /// notice too.
+    fn note_append(&mut self, d: &'a Daemon, durability: Appended) {
         if let Appended::Degraded { error } = durability {
             if !self.degraded {
-                self.degraded = true;
                 bump(&d.counters.sessions_degraded);
-                self.session.transcript.push(SessionEvent::Degraded {
-                    round: self.session.round(),
-                    error: format!("session store degraded to memory-only: {error}"),
-                });
+                d.store.mark_degraded(self.id, &error);
+                let _ = self.apply(&d.corpus, &SessionOp::Degraded { error });
             }
         }
     }
@@ -493,6 +493,14 @@ impl<'a> Hosted<'a> {
                     text,
                     *highlight,
                 )))
+            }
+            SessionOp::Degraded { error } => {
+                self.degraded = true;
+                self.session.transcript.push(SessionEvent::Degraded {
+                    round: self.session.round(),
+                    error: format!("session store degraded to memory-only: {error}"),
+                });
+                None
             }
             SessionOp::Opened
             | SessionOp::Closed

@@ -136,6 +136,14 @@ pub enum SessionOp {
         /// The fencing epoch (>= 1; bumped on every promotion).
         epoch: u64,
     },
+    /// Memory-only marker: the session's journal lane degraded at this
+    /// point of its history (see [`SessionStore::mark_degraded`]).
+    /// Never journaled, never shipped to followers; replay turns it into
+    /// the session's transcript `Degraded` notice.
+    Degraded {
+        /// The rendered disk error.
+        error: String,
+    },
 }
 
 impl SessionOp {
@@ -274,6 +282,9 @@ struct Inner {
     /// Fencing epoch (max of every `Epoch` record; 0 = replication never
     /// promoted this lineage).
     epoch: u64,
+    /// Memory-only sessions: session id → (index among the session's
+    /// ops of the op whose append degraded it, the rendered error).
+    degraded: HashMap<u64, (usize, String)>,
     /// Replication log every non-meta append is mirrored into, once a
     /// `ReplState` attaches one (absent when replication is unused).
     repl: Option<Arc<ReplLog>>,
@@ -364,6 +375,7 @@ impl SessionStore {
                 sync_count: 0,
                 writable: true,
                 epoch,
+                degraded: HashMap::new(),
                 repl: None,
                 compactions: 0,
                 ops_dropped: 0,
@@ -476,7 +488,13 @@ impl SessionStore {
 
         let mut durability = Appended::Durable;
         if let Some(journal) = inner.journal.as_mut() {
-            if inner.writable {
+            if inner.degraded.contains_key(&session_id) {
+                // A degraded session stays memory-only, so what a
+                // restart replays is a prefix of its history.
+                durability = Appended::Degraded {
+                    error: "session is memory-only after an earlier journal fault".to_string(),
+                };
+            } else if inner.writable {
                 let injected = self
                     .options
                     .faults
@@ -553,6 +571,7 @@ impl SessionStore {
         };
         self.rewrite_journal(inner, "compact", Some(checkpoint), &kept)?;
         inner.ops = kept;
+        inner.degraded.retain(|id, _| survivors.contains(id));
         inner.op_counts.clear();
         for (id, _) in &inner.ops {
             *inner.op_counts.entry(*id).or_insert(0) += 1;
@@ -647,6 +666,7 @@ impl SessionStore {
         let mut inner = self.lock();
         self.rewrite_journal(&mut inner, "resync", None, &[])?;
         inner.ops.clear();
+        inner.degraded.clear();
         inner.op_counts.clear();
         inner.next_id = 0;
         inner.generation = 0;
@@ -657,14 +677,44 @@ impl SessionStore {
         Ok(())
     }
 
-    /// The ops of one session, in order (empty = unknown session).
+    /// Records that `session_id`'s latest op degraded its journal lane:
+    /// from here on the session is memory-only (later appends skip the
+    /// journal), and [`SessionStore::session_ops`] yields a
+    /// [`SessionOp::Degraded`] marker just before that op. The marker
+    /// lives in memory only — the journal never writes it and the
+    /// replication log never ships it — so a same-daemon resume replays
+    /// the degradation notice, while a restart replays the durable
+    /// prefix before it.
+    pub fn mark_degraded(&self, session_id: u64, error: &str) {
+        let mut inner = self.lock();
+        let ops = inner.ops.iter().filter(|(id, _)| *id == session_id).count();
+        inner
+            .degraded
+            .entry(session_id)
+            .or_insert_with(|| (ops.saturating_sub(1), error.to_string()));
+    }
+
+    /// The ops of one session, in order, with its memory-only
+    /// [`SessionOp::Degraded`] marker if it has one (empty = unknown
+    /// session).
     pub fn session_ops(&self, session_id: u64) -> Vec<SessionOp> {
-        self.lock()
+        let inner = self.lock();
+        let marker = inner.degraded.get(&session_id);
+        let mut ops = Vec::new();
+        for (i, (_, op)) in inner
             .ops
             .iter()
             .filter(|(id, _)| *id == session_id)
-            .map(|(_, op)| op.clone())
-            .collect()
+            .enumerate()
+        {
+            if let Some((_, error)) = marker.filter(|(at, _)| *at == i) {
+                ops.push(SessionOp::Degraded {
+                    error: error.clone(),
+                });
+            }
+            ops.push(op.clone());
+        }
+        ops
     }
 
     /// Every session id the store knows, ascending.
@@ -1086,6 +1136,42 @@ mod tests {
         assert_eq!(store.snapshot().append_faults, 1);
         assert!(store.writable(), "transient faults do not flip writable");
         let _ = id;
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_marked_session_stays_memory_only_and_restarts_from_its_durable_prefix() {
+        let path = tmp("marked");
+        std::fs::remove_file(&path).ok();
+        let store = SessionStore::open(Some(&path), opts(0xF00D, FsyncPolicy::Never)).unwrap();
+        let (id, _, _) = store.open_session_tracked().unwrap();
+        assert_eq!(store.append_tracked(id, ask(0)).0, Appended::Durable);
+        // The daemon marks the session after its `ask(1)` append degraded
+        // (here it did not: the mark alone makes the session memory-only).
+        store.append_tracked(id, ask(1));
+        store.mark_degraded(id, "boom");
+        store.mark_degraded(id, "a later fault keeps the first mark");
+        assert!(matches!(
+            store.append_tracked(id, ask(2)).0,
+            Appended::Degraded { .. }
+        ));
+        let marker = SessionOp::Degraded {
+            error: "boom".into(),
+        };
+        assert_eq!(
+            store.session_ops(id),
+            vec![SessionOp::Opened, ask(0), marker, ask(1), ask(2)]
+        );
+        // The marker is never replicated.
+        assert_eq!(store.replication_image().len(), 4);
+        drop(store);
+
+        let store = SessionStore::open(Some(&path), opts(0xF00D, FsyncPolicy::Never)).unwrap();
+        assert_eq!(
+            store.session_ops(id),
+            vec![SessionOp::Opened, ask(0), ask(1)],
+            "a restart replays the durable prefix, without the marker"
+        );
         std::fs::remove_file(&path).ok();
     }
 

@@ -6,7 +6,7 @@
 //! song name instead of singer name").
 
 use fisql_sqlkit::ast::{Expr, Literal, SelectItem};
-use fisql_sqlkit::{print_expr, EditOp};
+use fisql_sqlkit::{print_expr, spaced as humanize, EditOp};
 use rand::Rng;
 
 /// Detects the Figure 4 "year shift" pattern: a set of predicate edits
@@ -293,10 +293,6 @@ fn item_phrase(item: &SelectItem) -> String {
 /// Surface phrase for a predicate.
 fn pred_phrase(e: &Expr) -> String {
     humanize(&print_expr(e))
-}
-
-fn humanize(ident: &str) -> String {
-    ident.replace('_', " ")
 }
 
 fn pluralish(word: &str) -> String {

@@ -3,7 +3,9 @@
 //! Even though the backing model is simulated, the full prompt text is
 //! built and threaded through every call: the pipeline stays faithful to
 //! the paper end-to-end, prompt-construction bugs are testable, and the
-//! prompts double as documentation of the method.
+//! prompts double as documentation of the method. The schema block is
+//! read from the database's memoized [`fisql_engine::DbContext`], so it is
+//! rendered once per schema, not once per prompt.
 
 use crate::retrieval::Demonstration;
 use fisql_engine::Database;
@@ -19,7 +21,7 @@ pub fn zero_shot_prompt(db: &Database, question: &str) -> String {
          Schema:\n{}\n\
          Question: {question}\n\
          Query:",
-        db.schema_text()
+        db.context().schema_text
     )
 }
 
@@ -32,7 +34,7 @@ pub fn few_shot_prompt(db: &Database, demos: &[&Demonstration], question: &str) 
          Return only the SQL query.\n\n",
     );
     out.push_str("Schema:\n");
-    out.push_str(&db.schema_text());
+    out.push_str(&db.context().schema_text);
     if !demos.is_empty() {
         out.push_str("\nHere are some examples:\n");
         for d in demos {
@@ -73,7 +75,7 @@ pub fn feedback_prompt(
          Return only the SQL query.\n\n",
     );
     out.push_str("Schema:\n");
-    out.push_str(&db.schema_text());
+    out.push_str(&db.context().schema_text);
     if !rag_demos.is_empty() || !type_demos.is_empty() {
         out.push_str("\nHere are some examples:\n");
         for d in rag_demos {

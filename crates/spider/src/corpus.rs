@@ -137,6 +137,17 @@ mod tests {
     }
 
     #[test]
+    fn every_full_scale_database_context_matches_fresh_derivations() {
+        let corpus = build_spider(&SpiderConfig::default());
+        for db in &corpus.databases {
+            let ctx = db.context();
+            assert!(std::sync::Arc::ptr_eq(&ctx, &db.context()), "{}", db.name);
+            assert_eq!(ctx.schema, db.schema_info(), "{}", db.name);
+            assert_eq!(ctx.schema_text, db.schema_text(), "{}", db.name);
+        }
+    }
+
+    #[test]
     fn most_examples_have_channels() {
         let corpus = build_spider(&SpiderConfig::small(13));
         let with = corpus

@@ -218,9 +218,7 @@ fn superlative_word(column: &str, desc_or_max: bool) -> &'static str {
 }
 
 /// `song_release_year` → "song release year".
-pub fn humanize(ident: &str) -> String {
-    ident.replace('_', " ")
-}
+pub use fisql_sqlkit::spaced as humanize;
 
 /// Naive pluralization good enough for schema nouns.
 pub fn pluralize(noun: &str) -> String {

@@ -796,6 +796,14 @@ pub fn output_arity(q: &Query) -> Option<usize> {
     arity
 }
 
+/// The output arity of `q` when its normalized form is provably empty:
+/// two queries with equal `Some` values are [`provably_equivalent`]
+/// through its both-empty path.
+pub fn empty_arity(q: &Query) -> Option<usize> {
+    let normalized = normalize_query(q);
+    output_arity(&normalized).filter(|_| provably_empty(&normalized))
+}
+
 // ---------------------------------------------------------------------------
 // Equivalence oracle
 // ---------------------------------------------------------------------------

@@ -47,7 +47,14 @@ use std::sync::{Arc, OnceLock, RwLock};
 /// Underscores to spaces, lowercased — the verbalizer's naming scheme,
 /// and the spelling every linker matches feedback against.
 pub fn humanize(name: &str) -> String {
-    name.replace('_', " ").to_lowercase()
+    spaced(name).to_lowercase()
+}
+
+/// Underscores to spaces, case kept (`song_release_year` → "song
+/// release year") — how generated questions, simulated feedback and
+/// query explanations spell identifiers and printed expressions.
+pub fn spaced(ident: &str) -> String {
+    ident.replace('_', " ")
 }
 
 /// One table or column name.

@@ -66,12 +66,12 @@ pub use diff::{diff_queries, realized_classes, same_clause_family, EditOp, OpCla
 pub use edit::{apply_edit, apply_edits, EditError};
 pub use error::{ParseError, ParseResult};
 pub use flow::{
-    analyze_conjunction, conjunct_truth, output_arity, output_facts, provably_empty,
+    analyze_conjunction, conjunct_truth, empty_arity, output_arity, output_facts, provably_empty,
     provably_equivalent, query_bounds, CardBounds, ConjunctTruth, OutputFacts, PredicateFacts,
     Provenance,
 };
 pub use hash::{fnv1a_32, fnv64, Fnv64};
-pub use lexicon::{humanize, SchemaLexicon};
+pub use lexicon::{humanize, spaced, SchemaLexicon};
 pub use locate::{
     literal_year, locate_faults, locate_faults_with_cues, FaultKind, FaultSite, FeedbackCues,
     LocateOptions,
@@ -80,6 +80,7 @@ pub use normalize::{normalize_query, structurally_equal};
 pub use parser::{parse_expr, parse_query};
 pub use printer::{print_expr, print_query, print_query_spanned, SpannedSql};
 pub use repair::{
-    enumerate_repairs, is_structure_preserving, prune_candidates, PruneOutcome, RepairCandidate,
+    enumerate_repairs, is_structure_preserving, prune_against, prune_candidates, PruneBase,
+    PruneOutcome, RepairCandidate,
 };
 pub use span::Span;

@@ -129,12 +129,18 @@ impl FeedbackCues {
     /// against `schema` (longest humanized name first, so `singer_id`
     /// wins over `singer` when the text says "singer id").
     pub fn extract(text: &str, schema: &SchemaInfo) -> FeedbackCues {
+        FeedbackCues::extract_linked(text, &SchemaLexicon::of_schema(schema))
+    }
+
+    /// [`FeedbackCues::extract`] against the schema's lexicon, for
+    /// callers that already hold it.
+    pub fn extract_linked(text: &str, lexicon: &SchemaLexicon) -> FeedbackCues {
         let lower = text.to_lowercase();
         let mut cues = FeedbackCues::default();
 
         extract_numbers(&lower, &mut cues);
         cues.strings = extract_quoted(text);
-        link_entities(&lower, schema, &mut cues);
+        link_entities(&lower, lexicon, &mut cues);
 
         for (phrase, func) in [
             ("average", Func::Avg),
@@ -258,8 +264,7 @@ fn find_word(hay: &str, needle: &str) -> Option<(usize, usize)> {
 /// humanized name first so compound names win over their prefixes (ties:
 /// tables before same-length columns, then by name), each match masked
 /// so its substrings do not re-match.
-fn link_entities(lower: &str, schema: &SchemaInfo, cues: &mut FeedbackCues) {
-    let lexicon = SchemaLexicon::of_schema(schema);
+fn link_entities(lower: &str, lexicon: &SchemaLexicon, cues: &mut FeedbackCues) {
     let mentions = lexicon.mentions(lower);
     let mut masked = lower.to_string();
     for &e in lexicon.entities() {

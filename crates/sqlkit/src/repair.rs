@@ -16,6 +16,12 @@
 //! * candidates the analyzer rejects outright (unknown names, type
 //!   errors) never reach the pool's survivors.
 //!
+//! A search round prunes several pools against one original (round one,
+//! then one expansion per beam member), so the original's derived facts
+//! live in a [`PruneBase`] built once per round, and each candidate is
+//! canonicalized once. Each survivor keeps its analyzer diagnostics, so
+//! scoring and the pipeline's gate never re-check it.
+//!
 //! Every candidate is *structure-preserving*: it is expressed as
 //! [`EditOp`]s against the normalized original, and the realized AST
 //! diff stays inside the clause family of the fault site that proposed
@@ -26,10 +32,11 @@ use crate::ast::{
     BinOp, ClausePath, Expr, Func, Join, JoinKind, LimitClause, Literal, OrderItem, Query,
     SelectItem, TableFactor,
 };
-use crate::check::{check_query, nearest_name, ColType, SchemaInfo};
+use crate::canon::canon_fingerprint;
+use crate::check::{check_query, nearest_name, ColType, Diagnostic, SchemaInfo};
 use crate::diff::{diff_queries, same_clause_family, EditOp};
 use crate::edit::{apply_edit, apply_edits};
-use crate::flow::{analyze_conjunction, provably_empty};
+use crate::flow::{analyze_conjunction, empty_arity, provably_empty};
 use crate::locate::{literal_year, FaultKind, FaultSite, FeedbackCues};
 use crate::normalize::normalize_query;
 use std::collections::HashSet;
@@ -62,6 +69,9 @@ pub struct RepairCandidate {
 pub struct PruneOutcome {
     /// Candidates that survived every static check, original order.
     pub kept: Vec<RepairCandidate>,
+    /// The analyzer's diagnostics (warnings only) of each survivor,
+    /// index-aligned with `kept`.
+    pub diagnostics: Vec<Vec<Diagnostic>>,
     /// Proven contradictory / empty by the abstract interpreter.
     pub contradictory: Vec<RepairCandidate>,
     /// Rejected by the analyzer (error-severity diagnostics).
@@ -791,33 +801,80 @@ fn where_unsat(q: &Query) -> bool {
     })
 }
 
+/// The original query of one search round, derived once for every pool
+/// pruned against it: its normalized form, canonical fingerprint, and —
+/// when the abstract interpreter proves it empty — its output arity.
+#[derive(Debug, Clone)]
+pub struct PruneBase {
+    query: Query,
+    fingerprint: u64,
+    empty_arity: Option<usize>,
+}
+
+impl PruneBase {
+    /// Derives the base facts of `original`.
+    pub fn new(original: &Query) -> PruneBase {
+        let query = normalize_query(original);
+        PruneBase {
+            fingerprint: canon_fingerprint(&query),
+            empty_arity: empty_arity(&query),
+            query,
+        }
+    }
+
+    /// The normalized original.
+    pub fn query(&self) -> &Query {
+        &self.query
+    }
+
+    /// Whether a candidate with canonical fingerprint `fp` is proven
+    /// equivalent to the base. This is exactly
+    /// [`canonically_equivalent`](crate::canon::canonically_equivalent)
+    /// given the fingerprint: equal canonical forms (or equal normalized
+    /// forms, which canonicalize alike) print alike, and the prover's
+    /// other path is "both provably empty with one arity".
+    fn equivalent(&self, candidate: &Query, fp: u64) -> bool {
+        fp == self.fingerprint
+            || self
+                .empty_arity
+                .is_some_and(|arity| empty_arity(candidate) == Some(arity))
+    }
+}
+
 /// Statically prunes a candidate pool: drops candidates proven
 /// contradictory/empty, drops analyzer-rejected candidates, and
 /// deduplicates candidates proven equivalent to the original or to an
 /// earlier survivor. No engine execution happens here — that is the
-/// point.
-///
-/// Dedup is a canonical-fingerprint set lookup (O(n) over the pool)
-/// instead of the old O(n²) pairwise prover. Canonical-form equality
-/// subsumes `structurally_equal` and the prover's syntactic path; the
-/// prover's remaining path (both sides provably empty) cannot apply
-/// among survivors, because provably-empty candidates were already
-/// routed to the contradictory lane — so the fingerprint set drops
-/// exactly what pairwise proving dropped. Equivalence to the original
-/// keeps the full `canonically_equivalent` check as a fingerprint-miss
-/// fallback since the original need not be non-empty.
+/// point. [`prune_against`] with a one-off [`PruneBase`].
 pub fn prune_candidates(
     original: &Query,
     candidates: Vec<RepairCandidate>,
     schema: &SchemaInfo,
 ) -> PruneOutcome {
-    let base = normalize_query(original);
-    let base_fp = crate::canon::canon_fingerprint(&base);
+    prune_against(&PruneBase::new(original), candidates, schema)
+}
+
+/// [`prune_candidates`] against a base derived once per search round.
+///
+/// Each candidate is canonicalized once. Dedup is a canonical-fingerprint
+/// set lookup (O(n) over the pool) instead of the old O(n²) pairwise
+/// prover. Canonical-form equality subsumes `structurally_equal` and the
+/// prover's syntactic path; the prover's remaining path (both sides
+/// provably empty) cannot apply among survivors, because provably-empty
+/// candidates were already routed to the contradictory lane — so the
+/// fingerprint set drops exactly what pairwise proving dropped.
+/// Equivalence to the original also honours that path, since the
+/// original need not be non-empty ([`PruneBase`]).
+pub fn prune_against(
+    base: &PruneBase,
+    candidates: Vec<RepairCandidate>,
+    schema: &SchemaInfo,
+) -> PruneOutcome {
     let mut out = PruneOutcome::default();
     let mut seen: HashSet<u64> = HashSet::new();
     for cand in candidates {
-        let fp = crate::canon::canon_fingerprint(&cand.query);
-        if fp == base_fp || crate::canon::canonically_equivalent(&cand.query, &base) {
+        let fp = canon_fingerprint(&cand.query);
+        if base.equivalent(&cand.query, fp) {
             out.deduped += 1;
             continue;
         }
@@ -825,10 +882,8 @@ pub fn prune_candidates(
             out.contradictory.push(cand);
             continue;
         }
-        if check_query(&cand.query, schema)
-            .iter()
-            .any(|d| d.is_error())
-        {
+        let diagnostics = check_query(&cand.query, schema);
+        if diagnostics.iter().any(Diagnostic::is_error) {
             out.invalid.push(cand);
             continue;
         }
@@ -837,6 +892,7 @@ pub fn prune_candidates(
             continue;
         }
         out.kept.push(cand);
+        out.diagnostics.push(diagnostics);
     }
     out
 }
@@ -1043,8 +1099,11 @@ mod tests {
         assert!(a.len() <= ENUM_BUDGET);
     }
 
-    /// Reference pruner: identical lane structure but O(n²) pairwise
-    /// `canonically_equivalent` dedup instead of the fingerprint set.
+    /// Reference pruner, the pre-`PruneBase` path: identical lane
+    /// structure, but every candidate is canonicalized three times
+    /// (`canonically_equivalent` against the original, recomputed per
+    /// call) and dedup is O(n²) pairwise proving instead of the
+    /// fingerprint set.
     fn prune_reference(
         original: &Query,
         candidates: Vec<RepairCandidate>,
@@ -1076,9 +1135,18 @@ mod tests {
                 out.deduped += 1;
                 continue;
             }
+            out.diagnostics.push(check_query(&cand.query, schema));
             out.kept.push(cand);
         }
         out
+    }
+
+    fn assert_prunes_alike(fast: &PruneOutcome, slow: &PruneOutcome) {
+        assert_eq!(fast.kept, slow.kept);
+        assert_eq!(fast.diagnostics, slow.diagnostics);
+        assert_eq!(fast.contradictory, slow.contradictory);
+        assert_eq!(fast.invalid, slow.invalid);
+        assert_eq!(fast.deduped, slow.deduped);
     }
 
     #[test]
@@ -1115,14 +1183,75 @@ mod tests {
         assert_eq!(pool.len(), 200);
         let fast = prune_candidates(&q, pool.clone(), &s);
         let slow = prune_reference(&q, pool, &s);
-        assert_eq!(fast.kept, slow.kept);
-        assert_eq!(fast.contradictory, slow.contradictory);
-        assert_eq!(fast.invalid, slow.invalid);
-        assert_eq!(fast.deduped, slow.deduped);
+        assert_prunes_alike(&fast, &slow);
         // The pool is genuinely dense: every lane is exercised.
         assert!(fast.deduped > 0, "deduped {}", fast.deduped);
         assert!(!fast.contradictory.is_empty());
         assert!(!fast.invalid.is_empty());
         assert!(!fast.kept.is_empty());
+    }
+
+    /// Originals over the test schema: clean, misspelled, joined,
+    /// aggregated, ordered, and provably empty (so equivalence to the
+    /// original takes the prover's both-empty path too).
+    const ORIGINALS: [&str; 8] = [
+        "SELECT name FROM singer WHERE age > {n}",
+        "SELECT COUNT(*) FROM concert WHERE year >= {y} AND year < {z}",
+        "SELECT SUM(age) FROM singer WHERE country = 'x{n}'",
+        "SELECT nam FROM singer WHERE age > {n}",
+        "SELECT name FROM singer WHERE age > {n} AND age < {m}",
+        "SELECT name, age FROM singer ORDER BY age LIMIT {k}",
+        "SELECT s.name FROM singer AS s JOIN concert AS c ON s.singer_id = c.singer_id WHERE c.year = {y}",
+        "SELECT name FROM singer WHERE age > {n} AND FALSE",
+    ];
+
+    const FEEDBACK: [&str; 8] = [
+        "we are in 2024",
+        "order the results in descending order",
+        "only show the top 3",
+        "that name is wrong",
+        "I wanted the average age, not the total age",
+        "only include singers that have a concert",
+        "show singers older than 40 instead",
+        "the country should be 'France'",
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(64))]
+
+        /// `prune_against` equals the three-canonicalization reference on
+        /// enumerated repair candidates: round one against the original,
+        /// then — as the search does — one expansion pool per survivor,
+        /// each pruned against the same once-built base.
+        #[test]
+        fn prune_against_matches_the_reference(
+            t in 0usize..8,
+            f in 0usize..8,
+            n in 0i64..60,
+            m in 0i64..60,
+            k in 1i64..6,
+        ) {
+            let sql = ORIGINALS[t]
+                .replace("{n}", &n.to_string())
+                .replace("{m}", &m.to_string())
+                .replace("{k}", &k.to_string())
+                .replace("{y}", &(2020 + m % 6).to_string())
+                .replace("{z}", &(2020 + n % 6).to_string());
+            let q = parse_query(&sql).unwrap();
+            let s = schema();
+            let feedback = FEEDBACK[f];
+            let cues = FeedbackCues::extract(feedback, &s);
+            let options = LocateOptions { feedback: Some(feedback), highlight: None };
+            let pool = enumerate_repairs(&q, &s, &locate_faults(&q, &s, options), &cues);
+            let base = PruneBase::new(&q);
+            let fast = prune_against(&base, pool.clone(), &s);
+            assert_prunes_alike(&fast, &prune_reference(&q, pool, &s));
+            for member in fast.kept.iter().take(4) {
+                let sites = locate_faults(&member.query, &s, LocateOptions::default());
+                let expansions = enumerate_repairs(&member.query, &s, &sites, &cues);
+                let fast = prune_against(&base, expansions.clone(), &s);
+                assert_prunes_alike(&fast, &prune_reference(&q, expansions, &s));
+            }
+        }
     }
 }

@@ -457,7 +457,7 @@ proptest! {
             let mut cache = fisql::fisql_core::SemanticCache::new(true);
             for a in &variants {
                 for b in &variants {
-                    cache.begin_case(Some(a));
+                    cache.begin_case(db, Some(a));
                     prop_assert_eq!(
                         cache.check_prediction(db, e, b, true).is_none(),
                         canonically_equivalent(a, b),

@@ -283,6 +283,49 @@ fn restart_replays_journaled_sessions_bit_identically() {
 
     let summary = stop(&handle, thread);
     assert_eq!(summary.sessions_resumed, 1);
+
+    // A degraded session: every append fails, so it lives in memory
+    // only. A same-daemon reconnect still replays it bit-identically,
+    // degradation notice included; a restart replays only its durable
+    // prefix — here nothing, so the session is unknown.
+    let degraded_store = dir.join("degraded.fjnl");
+    std::fs::remove_file(&degraded_store).ok();
+    let faulty = test_config().store(&degraded_store).disk_fault_rate(1.0);
+    let (addr, handle, thread) = boot(faulty.clone());
+    let (session_id, before) = {
+        let mut client = admitted(
+            ServeClient::connect_retry(addr.as_str(), None, Duration::from_secs(10)).unwrap(),
+        );
+        client.ask(&corpus.examples[2].question).unwrap();
+        client.feedback("we are in 2024", None).unwrap();
+        (client.session_id, client.transcript().unwrap())
+    };
+    assert_eq!(before.len(), 6, "{before:?}");
+    assert!(matches!(before[0], SessionEvent::Degraded { .. }));
+    {
+        let mut client = admitted(
+            ServeClient::connect_retry(addr.as_str(), Some(session_id), Duration::from_secs(10))
+                .unwrap(),
+        );
+        assert_eq!(
+            serde_json::to_vec(&client.transcript().unwrap()).unwrap(),
+            serde_json::to_vec(&before).unwrap(),
+            "degraded reconnect transcript not bit-identical"
+        );
+    }
+    let summary = stop(&handle, thread);
+    assert_eq!(summary.sessions_degraded, 1);
+    assert_eq!(summary.sessions_resumed, 1);
+    let restarted = Server::bind(faulty.disk_fault_rate(0.0)).expect("rebind");
+    assert!(restarted.recovered_sessions().is_empty());
+    let handle = restarted.handle().unwrap();
+    let addr = handle.addr().to_string();
+    let thread = std::thread::spawn(move || restarted.serve().expect("serve loop"));
+    let err = ServeClient::connect(addr.as_str(), Some(session_id))
+        .err()
+        .expect("a never-durable session is unknown after a restart");
+    assert_eq!(err.kind(), std::io::ErrorKind::NotFound, "{err}");
+    stop(&handle, thread);
     std::fs::remove_dir_all(&dir).ok();
 }
 
