@@ -204,7 +204,7 @@ impl Cues {
         // That tie-break is historical — the key once prefixed
         // out-of-query names with "\u{1}", which sorts before letters —
         // and the recorded eval reports depend on it.
-        let lexicon = Arc::clone(db.context().lexicon());
+        let lexicon = Arc::clone(db.context().lexicon(db));
         let mentions = lexicon.mentions(&lower);
         let query_tables = predicted.all_table_names();
         let in_query: Vec<bool> = db

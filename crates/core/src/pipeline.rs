@@ -223,7 +223,8 @@ pub fn gate_candidate(
     candidate: Query,
     prompt: &mut String,
 ) -> (Query, GateOutcome) {
-    let schema = &db.context().schema;
+    let ctx = db.context();
+    let schema = ctx.schema(db);
     let diagnostics = check_query(&candidate, schema);
     gate_checked(schema, candidate, diagnostics, prompt)
 }
@@ -468,7 +469,7 @@ fn search_step<L: FallibleLanguageModel + ?Sized>(
     // runner's bit-identical-reports contract.
     let routed = llm.try_classify_feedback(&ctx.feedback.text, ctx.round)?;
     let db = ctx.db.context();
-    let schema = &db.schema;
+    let schema = db.schema(ctx.db);
     let highlight = ctx.feedback.highlight;
     // The original's normalized form, canonical fingerprint and empty
     // arity, derived once for every pool pruned this round.
@@ -477,7 +478,7 @@ fn search_step<L: FallibleLanguageModel + ?Sized>(
 
     // Mine the feedback once for the whole round; localize: rank fault
     // sites from analyzer, flow, feedback, and highlight evidence.
-    let cues = FeedbackCues::extract_linked(&ctx.feedback.text, db.lexicon());
+    let cues = FeedbackCues::extract_linked(&ctx.feedback.text, db.lexicon(ctx.db));
     let sites = locate_faults_with_cues(previous, schema, Some(&cues), highlight);
 
     // Enumerate: site-driven repairs, plus the feedback interpreter's

@@ -137,7 +137,7 @@ impl<'a> QueryBuilder<'a> {
     pub fn new(db: &'a Database, seed: Query) -> Self {
         let ctx = db.context();
         let current = normalize_query(&seed);
-        let diagnostics = check_query(&current, &ctx.schema);
+        let diagnostics = check_query(&current, ctx.schema(db));
         QueryBuilder {
             db,
             ctx,
@@ -202,7 +202,7 @@ impl<'a> QueryBuilder<'a> {
         // Static gate: a refinement that makes the query semantically
         // invalid is repaired when it is a unique typo, rejected otherwise.
         let mut next = next;
-        let schema = &self.ctx.schema;
+        let schema = self.ctx.schema(self.db);
         let mut diags = check_query(&next, schema);
         if diags.iter().any(Diagnostic::is_error) {
             match repair_query(&next, schema) {
@@ -237,8 +237,8 @@ impl<'a> QueryBuilder<'a> {
     /// the engine.
     pub fn suggest(&self, text: &str) -> Vec<(String, i64)> {
         let routed = keyword_route(text);
-        let schema = &self.ctx.schema;
-        let cues = FeedbackCues::extract_linked(text, self.ctx.lexicon());
+        let schema = self.ctx.schema(self.db);
+        let cues = FeedbackCues::extract_linked(text, self.ctx.lexicon(self.db));
         let sites = locate_faults_with_cues(&self.current, schema, Some(&cues), None);
         let pool = enumerate_repairs(&self.current, schema, &sites, &cues);
         let outcome = prune_candidates(&self.current, pool, schema);
@@ -262,7 +262,7 @@ impl<'a> QueryBuilder<'a> {
         match self.history.pop() {
             Some(step) => {
                 self.current = step.before;
-                self.diagnostics = check_query(&self.current, &self.ctx.schema);
+                self.diagnostics = check_query(&self.current, self.ctx.schema(self.db));
                 true
             }
             None => false,

@@ -149,13 +149,23 @@ impl SemanticCache {
             .get_or_insert_with(|| QueryKeys::of(query))
     }
 
-    fn analyzer_clean(&mut self, db: &DbContext, key: QueryKey, query: &Query) -> bool {
+    fn analyzer_clean(
+        &mut self,
+        db: &Database,
+        ctx: &DbContext,
+        key: QueryKey,
+        query: &Query,
+    ) -> bool {
         *self
             .queries
             .entry(key)
             .or_default()
             .clean
-            .get_or_insert_with(|| !check_query(query, &db.schema).iter().any(|d| d.is_error()))
+            .get_or_insert_with(|| {
+                !check_query(query, ctx.schema(db))
+                    .iter()
+                    .any(|d| d.is_error())
+            })
     }
 
     /// Starts a new case on `db`: clears the refuted lane and seeds it
@@ -231,7 +241,7 @@ impl SemanticCache {
         if !self.enabled {
             return fisql_engine::execute(db, query).map_err(|e| e.to_string());
         }
-        if !self.analyzer_clean(ctx, key, query) {
+        if !self.analyzer_clean(db, ctx, key, query) {
             self.stats.misses += 1;
             return fisql_engine::execute(db, query).map_err(|e| e.to_string());
         }

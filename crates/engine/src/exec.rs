@@ -13,15 +13,25 @@
 //!
 //! Joins use a hash-join fast path when the ON constraint is a simple
 //! column equality, falling back to a nested loop otherwise.
+//!
+//! Execution reads the database in place. A base-table scan borrows the
+//! table's rows; only joins, derived tables and results own rows. A
+//! nested-loop join tests its constraint on the row pair and builds only
+//! the rows it keeps. Per select core, each column reference resolves to
+//! a (scope depth, index) slot on its first evaluation; per statement,
+//! each subquery node is memoized by address — its result when
+//! uncorrelated, or the finding that it is correlated.
 
 use crate::error::{ExecError, ExecResult};
-use crate::result::{row_key, ResultSet};
-use crate::schema::Database;
+use crate::result::{row_key_into, ResultSet};
+use crate::schema::{Column, Database};
 use crate::value::Value;
 use fisql_sqlkit::ast::*;
 use fisql_sqlkit::print_expr;
+use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::cmp::Ordering;
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 use std::time::Instant;
@@ -96,7 +106,7 @@ pub fn execute_with_limits(
 ) -> ExecResult<ResultSet> {
     Executor {
         db,
-        subquery_cache: RefCell::new(HashMap::new()),
+        subqueries: RefCell::new(HashMap::new()),
         limits,
         rows_charged: Cell::new(0),
         started: Instant::now(),
@@ -114,26 +124,53 @@ pub fn execute_sql(db: &Database, sql: &str) -> Result<ResultSet, String> {
 // Internal representation
 // ---------------------------------------------------------------------------
 
+/// Column names of one binding: a base table's columns, read in place,
+/// or a derived table's output labels.
+enum Columns<'a> {
+    Table(&'a [Column]),
+    Derived(Vec<String>),
+}
+
+impl Columns<'_> {
+    fn len(&self) -> usize {
+        match self {
+            Columns::Table(cols) => cols.len(),
+            Columns::Derived(names) => names.len(),
+        }
+    }
+
+    fn name(&self, i: usize) -> &str {
+        match self {
+            Columns::Table(cols) => &cols[i].name,
+            Columns::Derived(names) => &names[i],
+        }
+    }
+
+    /// The first column named `name`, case-insensitively.
+    fn position(&self, name: &str) -> Option<usize> {
+        (0..self.len()).find(|&i| self.name(i).eq_ignore_ascii_case(name))
+    }
+}
+
 /// One named relation bound in a FROM clause.
-#[derive(Debug, Clone)]
-struct Binding {
+struct Binding<'a> {
     /// Binding name (alias or table name).
-    name: String,
+    name: &'a str,
     /// Column names, in storage order.
-    columns: Vec<String>,
+    columns: Columns<'a>,
     /// Offset of this binding's first column in the combined row.
     offset: usize,
 }
 
-/// A materialized intermediate relation.
-#[derive(Debug, Clone)]
-struct Relation {
-    bindings: Vec<Binding>,
+/// An intermediate relation. A base-table scan borrows the table's rows
+/// in place; joins, derived tables and the FROM-less row own theirs.
+struct Relation<'a> {
+    bindings: Vec<Binding<'a>>,
     width: usize,
-    rows: Vec<Vec<Value>>,
+    rows: Cow<'a, [Vec<Value>]>,
 }
 
-impl Relation {
+impl Relation<'_> {
     fn resolve(&self, col: &ColumnRef) -> ExecResult<Option<usize>> {
         match &col.table {
             Some(t) => {
@@ -144,23 +181,12 @@ impl Relation {
                 else {
                     return Ok(None);
                 };
-                match b
-                    .columns
-                    .iter()
-                    .position(|c| c.eq_ignore_ascii_case(&col.column))
-                {
-                    Some(i) => Ok(Some(b.offset + i)),
-                    None => Ok(None),
-                }
+                Ok(b.columns.position(&col.column).map(|i| b.offset + i))
             }
             None => {
                 let mut found = None;
                 for b in &self.bindings {
-                    if let Some(i) = b
-                        .columns
-                        .iter()
-                        .position(|c| c.eq_ignore_ascii_case(&col.column))
-                    {
+                    if let Some(i) = b.columns.position(&col.column) {
                         if found.is_some() {
                             return Err(ExecError::AmbiguousColumn {
                                 name: col.column.clone(),
@@ -175,43 +201,137 @@ impl Relation {
     }
 }
 
+/// One row of a relation: a stored row, or (while a nested-loop join
+/// tests its constraint) a left row and a right row read as their
+/// concatenation without building it.
+#[derive(Clone, Copy)]
+struct Row<'a> {
+    left: &'a [Value],
+    right: &'a [Value],
+}
+
+impl<'a> Row<'a> {
+    fn one(row: &'a [Value]) -> Row<'a> {
+        Row {
+            left: row,
+            right: &[],
+        }
+    }
+
+    fn get(&self, i: usize) -> &'a Value {
+        match self.left.get(i) {
+            Some(v) => v,
+            None => &self.right[i - self.left.len()],
+        }
+    }
+}
+
+/// The column slots of one select-core execution: each column reference
+/// node evaluated so far, keyed by its address, with the scope depth and
+/// row index it resolved to. A node is resolved on its first evaluation,
+/// so a clause that never runs (a WHERE over zero rows) never resolves
+/// its columns, and never reports them unknown.
+///
+/// Addresses are stable and unique because every evaluated expression
+/// is borrowed from the statement for the executor's lifetime (`eval`
+/// takes `&'a Expr`), and each node of a core is evaluated against one
+/// relation and one scope chain per execution of that core.
+#[derive(Default)]
+struct Slots(RefCell<Vec<(usize, usize, usize)>>);
+
 /// Evaluation scope: a row within a relation, chained to any outer scopes
 /// for correlated subqueries.
 #[derive(Clone, Copy)]
 struct Scope<'a> {
-    rel: &'a Relation,
-    row: &'a [Value],
+    rel: &'a Relation<'a>,
+    row: Row<'a>,
     outer: Option<&'a Scope<'a>>,
+    slots: &'a Slots,
 }
 
-impl Scope<'_> {
-    fn lookup(&self, col: &ColumnRef) -> ExecResult<Value> {
-        if let Some(idx) = self.rel.resolve(col)? {
-            return Ok(self.row[idx].clone());
+impl<'s> Scope<'s> {
+    /// The value `col` names, borrowed from the row of the scope that
+    /// binds it.
+    fn value(&self, col: &ColumnRef) -> ExecResult<&'s Value> {
+        let node = std::ptr::from_ref(col) as usize;
+        let hit = self.slots.0.borrow().iter().find(|s| s.0 == node).copied();
+        let (depth, idx) = match hit {
+            Some((_, depth, idx)) => (depth, idx),
+            None => {
+                let (depth, idx) = self.resolve(col)?;
+                self.slots.0.borrow_mut().push((node, depth, idx));
+                (depth, idx)
+            }
+        };
+        let mut row = self.row;
+        let mut outer = self.outer;
+        for _ in 0..depth {
+            let scope = outer.expect("a resolved depth lies on the scope chain");
+            row = scope.row;
+            outer = scope.outer;
         }
-        match self.outer {
-            Some(outer) => outer.lookup(col),
-            None => Err(ExecError::UnknownColumn {
-                name: col.to_string(),
-            }),
+        Ok(row.get(idx))
+    }
+
+    /// The (depth, index) `col` names: the innermost scope whose relation
+    /// binds it, outward.
+    fn resolve(&self, col: &ColumnRef) -> ExecResult<(usize, usize)> {
+        let mut scope = self;
+        let mut depth = 0;
+        loop {
+            if let Some(idx) = scope.rel.resolve(col)? {
+                return Ok((depth, idx));
+            }
+            match scope.outer {
+                Some(outer) => {
+                    scope = outer;
+                    depth += 1;
+                }
+                None => {
+                    return Err(ExecError::UnknownColumn {
+                        name: col.to_string(),
+                    })
+                }
+            }
         }
     }
 }
 
 /// Group scope: a set of rows sharing GROUP BY keys.
 struct GroupScope<'a> {
-    rel: &'a Relation,
-    rows: &'a [&'a Vec<Value>],
+    rel: &'a Relation<'a>,
+    rows: &'a [&'a [Value]],
     outer: Option<&'a Scope<'a>>,
+    slots: &'a Slots,
+}
+
+impl<'a> GroupScope<'a> {
+    fn scope(&self, row: &'a [Value]) -> Scope<'a> {
+        Scope {
+            rel: self.rel,
+            row: Row::one(row),
+            outer: self.outer,
+            slots: self.slots,
+        }
+    }
+}
+
+/// One subquery node's memo entry ([`Executor::subquery`]).
+enum Subquery {
+    /// Uncorrelated: its one result.
+    Result(Rc<ResultSet>),
+    /// Correlated: it runs in the enclosing scope on every row.
+    Correlated,
 }
 
 struct Executor<'a> {
     db: &'a Database,
-    /// Memoized results of *uncorrelated* subqueries, keyed by rendered
-    /// text, for the lifetime of one statement execution. Without this,
+    /// Per subquery node, keyed by its address, for the lifetime of one
+    /// statement execution: the result of an *uncorrelated* subquery, or
+    /// the finding that it is correlated. Without this,
     /// `WHERE age = (SELECT MIN(age) FROM singer)` re-runs the inner
     /// query once per outer row.
-    subquery_cache: RefCell<HashMap<String, Rc<ResultSet>>>,
+    subqueries: RefCell<HashMap<usize, Subquery>>,
     /// Resource budgets for this statement.
     limits: ExecLimits,
     /// Rows materialized so far (statement-wide, across subqueries).
@@ -220,7 +340,7 @@ struct Executor<'a> {
     started: Instant,
 }
 
-impl Executor<'_> {
+impl<'a> Executor<'a> {
     /// Charges `n` materialized rows against the budgets. The row check
     /// runs on every charge; the (costlier) clock read runs only when
     /// the running total crosses a 1024-row boundary, so per-row charges
@@ -267,7 +387,7 @@ impl Executor<'_> {
     }
     // -- query / set-op level ------------------------------------------------
 
-    fn query(&self, q: &Query, outer: Option<&Scope<'_>>) -> ExecResult<ResultSet> {
+    fn query(&self, q: &'a Query, outer: Option<&Scope<'_>>) -> ExecResult<ResultSet> {
         if q.compound.is_empty() {
             return self.core_full(&q.core, &q.order_by, q.limit, outer);
         }
@@ -289,40 +409,42 @@ impl Executor<'_> {
     /// reference non-projected columns.
     fn core_full(
         &self,
-        core: &SelectCore,
-        order_by: &[OrderItem],
+        core: &'a SelectCore,
+        order_by: &'a [OrderItem],
         limit: Option<LimitClause>,
         outer: Option<&Scope<'_>>,
     ) -> ExecResult<ResultSet> {
+        let slots = Slots::default();
         let rel = match &core.from {
-            Some(from) => self.from_clause(from, outer)?,
+            Some(from) => self.from_clause(from, outer, &slots)?,
             None => Relation {
                 bindings: Vec::new(),
                 width: 0,
-                rows: vec![vec![]],
+                rows: Cow::Owned(vec![vec![]]),
             },
         };
 
         // WHERE filter.
-        let mut kept: Vec<&Vec<Value>> = Vec::with_capacity(rel.rows.len());
+        let mut kept: Vec<&[Value]> = Vec::with_capacity(rel.rows.len());
         if let Some(w) = &core.where_clause {
             if w.contains_aggregate() {
                 return Err(ExecError::TypeError {
                     message: "aggregate function in WHERE clause".into(),
                 });
             }
-            for row in &rel.rows {
+            for row in rel.rows.iter() {
                 let scope = Scope {
                     rel: &rel,
-                    row,
+                    row: Row::one(row),
                     outer,
+                    slots: &slots,
                 };
                 if truthy(&self.eval(&scope, w)?) {
                     kept.push(row);
                 }
             }
         } else {
-            kept.extend(rel.rows.iter());
+            kept.extend(rel.rows.iter().map(Vec::as_slice));
         }
 
         let aggregate_mode = !core.group_by.is_empty()
@@ -335,16 +457,17 @@ impl Executor<'_> {
                 .as_ref()
                 .is_some_and(|h| h.contains_aggregate() || !core.group_by.is_empty());
 
-        let (columns, mut produced) = if aggregate_mode {
-            self.project_groups(core, &rel, &kept, order_by, outer)?
+        let plan = projection_plan(core, &rel)?;
+        let mut produced = if aggregate_mode {
+            self.project_groups(core, &plan, &rel, &kept, order_by, outer, &slots)?
         } else {
-            self.project_rows(core, &rel, &kept, order_by, outer)?
+            self.project_rows(&plan, &rel, &kept, order_by, outer, &slots)?
         };
 
         // DISTINCT before ORDER BY (keys ride along with their rows).
         if core.distinct {
-            let mut seen: HashSet<String> = HashSet::with_capacity(produced.len());
-            produced.retain(|(row, _)| seen.insert(row_key(row)));
+            let mut seen = KeySet::with_capacity(produced.len());
+            produced.retain(|(row, _)| seen.insert(row));
         }
 
         // Sort by the precomputed keys.
@@ -363,7 +486,7 @@ impl Executor<'_> {
         }
 
         let mut rs = ResultSet {
-            columns,
+            columns: plan.names,
             rows: produced.into_iter().map(|(r, _)| r).collect(),
             ordered: !order_by.is_empty(),
         };
@@ -374,7 +497,12 @@ impl Executor<'_> {
     // -- FROM clause ---------------------------------------------------------
 
     #[allow(clippy::wrong_self_convention)]
-    fn from_clause(&self, from: &FromClause, outer: Option<&Scope<'_>>) -> ExecResult<Relation> {
+    fn from_clause(
+        &self,
+        from: &'a FromClause,
+        outer: Option<&Scope<'_>>,
+        slots: &Slots,
+    ) -> ExecResult<Relation<'a>> {
         let mut rel = self.factor(&from.base, outer)?;
         for join in &from.joins {
             let right = self.factor(&join.factor, outer)?;
@@ -383,19 +511,19 @@ impl Executor<'_> {
                 if rel
                     .bindings
                     .iter()
-                    .any(|x| x.name.eq_ignore_ascii_case(&b.name))
+                    .any(|x| x.name.eq_ignore_ascii_case(b.name))
                 {
                     return Err(ExecError::DuplicateBinding {
-                        name: b.name.clone(),
+                        name: b.name.to_string(),
                     });
                 }
             }
-            rel = self.join(rel, right, join, outer)?;
+            rel = self.join(rel, right, join, outer, slots)?;
         }
         Ok(rel)
     }
 
-    fn factor(&self, f: &TableFactor, outer: Option<&Scope<'_>>) -> ExecResult<Relation> {
+    fn factor(&self, f: &'a TableFactor, outer: Option<&Scope<'_>>) -> ExecResult<Relation<'a>> {
         match f {
             TableFactor::Table { name, alias } => {
                 let table = self
@@ -405,25 +533,25 @@ impl Executor<'_> {
                 self.charge_rows(table.rows.len())?;
                 Ok(Relation {
                     bindings: vec![Binding {
-                        name: alias.clone().unwrap_or_else(|| table.name.clone()),
-                        columns: table.columns.iter().map(|c| c.name.clone()).collect(),
+                        name: alias.as_deref().unwrap_or(&table.name),
+                        columns: Columns::Table(&table.columns),
                         offset: 0,
                     }],
                     width: table.columns.len(),
-                    rows: table.rows.clone(),
+                    rows: Cow::Borrowed(&table.rows),
                 })
             }
             TableFactor::Derived { subquery, alias } => {
                 let rs = self.query(subquery, outer)?;
                 self.charge_rows(rs.rows.len())?;
                 Ok(Relation {
+                    width: rs.columns.len(),
                     bindings: vec![Binding {
-                        name: alias.clone(),
-                        columns: rs.columns.clone(),
+                        name: alias,
+                        columns: Columns::Derived(rs.columns),
                         offset: 0,
                     }],
-                    width: rs.columns.len(),
-                    rows: rs.rows,
+                    rows: Cow::Owned(rs.rows),
                 })
             }
         }
@@ -431,25 +559,12 @@ impl Executor<'_> {
 
     fn join(
         &self,
-        left: Relation,
-        right: Relation,
+        left: Relation<'a>,
+        right: Relation<'a>,
         join: &Join,
         outer: Option<&Scope<'_>>,
-    ) -> ExecResult<Relation> {
-        let mut bindings = left.bindings.clone();
-        for b in &right.bindings {
-            bindings.push(Binding {
-                name: b.name.clone(),
-                columns: b.columns.clone(),
-                offset: b.offset + left.width,
-            });
-        }
-        let combined = Relation {
-            bindings,
-            width: left.width + right.width,
-            rows: Vec::new(),
-        };
-
+        slots: &Slots,
+    ) -> ExecResult<Relation<'a>> {
         // Hash-join fast path: `ON a.x = b.y` with one side resolving in
         // `left` and the other in `right`.
         let hash_cols = match (&join.kind, &join.constraint) {
@@ -459,70 +574,68 @@ impl Executor<'_> {
             _ => None,
         };
 
+        let (lw, rw) = (left.width, right.width);
+        let mut bindings = left.bindings;
+        bindings.extend(right.bindings.into_iter().map(|b| Binding {
+            offset: b.offset + lw,
+            ..b
+        }));
+        let mut combined = Relation {
+            bindings,
+            width: lw + rw,
+            rows: Cow::Owned(Vec::new()),
+        };
+        let (left, right) = (left.rows, right.rows);
+        let joined = |l: &[Value], r: &[Value]| {
+            let mut row = Vec::with_capacity(lw + rw);
+            row.extend_from_slice(l);
+            row.extend_from_slice(r);
+            row
+        };
+        let nulls = |n: usize| std::iter::repeat_n(Value::Null, n);
+
         let mut rows: Vec<Vec<Value>> = Vec::new();
+        let mut right_matched = vec![false; right.len()];
         match hash_cols {
             Some((li, ri)) => {
-                let mut index: HashMap<String, Vec<usize>> =
-                    HashMap::with_capacity(right.rows.len());
-                for (j, r) in right.rows.iter().enumerate() {
-                    if !r[ri].is_null() {
-                        index
-                            .entry(row_key(std::slice::from_ref(&r[ri])))
-                            .or_default()
-                            .push(j);
-                    }
-                }
-                let mut right_matched = vec![false; right.rows.len()];
-                for l in &left.rows {
+                let keys = KeyArena::of(right.iter().map(|r| &r[ri]));
+                let index = KeyIndex::build(&keys);
+                let mut probe = String::new();
+                for l in left.iter() {
                     let mut matched = false;
                     if !l[li].is_null() {
-                        if let Some(js) = index.get(&row_key(std::slice::from_ref(&l[li]))) {
-                            for &j in js {
-                                let mut row = l.clone();
-                                row.extend(right.rows[j].iter().cloned());
-                                self.charge_rows(1)?;
-                                rows.push(row);
-                                matched = true;
-                                right_matched[j] = true;
-                            }
+                        probe.clear();
+                        row_key_into(&mut probe, std::slice::from_ref(&l[li]));
+                        for j in index.matches(&probe) {
+                            self.charge_rows(1)?;
+                            rows.push(joined(l, &right[j]));
+                            matched = true;
+                            right_matched[j] = true;
                         }
                     }
                     if !matched && join.kind == JoinKind::Left {
-                        let mut row = l.clone();
-                        row.extend(std::iter::repeat_n(Value::Null, right.width));
                         self.charge_rows(1)?;
-                        rows.push(row);
-                    }
-                }
-                if join.kind == JoinKind::Right {
-                    for (j, m) in right_matched.iter().enumerate() {
-                        if !m {
-                            let mut row: Vec<Value> =
-                                std::iter::repeat_n(Value::Null, left.width).collect();
-                            row.extend(right.rows[j].iter().cloned());
-                            self.charge_rows(1)?;
-                            rows.push(row);
-                        }
+                        rows.push(l.iter().cloned().chain(nulls(rw)).collect());
                     }
                 }
             }
             None => {
                 // Nested loop. A highly selective constraint can spin
                 // here for a long time without materializing anything,
-                // so the deadline is also checked per outer row.
-                let mut right_matched = vec![false; right.rows.len()];
-                for l in &left.rows {
+                // so the deadline is also checked per outer row. The
+                // constraint reads the row pair in place; only a kept
+                // pair is built.
+                for l in left.iter() {
                     self.check_deadline()?;
                     let mut matched = false;
-                    for (j, r) in right.rows.iter().enumerate() {
-                        let mut row = l.clone();
-                        row.extend(r.iter().cloned());
+                    for (j, r) in right.iter().enumerate() {
                         let keep = match &join.constraint {
                             Some(on) => {
                                 let scope = Scope {
                                     rel: &combined,
-                                    row: &row,
+                                    row: Row { left: l, right: r },
                                     outer,
+                                    slots,
                                 };
                                 truthy(&self.eval(&scope, on)?)
                             }
@@ -530,32 +643,28 @@ impl Executor<'_> {
                         };
                         if keep {
                             self.charge_rows(1)?;
-                            rows.push(row);
+                            rows.push(joined(l, r));
                             matched = true;
                             right_matched[j] = true;
                         }
                     }
                     if !matched && join.kind == JoinKind::Left {
-                        let mut row = l.clone();
-                        row.extend(std::iter::repeat_n(Value::Null, right.width));
                         self.charge_rows(1)?;
-                        rows.push(row);
-                    }
-                }
-                if join.kind == JoinKind::Right {
-                    for (j, m) in right_matched.iter().enumerate() {
-                        if !m {
-                            let mut row: Vec<Value> =
-                                std::iter::repeat_n(Value::Null, left.width).collect();
-                            row.extend(right.rows[j].iter().cloned());
-                            self.charge_rows(1)?;
-                            rows.push(row);
-                        }
+                        rows.push(l.iter().cloned().chain(nulls(rw)).collect());
                     }
                 }
             }
         }
-        Ok(Relation { rows, ..combined })
+        if join.kind == JoinKind::Right {
+            for (j, m) in right_matched.iter().enumerate() {
+                if !m {
+                    self.charge_rows(1)?;
+                    rows.push(nulls(lw).chain(right[j].iter().cloned()).collect());
+                }
+            }
+        }
+        combined.rows = Cow::Owned(rows);
+        Ok(combined)
     }
 
     // -- projection ----------------------------------------------------------
@@ -564,58 +673,72 @@ impl Executor<'_> {
     #[allow(clippy::type_complexity)]
     fn project_rows(
         &self,
-        core: &SelectCore,
-        rel: &Relation,
-        kept: &[&Vec<Value>],
-        order_by: &[OrderItem],
+        plan: &ProjectionPlan<'a, '_>,
+        rel: &Relation<'_>,
+        kept: &[&[Value]],
+        order_by: &'a [OrderItem],
         outer: Option<&Scope<'_>>,
-    ) -> ExecResult<(Vec<String>, Vec<(Vec<Value>, Vec<Value>)>)> {
-        let plan = self.projection_plan(core, rel)?;
+        slots: &Slots,
+    ) -> ExecResult<Vec<(Vec<Value>, Vec<Value>)>> {
         let mut out = Vec::with_capacity(kept.len());
         for row in kept {
-            let scope = Scope { rel, row, outer };
+            let scope = Scope {
+                rel,
+                row: Row::one(row),
+                outer,
+                slots,
+            };
             let mut values = Vec::with_capacity(plan.outputs.len());
             for output in &plan.outputs {
                 match output {
-                    Output::Column(idx) => values.push(row[*idx].clone()),
+                    Output::Column { index, .. } => values.push(row[*index].clone()),
                     Output::Expr(e) => values.push(self.eval(&scope, e)?),
                 }
             }
-            let keys = self.order_keys(order_by, &plan, &values, |e| self.eval(&scope, e))?;
+            let keys = self.order_keys(order_by, plan, &values, |e| self.eval(&scope, e))?;
             out.push((values, keys));
         }
-        Ok((plan.names, out))
+        Ok(out)
     }
 
     /// Aggregate-mode projection: group rows, filter by HAVING, project
     /// one row per group.
-    #[allow(clippy::type_complexity)]
+    #[allow(clippy::type_complexity, clippy::too_many_arguments)]
     fn project_groups(
         &self,
-        core: &SelectCore,
-        rel: &Relation,
-        kept: &[&Vec<Value>],
-        order_by: &[OrderItem],
+        core: &'a SelectCore,
+        plan: &ProjectionPlan<'a, '_>,
+        rel: &Relation<'_>,
+        kept: &[&[Value]],
+        order_by: &'a [OrderItem],
         outer: Option<&Scope<'_>>,
-    ) -> ExecResult<(Vec<String>, Vec<(Vec<Value>, Vec<Value>)>)> {
-        let plan = self.projection_plan(core, rel)?;
+        slots: &Slots,
+    ) -> ExecResult<Vec<(Vec<Value>, Vec<Value>)>> {
         // Group rows by GROUP BY key values.
-        let mut groups: Vec<Vec<&Vec<Value>>> = Vec::new();
+        let mut groups: Vec<Vec<&[Value]>> = Vec::new();
         if core.group_by.is_empty() {
             groups.push(kept.to_vec());
         } else {
             let mut index: HashMap<String, usize> = HashMap::new();
+            let mut key = String::new();
+            let mut key_vals = Vec::with_capacity(core.group_by.len());
             for row in kept {
-                let scope = Scope { rel, row, outer };
-                let mut key_vals = Vec::with_capacity(core.group_by.len());
+                let scope = Scope {
+                    rel,
+                    row: Row::one(row),
+                    outer,
+                    slots,
+                };
+                key_vals.clear();
                 for g in &core.group_by {
                     key_vals.push(self.eval(&scope, g)?);
                 }
-                let key = row_key(&key_vals);
-                match index.get(&key) {
+                key.clear();
+                row_key_into(&mut key, &key_vals);
+                match index.get(key.as_str()) {
                     Some(&gi) => groups[gi].push(row),
                     None => {
-                        index.insert(key, groups.len());
+                        index.insert(key.clone(), groups.len());
                         groups.push(vec![row]);
                     }
                 }
@@ -628,6 +751,7 @@ impl Executor<'_> {
                 rel,
                 rows: group,
                 outer,
+                slots,
             };
             if let Some(h) = &core.having {
                 if !truthy(&self.eval_group(&gscope, h)?) {
@@ -637,20 +761,19 @@ impl Executor<'_> {
             let mut values = Vec::with_capacity(plan.outputs.len());
             for output in &plan.outputs {
                 match output {
-                    Output::Column(idx) => {
+                    Output::Column { index, .. } => {
                         values.push(match group.first() {
-                            Some(row) => row[*idx].clone(),
+                            Some(row) => row[*index].clone(),
                             None => Value::Null,
                         });
                     }
                     Output::Expr(e) => values.push(self.eval_group(&gscope, e)?),
                 }
             }
-            let keys =
-                self.order_keys(order_by, &plan, &values, |e| self.eval_group(&gscope, e))?;
+            let keys = self.order_keys(order_by, plan, &values, |e| self.eval_group(&gscope, e))?;
             out.push((values, keys));
         }
-        Ok((plan.names, out))
+        Ok(out)
     }
 
     /// Computes sort keys for one output unit. Keys resolve, in priority
@@ -658,10 +781,10 @@ impl Executor<'_> {
     /// output names, then arbitrary expressions in the source scope.
     fn order_keys(
         &self,
-        order_by: &[OrderItem],
-        plan: &ProjectionPlan,
+        order_by: &'a [OrderItem],
+        plan: &ProjectionPlan<'a, '_>,
         values: &[Value],
-        mut eval: impl FnMut(&Expr) -> ExecResult<Value>,
+        mut eval: impl FnMut(&'a Expr) -> ExecResult<Value>,
     ) -> ExecResult<Vec<Value>> {
         let mut keys = Vec::with_capacity(order_by.len());
         for item in order_by {
@@ -683,88 +806,54 @@ impl Executor<'_> {
         Ok(keys)
     }
 
-    fn projection_plan(&self, core: &SelectCore, rel: &Relation) -> ExecResult<ProjectionPlan> {
-        let mut names = Vec::new();
-        let mut outputs = Vec::new();
-        let mut exprs: Vec<Option<Expr>> = Vec::new();
-        for item in &core.items {
-            match item {
-                SelectItem::Wildcard => {
-                    if rel.bindings.is_empty() {
-                        return Err(ExecError::MisplacedWildcard);
-                    }
-                    for b in &rel.bindings {
-                        for (i, c) in b.columns.iter().enumerate() {
-                            names.push(c.clone());
-                            outputs.push(Output::Column(b.offset + i));
-                            exprs.push(Some(Expr::qcol(b.name.clone(), c.clone())));
-                        }
-                    }
-                }
-                SelectItem::QualifiedWildcard(t) => {
-                    let b = rel
-                        .bindings
-                        .iter()
-                        .find(|b| b.name.eq_ignore_ascii_case(t))
-                        .ok_or_else(|| ExecError::UnknownTable { name: t.clone() })?;
-                    for (i, c) in b.columns.iter().enumerate() {
-                        names.push(c.clone());
-                        outputs.push(Output::Column(b.offset + i));
-                        exprs.push(Some(Expr::qcol(b.name.clone(), c.clone())));
-                    }
-                }
-                SelectItem::Expr { expr, alias } => {
-                    let name = alias.clone().unwrap_or_else(|| default_name(expr));
-                    names.push(name);
-                    outputs.push(Output::Expr(expr.clone()));
-                    exprs.push(Some(expr.clone()));
-                }
-            }
-        }
-        Ok(ProjectionPlan {
-            names,
-            outputs,
-            exprs,
-            aliases: core
-                .items
-                .iter()
-                .map(|i| match i {
-                    SelectItem::Expr { alias: Some(a), .. } => Some(a.clone()),
-                    _ => None,
-                })
-                .collect(),
-        })
-    }
-
-    /// Executes a subquery, memoizing uncorrelated ones.
+    /// Executes a subquery, memoizing uncorrelated ones by node.
     ///
-    /// The subquery is first attempted *without* the enclosing scope; if
-    /// it only fails with an unknown column, it must be correlated, so it
-    /// re-runs with the scope chained (and is not cached).
-    fn subquery(&self, q: &Query, scope: &Scope<'_>) -> ExecResult<Rc<ResultSet>> {
-        let key = fisql_sqlkit::print_query(q);
-        if let Some(hit) = self.subquery_cache.borrow().get(&key) {
-            return Ok(Rc::clone(hit));
+    /// A subquery node is first attempted *without* the enclosing scope;
+    /// if that only fails with an unknown column, it must be correlated,
+    /// so it re-runs with the scope chained (and is not cached). The
+    /// finding is remembered, so later rows go straight to the
+    /// correlated run.
+    fn subquery(&self, q: &'a Query, scope: &Scope<'_>) -> ExecResult<Rc<ResultSet>> {
+        let node = std::ptr::from_ref(q) as usize;
+        let memo = self.subqueries.borrow().get(&node).map(|m| match m {
+            Subquery::Result(hit) => Some(Rc::clone(hit)),
+            Subquery::Correlated => None,
+        });
+        match memo {
+            Some(Some(hit)) => return Ok(hit),
+            Some(None) => {}
+            None => match self.query(q, None) {
+                Ok(rs) => {
+                    let rc = Rc::new(rs);
+                    let memo = Subquery::Result(Rc::clone(&rc));
+                    self.subqueries.borrow_mut().insert(node, memo);
+                    return Ok(rc);
+                }
+                Err(ExecError::UnknownColumn { .. }) => {
+                    let memo = Subquery::Correlated;
+                    self.subqueries.borrow_mut().insert(node, memo);
+                }
+                Err(other) => return Err(other),
+            },
         }
-        match self.query(q, None) {
-            Ok(rs) => {
-                let rc = Rc::new(rs);
-                self.subquery_cache.borrow_mut().insert(key, Rc::clone(&rc));
-                Ok(rc)
-            }
-            Err(ExecError::UnknownColumn { .. }) => {
-                // Correlated: evaluate in the enclosing scope, per row.
-                self.query(q, Some(scope)).map(Rc::new)
-            }
-            Err(other) => Err(other),
-        }
+        // Correlated: evaluate in the enclosing scope, per row.
+        self.query(q, Some(scope)).map(Rc::new)
     }
 
     // -- expression evaluation (row scope) ------------------------------------
 
-    fn eval(&self, scope: &Scope<'_>, e: &Expr) -> ExecResult<Value> {
+    /// Evaluates `e`, borrowing a column's value from its row instead of
+    /// cloning it: for operands that are only read.
+    fn operand<'s>(&self, scope: &Scope<'s>, e: &'a Expr) -> ExecResult<Cow<'s, Value>> {
         match e {
-            Expr::Column(c) => scope.lookup(c),
+            Expr::Column(c) => scope.value(c).map(Cow::Borrowed),
+            _ => self.eval(scope, e).map(Cow::Owned),
+        }
+    }
+
+    fn eval(&self, scope: &Scope<'_>, e: &'a Expr) -> ExecResult<Value> {
+        match e {
+            Expr::Column(c) => scope.value(c).cloned(),
             Expr::Literal(l) => Ok(literal_value(l)),
             Expr::Wildcard => Err(ExecError::MisplacedWildcard),
             Expr::Unary { op, expr } => {
@@ -831,13 +920,13 @@ impl Executor<'_> {
                 list,
                 negated,
             } => {
-                let v = self.eval(scope, expr)?;
+                let v = self.operand(scope, expr)?;
                 if v.is_null() {
                     return Ok(Value::Null);
                 }
                 let mut saw_null = false;
                 for item in list {
-                    let w = self.eval(scope, item)?;
+                    let w = self.operand(scope, item)?;
                     match v.sql_eq(&w) {
                         Some(true) => {
                             return Ok(Value::Bool(!negated));
@@ -887,9 +976,9 @@ impl Executor<'_> {
                 high,
                 negated,
             } => {
-                let v = self.eval(scope, expr)?;
-                let lo = self.eval(scope, low)?;
-                let hi = self.eval(scope, high)?;
+                let v = self.operand(scope, expr)?;
+                let lo = self.operand(scope, low)?;
+                let hi = self.operand(scope, high)?;
                 let ge = cmp3(&v, &lo).map(|o| o != Ordering::Less);
                 let le = cmp3(&v, &hi).map(|o| o != Ordering::Greater);
                 Ok(match and3(ge, le) {
@@ -902,9 +991,9 @@ impl Executor<'_> {
                 pattern,
                 negated,
             } => {
-                let v = self.eval(scope, expr)?;
-                let p = self.eval(scope, pattern)?;
-                match (&v, &p) {
+                let v = self.operand(scope, expr)?;
+                let p = self.operand(scope, pattern)?;
+                match (v.as_ref(), p.as_ref()) {
                     (Value::Null, _) | (_, Value::Null) => Ok(Value::Null),
                     (Value::Text(s), Value::Text(pat)) => {
                         Ok(Value::Bool(like_match(s, pat) != *negated))
@@ -913,7 +1002,7 @@ impl Executor<'_> {
                 }
             }
             Expr::IsNull { expr, negated } => {
-                let v = self.eval(scope, expr)?;
+                let v = self.operand(scope, expr)?;
                 Ok(Value::Bool(v.is_null() != *negated))
             }
             Expr::Exists { subquery, negated } => {
@@ -935,9 +1024,9 @@ impl Executor<'_> {
     fn eval_binary(
         &self,
         scope: &Scope<'_>,
-        left: &Expr,
+        left: &'a Expr,
         op: BinOp,
-        right: &Expr,
+        right: &'a Expr,
     ) -> ExecResult<Value> {
         match op {
             BinOp::And => {
@@ -963,8 +1052,8 @@ impl Executor<'_> {
                 })
             }
             _ => {
-                let l = self.eval(scope, left)?;
-                let r = self.eval(scope, right)?;
+                let l = self.operand(scope, left)?;
+                let r = self.operand(scope, right)?;
                 if op.is_comparison() {
                     return Ok(match cmp3(&l, &r) {
                         None => Value::Null,
@@ -979,14 +1068,14 @@ impl Executor<'_> {
                         }),
                     });
                 }
-                Ok(arith(l, op, r))
+                Ok(arith(&l, op, &r))
             }
         }
     }
 
     // -- expression evaluation (group scope) ----------------------------------
 
-    fn eval_group(&self, g: &GroupScope<'_>, e: &Expr) -> ExecResult<Value> {
+    fn eval_group(&self, g: &GroupScope<'_>, e: &'a Expr) -> ExecResult<Value> {
         match e {
             Expr::Call {
                 func,
@@ -1041,7 +1130,7 @@ impl Executor<'_> {
                             }),
                         });
                     }
-                    Ok(arith(l, *op, r))
+                    Ok(arith(&l, *op, &r))
                 }
             },
             Expr::Call { func, args, .. } => {
@@ -1057,16 +1146,9 @@ impl Executor<'_> {
         }
     }
 
-    fn eval_on_first_row(&self, g: &GroupScope<'_>, e: &Expr) -> ExecResult<Value> {
+    fn eval_on_first_row(&self, g: &GroupScope<'_>, e: &'a Expr) -> ExecResult<Value> {
         match g.rows.first() {
-            Some(row) => {
-                let scope = Scope {
-                    rel: g.rel,
-                    row,
-                    outer: g.outer,
-                };
-                self.eval(&scope, e)
-            }
+            Some(row) => self.eval(&g.scope(row), e),
             None => {
                 // Empty group (global aggregate over zero rows): bare
                 // columns are NULL.
@@ -1083,7 +1165,7 @@ impl Executor<'_> {
         g: &GroupScope<'_>,
         func: Func,
         distinct: bool,
-        args: &[Expr],
+        args: &'a [Expr],
     ) -> ExecResult<Value> {
         // Reject nested aggregates inside the argument.
         if args.iter().any(|a| a.contains_aggregate()) {
@@ -1100,28 +1182,23 @@ impl Executor<'_> {
         if matches!(arg, Expr::Wildcard) && func != Func::Count {
             return Err(ExecError::MisplacedWildcard);
         }
-        let mut vals: Vec<Value> = Vec::with_capacity(g.rows.len());
+        let mut vals: Vec<Cow<'_, Value>> = Vec::with_capacity(g.rows.len());
         for row in g.rows {
-            let scope = Scope {
-                rel: g.rel,
-                row,
-                outer: g.outer,
-            };
-            let v = self.eval(&scope, arg)?;
+            let v = self.operand(&g.scope(row), arg)?;
             if !v.is_null() {
                 vals.push(v);
             }
         }
         if distinct {
-            let mut seen: HashSet<String> = HashSet::with_capacity(vals.len());
-            vals.retain(|v| seen.insert(row_key(std::slice::from_ref(v))));
+            let mut seen = KeySet::with_capacity(vals.len());
+            vals.retain(|v| seen.insert(std::slice::from_ref(v.as_ref())));
         }
         Ok(match func {
             Func::Count => Value::Int(vals.len() as i64),
             Func::Sum => {
                 if vals.is_empty() {
                     Value::Null
-                } else if vals.iter().all(|v| matches!(v, Value::Int(_))) {
+                } else if vals.iter().all(|v| matches!(v.as_ref(), Value::Int(_))) {
                     Value::Int(vals.iter().filter_map(|v| v.as_f64()).sum::<f64>() as i64)
                 } else {
                     Value::Float(vals.iter().filter_map(|v| v.as_f64()).sum())
@@ -1138,13 +1215,11 @@ impl Executor<'_> {
             Func::Min => vals
                 .iter()
                 .min_by(|a, b| a.total_cmp(b))
-                .cloned()
-                .unwrap_or(Value::Null),
+                .map_or(Value::Null, |v| v.as_ref().clone()),
             Func::Max => vals
                 .iter()
                 .max_by(|a, b| a.total_cmp(b))
-                .cloned()
-                .unwrap_or(Value::Null),
+                .map_or(Value::Null, |v| v.as_ref().clone()),
             _ => unreachable!("non-aggregate filtered above"),
         })
     }
@@ -1154,27 +1229,32 @@ impl Executor<'_> {
 // Projection plan
 // ---------------------------------------------------------------------------
 
-enum Output {
-    /// Direct column copy (wildcard expansion).
-    Column(usize),
+/// One output of a projection: statement parts live for `'a`, relation
+/// names for `'r`.
+enum Output<'a, 'r> {
+    /// Direct column copy (wildcard expansion), with the binding and
+    /// column it names, for ORDER BY matching.
+    Column {
+        index: usize,
+        binding: &'r str,
+        column: &'r str,
+    },
     /// Computed expression.
-    Expr(Expr),
+    Expr(&'a Expr),
 }
 
-struct ProjectionPlan {
+struct ProjectionPlan<'a, 'r> {
     names: Vec<String>,
-    outputs: Vec<Output>,
-    /// Source expression per output, for ORDER BY matching.
-    exprs: Vec<Option<Expr>>,
+    outputs: Vec<Output<'a, 'r>>,
     /// Alias per original select item (pre-expansion); used only for
     /// alias-reference resolution.
-    aliases: Vec<Option<String>>,
+    aliases: Vec<Option<&'a str>>,
 }
 
-impl ProjectionPlan {
+impl ProjectionPlan<'_, '_> {
     /// Resolves an ORDER BY expression against the projection: by alias,
     /// by output name, or by structural identity with a projected
-    /// expression.
+    /// expression (a wildcard column as its qualified reference).
     fn output_position(&self, e: &Expr) -> Option<usize> {
         if let Expr::Column(ColumnRef {
             table: None,
@@ -1185,7 +1265,7 @@ impl ProjectionPlan {
             if let Some(i) = self
                 .aliases
                 .iter()
-                .position(|a| a.as_deref().is_some_and(|a| a.eq_ignore_ascii_case(column)))
+                .position(|a| a.is_some_and(|a| a.eq_ignore_ascii_case(column)))
             {
                 // Aliases map 1:1 to outputs only when no wildcard
                 // expansion happened; guard by bounds.
@@ -1195,8 +1275,76 @@ impl ProjectionPlan {
             }
         }
         // Structural identity with a projected expression.
-        self.exprs.iter().position(|pe| pe.as_ref() == Some(e))
+        self.outputs.iter().position(|o| match o {
+            Output::Expr(pe) => *pe == e,
+            Output::Column {
+                binding, column, ..
+            } => matches!(e, Expr::Column(ColumnRef { table: Some(t), column: c })
+                if t == binding && c == column),
+        })
     }
+}
+
+/// The select list of `core` over `rel`: output names and what computes
+/// each output, borrowed from the statement and the relation.
+fn projection_plan<'a, 'r>(
+    core: &'a SelectCore,
+    rel: &'r Relation<'_>,
+) -> ExecResult<ProjectionPlan<'a, 'r>> {
+    fn expand<'a, 'r>(
+        b: &'r Binding<'_>,
+        names: &mut Vec<String>,
+        outputs: &mut Vec<Output<'a, 'r>>,
+    ) {
+        for i in 0..b.columns.len() {
+            let column = b.columns.name(i);
+            names.push(column.to_string());
+            outputs.push(Output::Column {
+                index: b.offset + i,
+                binding: b.name,
+                column,
+            });
+        }
+    }
+    let mut names = Vec::new();
+    let mut outputs = Vec::new();
+    for item in &core.items {
+        match item {
+            SelectItem::Wildcard => {
+                if rel.bindings.is_empty() {
+                    return Err(ExecError::MisplacedWildcard);
+                }
+                for b in &rel.bindings {
+                    expand(b, &mut names, &mut outputs);
+                }
+            }
+            SelectItem::QualifiedWildcard(t) => {
+                let b = rel
+                    .bindings
+                    .iter()
+                    .find(|b| b.name.eq_ignore_ascii_case(t))
+                    .ok_or_else(|| ExecError::UnknownTable { name: t.clone() })?;
+                expand(b, &mut names, &mut outputs);
+            }
+            SelectItem::Expr { expr, alias } => {
+                let name = alias.clone().unwrap_or_else(|| default_name(expr));
+                names.push(name);
+                outputs.push(Output::Expr(expr));
+            }
+        }
+    }
+    Ok(ProjectionPlan {
+        names,
+        outputs,
+        aliases: core
+            .items
+            .iter()
+            .map(|i| match i {
+                SelectItem::Expr { alias: Some(a), .. } => Some(a.as_str()),
+                _ => None,
+            })
+            .collect(),
+    })
 }
 
 fn default_name(e: &Expr) -> String {
@@ -1217,7 +1365,7 @@ fn combine(left: ResultSet, right: ResultSet, op: SetOp) -> ExecResult<ResultSet
             right: right.columns.len(),
         });
     }
-    let columns = left.columns.clone();
+    let columns = left.columns;
     let rows = match op {
         SetOp::UnionAll => {
             let mut rows = left.rows;
@@ -1225,36 +1373,22 @@ fn combine(left: ResultSet, right: ResultSet, op: SetOp) -> ExecResult<ResultSet
             rows
         }
         SetOp::Union => {
-            let mut seen: HashSet<String> = HashSet::new();
-            let mut rows = Vec::new();
-            for r in left.rows.into_iter().chain(right.rows) {
-                if seen.insert(row_key(&r)) {
-                    rows.push(r);
-                }
-            }
+            let mut seen = KeySet::default();
+            let mut rows = left.rows;
+            rows.extend(right.rows);
+            rows.retain(|r| seen.insert(r));
             rows
         }
-        SetOp::Intersect => {
-            let right_keys: HashSet<String> = right.rows.iter().map(|r| row_key(r)).collect();
-            let mut seen: HashSet<String> = HashSet::new();
-            left.rows
-                .into_iter()
-                .filter(|r| {
-                    let k = row_key(r);
-                    right_keys.contains(&k) && seen.insert(k)
-                })
-                .collect()
-        }
-        SetOp::Except => {
-            let right_keys: HashSet<String> = right.rows.iter().map(|r| row_key(r)).collect();
-            let mut seen: HashSet<String> = HashSet::new();
-            left.rows
-                .into_iter()
-                .filter(|r| {
-                    let k = row_key(r);
-                    !right_keys.contains(&k) && seen.insert(k)
-                })
-                .collect()
+        SetOp::Intersect | SetOp::Except => {
+            let mut right_keys = KeySet::with_capacity(right.rows.len());
+            for r in &right.rows {
+                right_keys.insert(r);
+            }
+            let keep_common = op == SetOp::Intersect;
+            let mut seen = KeySet::default();
+            let mut rows = left.rows;
+            rows.retain(|r| right_keys.contains(r) == keep_common && seen.insert(r));
+            rows
         }
     };
     Ok(ResultSet {
@@ -1320,6 +1454,108 @@ fn apply_limit(rs: &mut ResultSet, limit: Option<LimitClause>) {
 }
 
 // ---------------------------------------------------------------------------
+// Row keys
+// ---------------------------------------------------------------------------
+
+/// A set of row keys ([`row_key_into`]) built through one reused buffer:
+/// a lookup allocates nothing, an insert allocates only a new key.
+#[derive(Default)]
+struct KeySet {
+    keys: HashSet<String>,
+    buf: String,
+}
+
+impl KeySet {
+    fn with_capacity(n: usize) -> KeySet {
+        KeySet {
+            keys: HashSet::with_capacity(n),
+            buf: String::new(),
+        }
+    }
+
+    fn contains(&mut self, row: &[Value]) -> bool {
+        self.buf.clear();
+        row_key_into(&mut self.buf, row);
+        self.keys.contains(self.buf.as_str())
+    }
+
+    /// Whether `row`'s key is new (and now present).
+    fn insert(&mut self, row: &[Value]) -> bool {
+        if self.contains(row) {
+            return false;
+        }
+        self.keys.insert(self.buf.clone())
+    }
+}
+
+/// One column's row keys ([`row_key_into`]), rendered into one arena: row
+/// `j`'s key ends at `ends[j]`. A NULL renders empty (no other key is).
+struct KeyArena {
+    text: String,
+    ends: Vec<usize>,
+}
+
+impl KeyArena {
+    fn of<'v>(values: impl Iterator<Item = &'v Value>) -> KeyArena {
+        let mut arena = KeyArena {
+            text: String::new(),
+            ends: Vec::new(),
+        };
+        for v in values {
+            if !v.is_null() {
+                row_key_into(&mut arena.text, std::slice::from_ref(v));
+            }
+            arena.ends.push(arena.text.len());
+        }
+        arena
+    }
+
+    fn key(&self, j: usize) -> &str {
+        let start = if j == 0 { 0 } else { self.ends[j - 1] };
+        &self.text[start..self.ends[j]]
+    }
+}
+
+/// A hash join's index over the build side's keys: per distinct key its
+/// first and last row, and the rows sharing a key chained in ascending
+/// order. NULL keys are left out (they never join).
+struct KeyIndex<'k> {
+    heads: HashMap<&'k str, (usize, usize)>,
+    next: Vec<usize>,
+}
+
+impl<'k> KeyIndex<'k> {
+    fn build(keys: &'k KeyArena) -> KeyIndex<'k> {
+        let n = keys.ends.len();
+        let mut heads: HashMap<&str, (usize, usize)> = HashMap::with_capacity(n);
+        let mut next = vec![usize::MAX; n];
+        for j in 0..n {
+            let key = keys.key(j);
+            if key.is_empty() {
+                continue;
+            }
+            match heads.entry(key) {
+                Entry::Occupied(mut chain) => {
+                    let last = &mut chain.get_mut().1;
+                    next[*last] = j;
+                    *last = j;
+                }
+                Entry::Vacant(slot) => {
+                    slot.insert((j, j));
+                }
+            }
+        }
+        KeyIndex { heads, next }
+    }
+
+    /// The rows whose key is `key`, ascending.
+    fn matches(&self, key: &str) -> impl Iterator<Item = usize> + '_ {
+        let first = self.heads.get(key).map(|&(first, _)| first);
+        std::iter::successors(first, |&j| Some(self.next[j]).filter(|&n| n != usize::MAX))
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Scalar helpers
 // ---------------------------------------------------------------------------
 
@@ -1373,12 +1609,12 @@ fn cmp3(a: &Value, b: &Value) -> Option<Ordering> {
     Some(a.total_cmp(b))
 }
 
-fn arith(l: Value, op: BinOp, r: Value) -> Value {
+fn arith(l: &Value, op: BinOp, r: &Value) -> Value {
     if l.is_null() || r.is_null() {
         return Value::Null;
     }
     // Integer fast path (with SQLite truncating division).
-    if let (Value::Int(a), Value::Int(b)) = (&l, &r) {
+    if let (Value::Int(a), Value::Int(b)) = (l, r) {
         return match op {
             BinOp::Add => Value::Int(a.wrapping_add(*b)),
             BinOp::Sub => Value::Int(a.wrapping_sub(*b)),
@@ -1538,7 +1774,11 @@ pub fn like_match(s: &str, pattern: &str) -> bool {
 
 /// Detects `ON left.col = right.col` style constraints and returns the two
 /// column offsets (left-relative, right-relative).
-fn equi_join_columns(on: &Expr, left: &Relation, right: &Relation) -> Option<(usize, usize)> {
+fn equi_join_columns(
+    on: &Expr,
+    left: &Relation<'_>,
+    right: &Relation<'_>,
+) -> Option<(usize, usize)> {
     let Expr::Binary {
         left: a,
         op: BinOp::Eq,

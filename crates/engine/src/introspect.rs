@@ -10,7 +10,9 @@
 //! **The context memo.** [`Database::context`] keeps one [`DbContext`]
 //! per distinct database shape for the life of the process: the
 //! analyzer schema, the prompt's schema block, the schema lexicon and
-//! the cache fingerprint, each derived once instead of on every call.
+//! the cache fingerprint, each derived once instead of on every call
+//! (the schema and lexicon on first use: set-up renders prompts for
+//! every corpus database, but few are ever analyzed).
 //! The key is FNV-1a over the database name and table count, which tell
 //! corpus databases apart. Because `Database`'s fields are public, a hit
 //! is confirmed field by field against the shape the context was built
@@ -120,14 +122,16 @@ impl Database {
 /// distinct shape and shared ([`Database::context`]).
 #[derive(Debug)]
 pub struct DbContext {
-    /// The analyzer's schema description ([`Database::schema_info`]).
-    pub schema: SchemaInfo,
     /// The prompt's schema block ([`Database::schema_text`]).
     pub schema_text: String,
     /// Result-cache fingerprint: FNV-1a over the database name plus every
     /// table's name, column names and row count. Cheap (no row data) but
     /// strong enough to content-check the corpus's unique-name guarantee.
     pub fingerprint: u64,
+    /// The analyzer's schema description, built on first use: set-up's
+    /// few-shot prompts read only the schema block of every corpus
+    /// database.
+    schema: OnceLock<SchemaInfo>,
     /// The feedback linkers' lexicon, built on first use: set-up renders
     /// prompts for every corpus database, but only the ones correction
     /// cases touch are ever linked against.
@@ -139,18 +143,29 @@ pub struct DbContext {
 impl DbContext {
     fn build(db: &Database) -> DbContext {
         DbContext {
-            schema: schema_info(db),
             schema_text: db.schema_text(),
             fingerprint: fingerprint(db),
+            schema: OnceLock::new(),
             lexicon: OnceLock::new(),
             shape: Shape::of(db),
         }
     }
 
-    /// The feedback linkers' lexicon of this schema.
-    pub fn lexicon(&self) -> &Arc<SchemaLexicon> {
+    /// The analyzer's schema description ([`Database::schema_info`]).
+    /// `db` is a database with this context's shape — the one
+    /// `context()` was called on; the schema reads nothing else.
+    pub fn schema(&self, db: &Database) -> &SchemaInfo {
+        self.schema.get_or_init(|| {
+            debug_assert!(self.shape.matches(db), "a database of another shape");
+            schema_info(db)
+        })
+    }
+
+    /// The feedback linkers' lexicon of this schema; `db` as for
+    /// [`schema`](Self::schema).
+    pub fn lexicon(&self, db: &Database) -> &Arc<SchemaLexicon> {
         self.lexicon
-            .get_or_init(|| SchemaLexicon::of_schema(&self.schema))
+            .get_or_init(|| SchemaLexicon::of_schema(self.schema(db)))
     }
 }
 
@@ -335,7 +350,7 @@ mod tests {
             "a hit is the memoized context"
         );
         assert!(Arc::ptr_eq(&a, &db.clone().context()), "keyed by content");
-        assert_eq!(a.schema, db.schema_info());
+        assert_eq!(*a.schema(&db), db.schema_info());
         assert_eq!(a.schema_text, db.schema_text());
 
         // Every field the context reads invalidates it.
@@ -352,7 +367,7 @@ mod tests {
             mutate(&mut changed);
             let b = changed.context();
             assert!(!Arc::ptr_eq(&a, &b));
-            assert_eq!(b.schema, changed.schema_info());
+            assert_eq!(*b.schema(&changed), changed.schema_info());
             assert_eq!(b.schema_text, changed.schema_text());
             assert!(Arc::ptr_eq(&b, &changed.context()));
         }

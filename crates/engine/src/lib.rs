@@ -42,6 +42,6 @@ pub use error::{ExecError, ExecResult};
 pub use exec::{execute, execute_sql, execute_with_limits, like_match, set_exec_pulse, ExecLimits};
 pub use explain::explain;
 pub use introspect::{col_type, schema_info, DbContext};
-pub use result::{results_match, row_key, ResultSet};
+pub use result::{results_match, row_key, row_key_into, ResultSet};
 pub use schema::{Column, Database, ForeignKey, Table};
 pub use value::{float_eq, DataType, Value};

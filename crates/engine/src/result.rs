@@ -10,6 +10,7 @@ use crate::value::Value;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
+use std::fmt::Write as _;
 
 /// The result of executing a query.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -110,32 +111,71 @@ impl fmt::Display for ResultSet {
 /// values that compare `group_eq` share a key.
 pub fn row_key(row: &[Value]) -> String {
     let mut key = String::with_capacity(row.len() * 8);
+    row_key_into(&mut key, row);
+    key
+}
+
+/// Appends [`row_key`]`(row)` to `key`, formatting numbers in place: hot
+/// loops key every row through one reused buffer.
+pub fn row_key_into(key: &mut String, row: &[Value]) {
     for v in row {
         match v {
             Value::Null => key.push_str("\u{1}N"),
+            // Integers and integral floats share a key.
             Value::Int(n) => {
-                // Integers and integral floats share a key.
                 key.push_str("\u{1}F");
-                key.push_str(&format!("{:.9e}", *n as f64));
+                push_scientific(key, *n as f64);
             }
             Value::Float(x) => {
                 key.push_str("\u{1}F");
                 if x.is_nan() {
                     key.push_str("NaN");
                 } else {
-                    key.push_str(&format!("{x:.9e}"));
+                    push_scientific(key, *x);
                 }
             }
             Value::Text(s) => {
                 key.push_str("\u{1}T");
                 key.push_str(s);
             }
-            Value::Bool(b) => {
-                key.push_str(if *b { "\u{1}Bt" } else { "\u{1}Bf" });
-            }
+            Value::Bool(b) => key.push_str(if *b { "\u{1}Bt" } else { "\u{1}Bf" }),
         }
     }
-    key
+}
+
+/// Appends `format!("{x:.9e}")`. An integral `x` below 1e10 in magnitude
+/// has at most ten digits, so its ten significant digits are its own
+/// digits, zero-padded: they are written directly, without the float
+/// formatter. Everything else (fractions, larger magnitudes, `-0.0`,
+/// infinities) goes through `write!`.
+fn push_scientific(key: &mut String, x: f64) {
+    if x.fract() != 0.0 || x.abs() >= 1e10 || (x == 0.0 && x.is_sign_negative()) {
+        // Writing into a `String` cannot fail.
+        let _ = write!(key, "{x:.9e}");
+        return;
+    }
+    // Exact: |x| < 1e10 < 2^63.
+    let n = x as i64;
+    let mut digits = [0u8; 10];
+    let mut len = 0;
+    let mut rest = n.unsigned_abs();
+    loop {
+        digits[len] = b'0' + (rest % 10) as u8;
+        len += 1;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    if n < 0 {
+        key.push('-');
+    }
+    key.push(char::from(digits[len - 1]));
+    key.push('.');
+    key.extend(digits[..len - 1].iter().rev().map(|&d| char::from(d)));
+    key.extend(std::iter::repeat_n('0', 10 - len));
+    key.push('e');
+    key.push(char::from(b'0' + (len - 1) as u8));
 }
 
 /// Execution-match: does `predicted` produce the same result as `gold`?
@@ -159,11 +199,21 @@ pub fn results_match(predicted: &ResultSet, gold: &ResultSet) -> bool {
             .all(|(p, g)| rows_eq(p, g))
     } else {
         let mut counts: HashMap<String, i64> = HashMap::with_capacity(gold.rows.len());
+        let mut key = String::new();
         for r in &gold.rows {
-            *counts.entry(row_key(r)).or_insert(0) += 1;
+            key.clear();
+            row_key_into(&mut key, r);
+            match counts.get_mut(key.as_str()) {
+                Some(c) => *c += 1,
+                None => {
+                    counts.insert(key.clone(), 1);
+                }
+            }
         }
         for r in &predicted.rows {
-            match counts.get_mut(&row_key(r)) {
+            key.clear();
+            row_key_into(&mut key, r);
+            match counts.get_mut(key.as_str()) {
                 Some(c) if *c > 0 => *c -= 1,
                 _ => return false,
             }

@@ -3,8 +3,10 @@
 //! database (`concert_singer`-like) plus an AEP-style analytics table.
 
 use fisql_engine::{
-    execute_sql, results_match, Column, DataType, Database, ForeignKey, Table, Value,
+    execute_sql, results_match, row_key, row_key_into, Column, DataType, Database, ForeignKey,
+    Table, Value,
 };
+use proptest::prelude::*;
 
 fn fixture() -> Database {
     let mut db = Database::new("concert_singer");
@@ -686,4 +688,286 @@ fn empty_in_list_never_matches() {
     let db = fixture();
     let r = rows(&db, "SELECT name FROM singer WHERE singer_id IN (99, 98)");
     assert!(r.is_empty());
+}
+
+// ---------------------------------------------------------------------------
+// Executor edge cases: in-place scans, lazily resolved column slots,
+// subqueries memoized by node, and join row order.
+// ---------------------------------------------------------------------------
+
+fn error_text(db: &Database, sql: &str) -> String {
+    match execute_sql(db, sql) {
+        Ok(rs) => panic!("expected an error from {sql}, got {rs:?}"),
+        Err(e) => e,
+    }
+}
+
+fn int_pairs(db: &Database, sql: &str) -> Vec<(Option<i64>, Option<i64>)> {
+    let int = |v: &Value| match v {
+        Value::Int(n) => Some(*n),
+        Value::Null => None,
+        other => panic!("expected an int or NULL, got {other:?}"),
+    };
+    rows(db, sql)
+        .iter()
+        .map(|r| (int(&r[0]), int(&r[1])))
+        .collect()
+}
+
+#[test]
+fn unknown_column_over_an_empty_table_is_not_an_error() {
+    let mut db = fixture();
+    db.add_table(Table::new("empty_t", vec![Column::new("x", DataType::Int)]));
+    // The predicate never runs, so its columns are never resolved.
+    assert!(rows(&db, "SELECT x FROM empty_t WHERE nope = 1").is_empty());
+    assert!(rows(&db, "SELECT * FROM empty_t WHERE e.nope > x").is_empty());
+    // Over a non-empty table the same predicate fails.
+    assert_eq!(
+        error_text(&db, "SELECT name FROM singer WHERE nope = 1"),
+        "unknown column `nope`"
+    );
+    assert_eq!(
+        error_text(&db, "SELECT name FROM singer WHERE e.nope = 1"),
+        "unknown column `e.nope`"
+    );
+}
+
+#[test]
+fn ambiguous_unqualified_column_keeps_its_error_text() {
+    let db = fixture();
+    for sql in [
+        "SELECT singer_id FROM singer JOIN singer_in_concert ON 1 = 1",
+        "SELECT name FROM singer s JOIN singer_in_concert sic \
+         ON s.singer_id = sic.singer_id WHERE singer_id > 2",
+        "SELECT s.name FROM singer s JOIN singer_in_concert sic ON singer_id = 1",
+    ] {
+        assert_eq!(
+            error_text(&db, sql),
+            "ambiguous column `singer_id`",
+            "{sql}"
+        );
+    }
+    // Qualified, the same column is fine.
+    assert_eq!(
+        rows(
+            &db,
+            "SELECT s.singer_id FROM singer s JOIN singer_in_concert sic \
+             ON s.singer_id = sic.singer_id WHERE s.singer_id > 4"
+        )
+        .len(),
+        2
+    );
+}
+
+#[test]
+fn identical_uncorrelated_subqueries_at_two_nodes_agree() {
+    let db = fixture();
+    let r = rows(
+        &db,
+        "SELECT (SELECT MAX(age) FROM singer), (SELECT MAX(age) FROM singer) FROM singer",
+    );
+    assert_eq!(r.len(), 6);
+    assert!(r.iter().all(|row| row == &[Value::Int(52), Value::Int(52)]));
+    let r = rows(
+        &db,
+        "SELECT name FROM singer WHERE age = (SELECT MIN(age) FROM singer) \
+         OR age + 1 = (SELECT MIN(age) FROM singer) + 1",
+    );
+    assert_eq!(r, vec![vec![Value::Text("Tribal King".into())]]);
+}
+
+#[test]
+fn correlated_exists_and_select_list_subquery_match_hand_counts() {
+    let db = fixture();
+    // Appearances per singer in `singer_in_concert`, counted by hand.
+    assert_eq!(
+        int_pairs(
+            &db,
+            "SELECT singer_id, (SELECT COUNT(*) FROM singer_in_concert sic \
+             WHERE sic.singer_id = s.singer_id) FROM singer s",
+        ),
+        [(1, 0), (2, 2), (3, 3), (4, 1), (5, 1), (6, 1)]
+            .map(|(a, b)| (Some(a), Some(b)))
+            .to_vec()
+    );
+    // Singers with a concert after concert 2: rows (3,5), (4,6), (5,3),
+    // (6,2) of `singer_in_concert`.
+    let ids =
+        |sql: &str| -> Vec<Value> { rows(&db, sql).into_iter().map(|r| r[0].clone()).collect() };
+    assert_eq!(
+        ids(
+            "SELECT singer_id FROM singer s WHERE EXISTS (SELECT 1 FROM singer_in_concert sic \
+             WHERE sic.singer_id = s.singer_id AND sic.concert_id > 2)"
+        ),
+        [2, 3, 5, 6].map(Value::Int).to_vec()
+    );
+    assert_eq!(
+        ids(
+            "SELECT singer_id FROM singer s WHERE NOT EXISTS (SELECT 1 FROM singer_in_concert sic \
+             WHERE sic.singer_id = s.singer_id AND sic.concert_id > 2)"
+        ),
+        [1, 4].map(Value::Int).to_vec()
+    );
+}
+
+#[test]
+fn nested_loop_outer_joins_keep_row_order() {
+    let db = fixture();
+    // Not an equality, so both joins take the nested loop. Concerts of
+    // 2015 are 3, 5 and 6.
+    let on = "ON c.concert_id < s.singer_id AND c.year = 2015";
+    assert_eq!(
+        int_pairs(
+            &db,
+            &format!("SELECT s.singer_id, c.concert_id FROM singer s LEFT JOIN concert c {on}"),
+        ),
+        vec![
+            (Some(1), None),
+            (Some(2), None),
+            (Some(3), None),
+            (Some(4), Some(3)),
+            (Some(5), Some(3)),
+            (Some(6), Some(3)),
+            (Some(6), Some(5)),
+        ]
+    );
+    assert_eq!(
+        int_pairs(
+            &db,
+            &format!("SELECT s.singer_id, c.concert_id FROM singer s RIGHT JOIN concert c {on}"),
+        ),
+        vec![
+            (Some(4), Some(3)),
+            (Some(5), Some(3)),
+            (Some(6), Some(3)),
+            (Some(6), Some(5)),
+            (None, Some(1)),
+            (None, Some(2)),
+            (None, Some(4)),
+            (None, Some(6)),
+        ]
+    );
+}
+
+#[test]
+fn hash_joins_keep_row_order() {
+    let db = fixture();
+    let on = "ON s.singer_id = sic.singer_id";
+    // Each left row's matches in build-side order.
+    assert_eq!(
+        int_pairs(
+            &db,
+            &format!("SELECT s.singer_id, sic.concert_id FROM singer s LEFT JOIN singer_in_concert sic {on}"),
+        ),
+        vec![
+            (Some(1), None),
+            (Some(2), Some(1)),
+            (Some(2), Some(6)),
+            (Some(3), Some(1)),
+            (Some(3), Some(2)),
+            (Some(3), Some(5)),
+            (Some(4), Some(2)),
+            (Some(5), Some(3)),
+            (Some(6), Some(4)),
+        ]
+    );
+    assert_eq!(
+        int_pairs(
+            &db,
+            &format!("SELECT sic.concert_id, s.singer_id FROM singer_in_concert sic RIGHT JOIN singer s {on}"),
+        ),
+        vec![
+            (Some(1), Some(2)),
+            (Some(1), Some(3)),
+            (Some(2), Some(3)),
+            (Some(2), Some(4)),
+            (Some(3), Some(5)),
+            (Some(4), Some(6)),
+            (Some(5), Some(3)),
+            (Some(6), Some(2)),
+            (None, Some(1)),
+        ]
+    );
+}
+
+/// The row key as it was written before `row_key_into`: one `format!`
+/// temporary per number.
+fn format_row_key(row: &[Value]) -> String {
+    let mut key = String::with_capacity(row.len() * 8);
+    for v in row {
+        match v {
+            Value::Null => key.push_str("\u{1}N"),
+            Value::Int(n) => {
+                key.push_str("\u{1}F");
+                key.push_str(&format!("{:.9e}", *n as f64));
+            }
+            Value::Float(x) => {
+                key.push_str("\u{1}F");
+                if x.is_nan() {
+                    key.push_str("NaN");
+                } else {
+                    key.push_str(&format!("{x:.9e}"));
+                }
+            }
+            Value::Text(s) => {
+                key.push_str("\u{1}T");
+                key.push_str(s);
+            }
+            Value::Bool(b) => {
+                key.push_str(if *b { "\u{1}Bt" } else { "\u{1}Bf" });
+            }
+        }
+    }
+    key
+}
+
+fn value_strategy() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        Just(Value::Null),
+        any::<bool>().prop_map(Value::Bool),
+        any::<i64>().prop_map(Value::Int),
+        // Short integers, whose keys skip the float formatter, up to and
+        // past the ten-digit edge; and the same values as floats.
+        (-1_000i64..1_000).prop_map(Value::Int),
+        (-20_000_000_000i64..20_000_000_000).prop_map(Value::Int),
+        (0i64..8, any::<bool>()).prop_map(|(d, neg)| {
+            let n = 9_999_999_996 + d;
+            Value::Int(if neg { -n } else { n })
+        }),
+        (-20_000_000_000i64..20_000_000_000).prop_map(|n| Value::Float(n as f64)),
+        Just(Value::Float(0.0)),
+        Just(Value::Float(1e10)),
+        Just(Value::Float(f64::INFINITY)),
+        // Around 2^53, where `i64 as f64` starts to round.
+        (0i64..64, any::<bool>()).prop_map(|(d, neg)| {
+            let n = (1i64 << 53) + d - 32;
+            Value::Int(if neg { -n } else { n })
+        }),
+        // Every bit pattern: NaNs, infinities, subnormals, -0.0.
+        any::<u64>().prop_map(|bits| Value::Float(f64::from_bits(bits))),
+        Just(Value::Float(-0.0)),
+        Just(Value::Float(f64::NAN)),
+        // Near the 10-significant-digit rounding edge of `{:.9e}`.
+        (1i64..100_000, 0i64..40).prop_map(|(m, k)| {
+            Value::Float((m as f64 + 0.5) * 1e-9 + (k - 20) as f64 * 1e-18 + m as f64)
+        }),
+        (0i64..1_000, 0i64..21).prop_map(|(m, k)| Value::Float(m as f64 + (k - 10) as f64 * 1e-10)),
+        "[a-zA-Z0-9 _]{0,8}".prop_map(Value::Text),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2000))]
+
+    #[test]
+    fn row_key_into_is_byte_equal_to_the_format_key(
+        row in prop::collection::vec(value_strategy(), 0..6),
+        prefix in "[a-z]{0,3}",
+    ) {
+        prop_assert_eq!(row_key(&row), format_row_key(&row));
+        // Appending keeps what the buffer held.
+        let mut buf = prefix.clone();
+        row_key_into(&mut buf, &row);
+        prop_assert_eq!(buf, format!("{prefix}{}", format_row_key(&row)));
+    }
 }
