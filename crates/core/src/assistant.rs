@@ -1,14 +1,14 @@
 //! The Assistant: FISQL's NL2SQL front end (§3.2).
 //!
 //! For each question the Assistant retrieves query-relevant
-//! demonstrations (RAG), prompts the model, executes the SQL against the
+//! demonstrations (RAG), asks the model, executes the SQL against the
 //! database, and returns the four outputs of the paper: (a) the execution
 //! result, (b) a reformulation of the question, (c) a step-by-step NL
 //! explanation, and (d) the SQL itself ("Show source").
 
 use crate::explain::{explain_query, reformulate};
 use fisql_engine::{Database, ResultSet};
-use fisql_llm::{prompt, DemoStore, Demonstration, GenMode, GenRequest, SimLlm};
+use fisql_llm::{DemoStore, Demonstration, GenMode, GenRequest, SimLlm};
 use fisql_spider::{Corpus, Example};
 use fisql_sqlkit::{normalize_query, print_query, print_query_spanned, Query, SpannedSql};
 
@@ -28,8 +28,6 @@ pub struct AssistantTurn {
     /// Execution result or error message ("We found nothing for your
     /// query" style failures surface here).
     pub result: Result<ResultSet, String>,
-    /// The full prompt that produced the query (fidelity/debugging).
-    pub prompt: String,
     /// Diagnostic: error channels that fired in the simulated model.
     pub fired: Vec<&'static str>,
 }
@@ -71,6 +69,9 @@ impl Assistant {
     /// Answers `example` against `db`. `salt` distinguishes repeated
     /// generations (attempt number).
     pub fn answer(&self, db: &Database, example: &Example, salt: u64) -> AssistantTurn {
+        // Row-budget guard only (no wall-clock deadline): the rendered
+        // grid participates in deterministic replay, so the outcome must
+        // not depend on machine load.
         let guard = fisql_engine::ExecLimits {
             max_rows: fisql_engine::ExecLimits::interactive().max_rows,
             deadline_ms: None,
@@ -89,12 +90,8 @@ impl Assistant {
         salt: u64,
         exec: impl FnMut(&Database, &Query) -> Result<ResultSet, String>,
     ) -> AssistantTurn {
+        // The model reads how many demonstrations were retrieved.
         let retrieved = self.store.retrieve(&example.question, self.demos_k);
-        let prompt_text = if retrieved.is_empty() {
-            prompt::zero_shot_prompt(db, &example.question)
-        } else {
-            prompt::few_shot_prompt(db, &retrieved, &example.question)
-        };
         let generation = self.llm.generate_sql(&GenRequest {
             example,
             demos: retrieved.len(),
@@ -103,39 +100,18 @@ impl Assistant {
             mode: GenMode::Initial,
         });
         let query = normalize_query(&generation.query);
-        self.present_with(db, query, prompt_text, generation.fired, exec)
+        self.present_with(db, query, generation.fired, exec)
     }
 
-    /// Packages a query into the four-output Assistant turn.
-    pub fn present(
-        &self,
-        db: &Database,
-        query: Query,
-        prompt: String,
-        fired: Vec<&'static str>,
-    ) -> AssistantTurn {
-        // Row-budget guard only (no wall-clock deadline): the rendered
-        // grid participates in deterministic replay, so the outcome must
-        // not depend on machine load.
-        let guard = fisql_engine::ExecLimits {
-            max_rows: fisql_engine::ExecLimits::interactive().max_rows,
-            deadline_ms: None,
-        };
-        self.present_with(db, query, prompt, fired, |db, q| {
-            fisql_engine::execute_with_limits(db, q, guard).map_err(|e| e.to_string())
-        })
-    }
-
-    /// [`present`](Assistant::present) with the engine call abstracted
-    /// out, so a serve session can route the render through its result
-    /// cache. The executor must reproduce `execute_with_limits` under
-    /// the interactive row budget byte-for-byte for presented turns to
-    /// stay bit-identical.
+    /// Packages a query into the four-output Assistant turn, executing it
+    /// through `exec`, so a serve session can route the render through
+    /// its result cache. The executor must reproduce `execute_with_limits`
+    /// under the interactive row budget byte-for-byte for presented turns
+    /// to stay bit-identical.
     pub fn present_with(
         &self,
         db: &Database,
         query: Query,
-        prompt: String,
         fired: Vec<&'static str>,
         mut exec: impl FnMut(&Database, &Query) -> Result<ResultSet, String>,
     ) -> AssistantTurn {
@@ -151,7 +127,6 @@ impl Assistant {
             reformulation,
             explanation,
             result,
-            prompt,
             fired,
         }
     }
@@ -202,7 +177,6 @@ mod tests {
         assert!(!turn.sql_text.is_empty());
         assert!(!turn.reformulation.is_empty());
         assert!(turn.explanation.contains("First"));
-        assert!(turn.prompt.contains(&e.question));
     }
 
     #[test]
@@ -215,7 +189,7 @@ mod tests {
     }
 
     #[test]
-    fn zero_shot_prompt_when_no_demos() {
+    fn zero_shot_answer_when_no_demos() {
         let (corpus, _) = setup();
         let assistant = Assistant {
             llm: SimLlm::new(LlmConfig::default()),
@@ -224,7 +198,7 @@ mod tests {
         };
         let e = &corpus.examples[0];
         let turn = assistant.answer(corpus.database(e), e, 0);
-        assert!(!turn.prompt.contains("Here are some examples"));
+        assert!(!turn.sql_text.is_empty());
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!    — the simulated user provides feedback where they can (§4.1: 101
 //!    annotated ≈ 41%).
 //! 4. [`CorrectionRun::run`](crate::runner::CorrectionRun::run) —
-//!    multi-round feedback incorporation with a chosen [`Strategy`],
+//!    multi-round feedback incorporation with a chosen [`Strategy`](crate::Strategy),
 //!    producing the % instances corrected per round (Tables 2-3,
 //!    Figure 8) — sharded across worker threads, bit-identical at any
 //!    worker count.

@@ -56,7 +56,7 @@ pub enum FsyncPolicy {
     Never,
     /// Fsync after every record — maximum durability, slowest.
     EachRecord,
-    /// Fsync every [`BATCH_EVERY`] records and once at the end of the
+    /// Fsync every `BATCH_EVERY` (32) records and once at the end of the
     /// run — the default durability/throughput trade-off.
     #[default]
     Batch,

@@ -6,7 +6,7 @@
 //!
 //! - [`assistant`]: the NL2SQL front end (§3.2) returning execution
 //!   result, reformulation, step-by-step explanation, and SQL.
-//! - [`interpret`]: grounding natural-language feedback onto clause-level
+//! - [`interpret`](mod@interpret): grounding natural-language feedback onto clause-level
 //!   edits of the previous query.
 //! - [`pipeline`]: the two-step feedback incorporation (§3.3) with the
 //!   routing and highlighting switches, plus the Query Rewrite baseline.

@@ -8,11 +8,9 @@
 use crate::interpret::{interpret, interpret_candidates, Interpretation};
 use fisql_engine::Database;
 use fisql_feedback::Feedback;
-use fisql_llm::{
-    prompt, routing_alignment, BackendResult, FallibleLanguageModel, GenMode, GenRequest,
-};
+use fisql_llm::{routing_alignment, BackendResult, FallibleLanguageModel, GenMode, GenRequest};
 use fisql_spider::Example;
-use fisql_sqlkit::check::{check_query, render_report, repair_query, Diagnostic, SchemaInfo};
+use fisql_sqlkit::check::{check_query, repair_query, Diagnostic, SchemaInfo};
 use fisql_sqlkit::{
     apply_edits, diff_queries, enumerate_repairs, literal_year, locate_faults_with_cues,
     normalize_query, print_query, print_query_spanned, prune_against, realized_classes,
@@ -36,9 +34,10 @@ pub enum Strategy {
         highlighting: bool,
     },
     /// FISQL with *dynamically selected* routing demonstrations (the
-    /// paper's §5 future-work extension): instead of the fixed per-type
-    /// demonstration set, the most feedback-relevant demonstrations are
-    /// retrieved from a tagged pool ([`fisql_llm::RoutingPool`]).
+    /// paper's §5 future-work extension). The simulated model reads only
+    /// that the demonstrations were selected dynamically, which adds
+    /// [`fisql_llm::Calibration::dynamic_demo_bonus`] to its edit-success
+    /// probability.
     FisqlDynamic,
     /// The Query Rewrite baseline (§4.1): paraphrase the question to fold
     /// in the feedback, then regenerate from scratch.
@@ -118,8 +117,7 @@ pub struct IncorporateContext<'a> {
     /// Run the feedback-conformance gate: diff the candidate against the
     /// previous query and verify the realized edit class (and, with
     /// highlighting, the touched clause) agrees with the routed feedback
-    /// type; a non-conformant candidate gets one re-prompt with the
-    /// conformance diagnostic folded in.
+    /// type; a non-conformant candidate gets one re-prompt.
     pub conformance_gate: bool,
 }
 
@@ -135,8 +133,6 @@ pub struct IncorporateOutcome {
     pub routed: Option<OpClass>,
     /// Interpretation diagnostics (FISQL paths only).
     pub interpretation: Option<Interpretation>,
-    /// The full prompt sent to the model (fidelity).
-    pub prompt: String,
     /// What the static-analysis gate found (and possibly fixed) in the
     /// candidate before it could reach the engine.
     pub gate: GateOutcome,
@@ -213,20 +209,15 @@ impl GateOutcome {
 }
 
 /// Gates a candidate query through the static analyzer before it can
-/// reach the engine. Error findings are rendered and folded into the
-/// regeneration prompt (so the next round's model sees exactly which
-/// names were invalid), and a unique typo-level repair (edit distance
-/// ≤ 2 against the schema, names that exist nowhere in it) is applied
-/// when it makes the candidate analyzer-clean.
-pub fn gate_candidate(
-    db: &Database,
-    candidate: Query,
-    prompt: &mut String,
-) -> (Query, GateOutcome) {
+/// reach the engine. Error findings are kept in the outcome, and a
+/// unique typo-level repair (edit distance ≤ 2 against the schema, names
+/// that exist nowhere in it) is applied when it makes the candidate
+/// analyzer-clean.
+pub fn gate_candidate(db: &Database, candidate: Query) -> (Query, GateOutcome) {
     let ctx = db.context();
     let schema = ctx.schema(db);
     let diagnostics = check_query(&candidate, schema);
-    gate_checked(schema, candidate, diagnostics, prompt)
+    gate_checked(schema, candidate, diagnostics)
 }
 
 /// [`gate_candidate`] for a candidate whose analyzer `diagnostics`
@@ -235,7 +226,6 @@ fn gate_checked(
     schema: &SchemaInfo,
     candidate: Query,
     diagnostics: Vec<Diagnostic>,
-    prompt: &mut String,
 ) -> (Query, GateOutcome) {
     if !diagnostics.iter().any(Diagnostic::is_error) {
         return (
@@ -246,11 +236,6 @@ fn gate_checked(
             },
         );
     }
-    let sql = print_query(&candidate);
-    prompt.push_str(&prompt::diagnostics_addendum(&render_report(
-        &sql,
-        &diagnostics,
-    )));
     match repair_query(&candidate, schema) {
         Some(fixed) => (
             normalize_query(&fixed),
@@ -302,28 +287,15 @@ fn fisql_step<L: FallibleLanguageModel + ?Sized>(
     highlighting: bool,
     dynamic: bool,
 ) -> BackendResult<IncorporateOutcome> {
-    // Step 1 (§3.3): feedback-type identification + routed demonstrations
-    // (fixed set, or dynamically selected — the §5 extension).
+    // Step 1 (§3.3): feedback-type identification. Step 2 regenerates
+    // from the routed demonstrations (fixed, or dynamically selected —
+    // the §5 extension), which the model reads as `routing` and
+    // `dynamic`.
     let routed = if routing {
         Some(llm.try_classify_feedback(&ctx.feedback.text, ctx.round)?)
     } else {
         None
     };
-    let type_demos: Vec<String> = match routed {
-        Some(class) if dynamic => builtin_pool().select(class, &ctx.feedback.text, ctx.previous, 2),
-        Some(class) => prompt::type_demonstrations(class),
-        None => Vec::new(),
-    };
-
-    // Step 2: the regeneration prompt (Figure 6), built for fidelity.
-    let prompt_text = prompt::feedback_prompt(
-        ctx.db,
-        &[],
-        &type_demos,
-        ctx.question,
-        &print_query(ctx.previous),
-        &ctx.feedback.text,
-    );
 
     // Interpret the feedback against the previous query.
     let mut rng = StdRng::seed_from_u64(
@@ -361,7 +333,6 @@ fn fisql_step<L: FallibleLanguageModel + ?Sized>(
         Ok(normalize_query(&applied))
     };
     let mut query = candidate()?;
-    let mut prompt_text = prompt_text;
 
     // Feedback-conformance gate: the realized edit class (diff of previous
     // vs candidate) must agree with the routed class, and — under
@@ -405,11 +376,6 @@ fn fisql_step<L: FallibleLanguageModel + ?Sized>(
             };
             if !agreed {
                 report.retried = true;
-                let realized = realized_classes(&diff_queries(ctx.previous, &query));
-                prompt_text.push_str(&prompt::conformance_addendum(
-                    &routed_class.to_string(),
-                    &realized.iter().map(|c| c.to_string()).collect::<Vec<_>>(),
-                ));
                 // One re-prompt. Deterministic backends reproduce the same
                 // candidate (the report still records the retry); if the
                 // retry dies in a faulty backend, keep the first candidate
@@ -424,26 +390,17 @@ fn fisql_step<L: FallibleLanguageModel + ?Sized>(
         _ => None,
     };
 
-    let (query, gate) = gate_candidate(ctx.db, query, &mut prompt_text);
+    let (query, gate) = gate_candidate(ctx.db, query);
 
     Ok(IncorporateOutcome {
         query,
         question: ctx.question.to_string(),
         routed,
         interpretation: Some(interp),
-        prompt: prompt_text,
         gate,
         conformance,
         search: None,
     })
-}
-
-/// The built-in routing pool, embedded once per process (building it per
-/// incorporation step would re-embed every demonstration each round).
-fn builtin_pool() -> &'static fisql_llm::RoutingPool {
-    use std::sync::OnceLock;
-    static POOL: OnceLock<fisql_llm::RoutingPool> = OnceLock::new();
-    POOL.get_or_init(fisql_llm::RoutingPool::builtin)
 }
 
 /// Beam width of the repair search: survivors re-localized in round two.
@@ -573,14 +530,6 @@ fn search_step<L: FallibleLanguageModel + ?Sized>(
         chosen: survivors.first().map_or("none", |r| r.cand.label),
     };
 
-    let mut prompt_text = prompt::feedback_prompt(
-        ctx.db,
-        &[],
-        &[],
-        ctx.question,
-        &print_query(previous),
-        &ctx.feedback.text,
-    );
     // Choose: the top-ranked survivor goes to the runner's validator,
     // gated on the diagnostics pruning already found; an empty pool keeps
     // the previous query (interpretation failure, the paper's error
@@ -589,14 +538,13 @@ fn search_step<L: FallibleLanguageModel + ?Sized>(
         Some(top) => (top.cand.query, top.diagnostics),
         None => (previous.clone(), check_query(previous, schema)),
     };
-    let (query, gate) = gate_checked(schema, chosen, diagnostics, &mut prompt_text);
+    let (query, gate) = gate_checked(schema, chosen, diagnostics);
 
     Ok(IncorporateOutcome {
         query,
         question: ctx.question.to_string(),
         routed: Some(routed),
         interpretation: None,
-        prompt: prompt_text,
         gate,
         conformance: None,
         search: Some(report),
@@ -721,7 +669,6 @@ fn rewrite_step<L: FallibleLanguageModel + ?Sized>(
 ) -> BackendResult<IncorporateOutcome> {
     // Paraphrase the question to absorb the feedback …
     let new_question = llm.try_rewrite_question(ctx.question, &ctx.feedback.text)?;
-    let prompt_text = prompt::rewrite_prompt(ctx.question, &ctx.feedback.text);
     // … then regenerate from scratch. The regeneration resamples the
     // comprehension model: hints now present in the question resolve their
     // channels, but every *other* channel refires independently — the
@@ -733,15 +680,12 @@ fn rewrite_step<L: FallibleLanguageModel + ?Sized>(
         salt: 1000 + ctx.round,
         mode: GenMode::Rewrite,
     })?;
-    let mut prompt_text = prompt_text;
-    let (query, gate) =
-        gate_candidate(ctx.db, normalize_query(&generation.query), &mut prompt_text);
+    let (query, gate) = gate_candidate(ctx.db, normalize_query(&generation.query));
     Ok(IncorporateOutcome {
         query,
         question: new_question,
         routed: None,
         interpretation: None,
-        prompt: prompt_text,
         gate,
         conformance: None,
         search: None,
@@ -754,6 +698,7 @@ mod tests {
     use fisql_feedback::Feedback;
     use fisql_llm::{Calibration, LlmConfig, SimLlm};
     use fisql_spider::{build_aep, AepConfig};
+    use fisql_sqlkit::check::DiagCode;
     use fisql_sqlkit::{parse_query, structurally_equal};
 
     fn flawless_llm() -> SimLlm {
@@ -811,7 +756,6 @@ mod tests {
             print_query(&out.query)
         );
         assert_eq!(out.routed, Some(OpClass::Edit));
-        assert!(out.prompt.contains("we are in 2024"));
     }
 
     #[test]
@@ -856,8 +800,6 @@ mod tests {
         assert!(report.agreed);
         assert!(!report.retried);
         assert!(report.agreed_after_retry);
-        // The agreeing path must not pollute the prompt.
-        assert!(!out.prompt.contains("conformance"), "{}", out.prompt);
     }
 
     #[test]
@@ -900,11 +842,6 @@ mod tests {
         // Deterministic backend: the retry reproduces the no-op.
         assert!(!report.agreed_after_retry);
         assert!(structurally_equal(&out.query, &previous));
-        assert!(
-            out.prompt.contains("revision"),
-            "conformance addendum missing from prompt: {}",
-            out.prompt
-        );
     }
 
     #[test]
@@ -1099,7 +1036,7 @@ mod tests {
     }
 
     #[test]
-    fn gate_repairs_typo_and_annotates_prompt() {
+    fn gate_repairs_typo_and_reports_its_diagnostics() {
         let corpus = build_aep(&AepConfig {
             n_examples: 5,
             seed: 2,
@@ -1111,16 +1048,23 @@ mod tests {
         let candidate =
             parse_query("SELECT COUNT(*) FROM hkg_dim_segment WHERE createdTme >= '2024-01-01'")
                 .unwrap();
-        let mut prompt = String::from("base prompt");
-        let (fixed, gate) = gate_candidate(db, candidate, &mut prompt);
+        let (fixed, gate) = gate_candidate(db, candidate);
         assert!(gate.has_errors());
         assert!(gate.repaired);
         assert_eq!(gate.executions_saved, 1);
         // The gate normalizes the repaired query, lowercasing identifiers.
         assert!(print_query(&fixed).contains("createdtime"));
-        assert!(prompt.starts_with("base prompt"));
-        assert!(prompt.contains("unknown-column"), "{prompt}");
-        assert!(prompt.contains("createdTime"), "{prompt}");
+        let typo = gate
+            .diagnostics
+            .iter()
+            .find(|d| d.code == DiagCode::UnknownColumn)
+            .expect("unknown-column diagnostic");
+        assert!(
+            typo.hint
+                .as_deref()
+                .is_some_and(|h| h.contains("createdTime")),
+            "{typo:?}"
+        );
     }
 
     #[test]
@@ -1134,12 +1078,17 @@ mod tests {
         // `activation_date` is a real column of another table: that is a
         // missing join, not a typo — the gate must not rename it.
         let candidate = parse_query("SELECT activation_date FROM hkg_dim_segment").unwrap();
-        let mut prompt = String::new();
-        let (kept, gate) = gate_candidate(db, candidate.clone(), &mut prompt);
+        let (kept, gate) = gate_candidate(db, candidate.clone());
         assert!(gate.has_errors());
         assert!(!gate.repaired);
         assert_eq!(kept, candidate);
-        assert!(prompt.contains("activation_date"), "{prompt}");
+        assert!(
+            gate.diagnostics
+                .iter()
+                .any(|d| d.message.contains("activation_date")),
+            "{:?}",
+            gate.diagnostics
+        );
     }
 
     #[test]

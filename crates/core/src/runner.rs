@@ -1244,6 +1244,41 @@ mod tests {
         );
     }
 
+    #[test]
+    fn dynamic_strategy_differs_from_fisql_only_by_its_calibrated_bonus() {
+        let corpus = fisql_spider::build_spider(&SpiderConfig::small(77));
+        let llm = SimLlm::new(LlmConfig {
+            calibration: fisql_llm::Calibration {
+                dynamic_demo_bonus: 0.0,
+                ..Default::default()
+            },
+            ..LlmConfig::default()
+        });
+        let user = SimUser::new(UserConfig::default());
+        let run = CorrectionRun::new(&corpus, &llm, &user)
+            .demos_k(3)
+            .rounds(2)
+            .workers(1);
+        let errors = run.collect_errors();
+        let annotated = run.annotate(&errors);
+        assert!(!annotated.is_empty());
+
+        let blanked = |strategy: Strategy| {
+            let mut report = run.strategy(strategy).run(&annotated);
+            report.strategy = String::new();
+            report
+        };
+        let fisql = blanked(Strategy::Fisql {
+            routing: true,
+            highlighting: false,
+        });
+        assert!(fisql.corrected_after_round.iter().any(|&n| n > 0));
+        assert_eq!(
+            serde_json::to_string(&blanked(Strategy::FisqlDynamic)).unwrap(),
+            serde_json::to_string(&fisql).unwrap()
+        );
+    }
+
     /// A forwarding backend whose virtual session clock is permanently
     /// past any deadline: every case expires at its first round boundary,
     /// deterministically, at any worker count.

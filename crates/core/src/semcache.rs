@@ -48,7 +48,7 @@
 //! on first need) and its analyzer verdict against that database — so
 //! a case's gold query is checked once per shard, not once per round.
 //! The database fingerprint, like the analyzer schema, is read from the
-//! database's memoized [`DbContext`](fisql_engine::DbContext).
+//! database's memoized [`fisql_engine::DbContext`].
 //!
 //! The cache is deliberately **per-shard** (one per worker thread, one
 //! per serve session): no cross-thread state means worker count cannot

@@ -7,7 +7,7 @@
 //!    the ground truth an unfailed run produces.
 //! 2. **HA pair** — a primary (`--repl-listen`) and a follower
 //!    (`--replica-of`) boot on ephemeral ports with separate stores;
-//!    the same scripts run through [`FailoverClient`]s holding the
+//!    the same scripts run through [`FailoverClient`](crate::serve::client::FailoverClient)s holding the
 //!    `[primary, follower]` endpoint list.
 //! 3. **Kill** — the scripted [`KillPoint`] is armed in the primary,
 //!    which checks it after every Ask and Feedback and [`abort`]s

@@ -15,7 +15,7 @@
 //!   hook (`core::isolate`), so a poisoned session answers `Error` and
 //!   the daemon lives;
 //! - every session talks to the model through its own
-//!   [`Resilient`](fisql_llm::Resilient) retry/breaker stack (reset at
+//!   [`fisql_llm::Resilient`] retry/breaker stack (reset at
 //!   session open, exactly like the runner's per-case reset), so one
 //!   flapping backend conversation cannot starve its neighbours;
 //! - every state-changing request is journaled write-ahead to the
@@ -905,7 +905,7 @@ fn dispatch<'a>(d: &'a Daemon, hosted: &mut Hosted<'a>, request: ClientRequest) 
         ClientRequest::Feedback { text, highlight } => {
             // Refused before the journal: a feedback with no question
             // to correct must leave no record for replay to skip.
-            if !hosted.session.has_question() {
+            if hosted.session.question().is_none() {
                 bump(&d.counters.errors);
                 return ServerResponse::Error {
                     message: "feedback before any question".to_string(),

@@ -5,7 +5,7 @@
 //! client operation is appended as a `(session_id, SessionOp)` record to
 //! a [`RunJournal`] *before* it executes (write-ahead), and a session is
 //! reconstructed — after a client reconnect or a daemon restart — by
-//! replaying its ops through a fresh [`Session`] (../session.rs). The
+//! replaying its ops through a fresh [`Session`](crate::Session). The
 //! daemon applies a live op and a replayed one through the same
 //! function (`Hosted::apply` in `serve::server`), so live turns,
 //! reconnects and restarts share one code path. Because the whole

@@ -145,9 +145,11 @@ impl<'a> Session<'a> {
         self.round
     }
 
-    /// Whether a question is active (i.e. [`Session::ask`] has run).
-    pub fn has_question(&self) -> bool {
-        self.state.is_some()
+    /// The active question (once [`Session::ask`] has run) as currently
+    /// phrased: Query Rewrite folds each feedback into it, every other
+    /// strategy leaves it as asked.
+    pub fn question(&self) -> Option<&str> {
+        self.state.as_ref().map(|s| s.question.as_str())
     }
 
     /// Asks the example's question; returns the Assistant's turn.
@@ -234,7 +236,7 @@ impl<'a> Session<'a> {
             outcome: outcome.gate.clone(),
         });
         self.round += 1;
-        let turn = self.present_cached(outcome.query, outcome.prompt);
+        let turn = self.present_cached(outcome.query);
         self.push_assistant(&turn);
         turn
     }
@@ -269,19 +271,17 @@ impl<'a> Session<'a> {
             .expect("a failed round requires an active question")
             .current
             .clone();
-        let turn = self.present_cached(current, String::new());
+        let turn = self.present_cached(current);
         self.push_assistant(&turn);
         turn
     }
 
     /// Presents a query through the session's result cache: the render
     /// re-executes only on the first sighting of each exact SQL text.
-    fn present_cached(&mut self, query: fisql_sqlkit::Query, prompt: String) -> AssistantTurn {
+    fn present_cached(&mut self, query: fisql_sqlkit::Query) -> AssistantTurn {
         let assistant = &self.assistant;
         let semcache = &mut self.semcache;
-        assistant.present_with(self.db, query, prompt, vec![], |db, q| {
-            semcache.execute_view(db, q)
-        })
+        assistant.present_with(self.db, query, vec![], |db, q| semcache.execute_view(db, q))
     }
 
     /// Appends the structured Assistant event for `turn`.

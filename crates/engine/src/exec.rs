@@ -1291,11 +1291,7 @@ fn projection_plan<'a, 'r>(
     core: &'a SelectCore,
     rel: &'r Relation<'_>,
 ) -> ExecResult<ProjectionPlan<'a, 'r>> {
-    fn expand<'a, 'r>(
-        b: &'r Binding<'_>,
-        names: &mut Vec<String>,
-        outputs: &mut Vec<Output<'a, 'r>>,
-    ) {
+    fn expand<'r>(b: &'r Binding<'_>, names: &mut Vec<String>, outputs: &mut Vec<Output<'_, 'r>>) {
         for i in 0..b.columns.len() {
             let column = b.columns.name(i);
             names.push(column.to_string());

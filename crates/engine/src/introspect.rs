@@ -9,10 +9,10 @@
 //!
 //! **The context memo.** [`Database::context`] keeps one [`DbContext`]
 //! per distinct database shape for the life of the process: the
-//! analyzer schema, the prompt's schema block, the schema lexicon and
-//! the cache fingerprint, each derived once instead of on every call
-//! (the schema and lexicon on first use: set-up renders prompts for
-//! every corpus database, but few are ever analyzed).
+//! analyzer schema, the prompt templates' schema block, the schema
+//! lexicon and the cache fingerprint, each derived once instead of on
+//! every call (the schema and lexicon on first use: the semantic cache
+//! reads only the fingerprint of every database it executes against).
 //! The key is FNV-1a over the database name and table count, which tell
 //! corpus databases apart. Because `Database`'s fields are public, a hit
 //! is confirmed field by field against the shape the context was built
@@ -122,19 +122,17 @@ impl Database {
 /// distinct shape and shared ([`Database::context`]).
 #[derive(Debug)]
 pub struct DbContext {
-    /// The prompt's schema block ([`Database::schema_text`]).
+    /// The prompt templates' schema block ([`Database::schema_text`]).
     pub schema_text: String,
     /// Result-cache fingerprint: FNV-1a over the database name plus every
     /// table's name, column names and row count. Cheap (no row data) but
     /// strong enough to content-check the corpus's unique-name guarantee.
     pub fingerprint: u64,
-    /// The analyzer's schema description, built on first use: set-up's
-    /// few-shot prompts read only the schema block of every corpus
-    /// database.
+    /// The analyzer's schema description, built on first use: the
+    /// semantic cache reads only the fingerprint.
     schema: OnceLock<SchemaInfo>,
-    /// The feedback linkers' lexicon, built on first use: set-up renders
-    /// prompts for every corpus database, but only the ones correction
-    /// cases touch are ever linked against.
+    /// The feedback linkers' lexicon, built on first use: only databases
+    /// whose feedback is interpreted are ever linked against.
     lexicon: OnceLock<Arc<SchemaLexicon>>,
     /// The shape the context was derived from, to confirm memo hits.
     shape: Shape,

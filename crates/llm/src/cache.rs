@@ -1,9 +1,8 @@
 //! Concurrent memoization for the hot retrieval/embedding paths.
 //!
-//! The parallel evaluation runner replays the same feedback texts,
-//! questions, and routed-demo lookups across strategies, rounds, and
-//! worker threads. Embedding a text and ranking a demonstration pool are
-//! pure functions of their inputs, so this module memoizes them behind an
+//! The parallel evaluation runner retrieves demonstrations for the same
+//! questions across strategies, runs, and worker threads. Embedding a
+//! text is a pure function of it, so this module memoizes it behind an
 //! `RwLock`-guarded map shared across threads.
 //!
 //! **Determinism.** Cached values are computed by pure functions of the
@@ -152,10 +151,9 @@ fn embed_cache() -> &'static ConcurrentCache<String, Arc<Embedding>> {
 
 /// [`Embedding::embed`] memoized process-wide.
 ///
-/// Questions and feedback texts recur heavily across strategies, rounds,
-/// and repeated runs (every strategy re-embeds the same annotated
-/// feedback set), so the embedding cache is shared by all stores and
-/// pools in the process.
+/// Questions recur heavily across strategies and repeated runs (every
+/// demonstration store over a corpus embeds the same questions), so the
+/// embedding cache is shared by all stores in the process.
 pub fn embed_cached(text: &str) -> Arc<Embedding> {
     let cache = embed_cache();
     if let Some(hit) = cache.get(text) {

@@ -6,8 +6,9 @@
 //! this offline reproduction. This crate replaces it with [`SimLlm`]: a
 //! deterministic, seeded model that plays the same three roles the paper
 //! prompts GPT for — NL2SQL generation, feedback-type classification, and
-//! feedback-conditioned regeneration — behind the *same prompts* (built
-//! verbatim per the paper's Figures 1, 5, and 6 by [`prompt`]).
+//! feedback-conditioned regeneration. It reads counts, queries and edit
+//! lists rather than prompt text; the paper's Figure 1, 5, and 6 prompts
+//! are kept as templates in [`prompt`], pinned by golden tests.
 //!
 //! The substitution argument (DESIGN.md §2): the paper's claims concern
 //! the pipeline *around* the LLM — routing plus demonstrations plus
@@ -29,7 +30,6 @@ pub mod model;
 pub mod prompt;
 pub mod resilience;
 pub mod retrieval;
-pub mod routing_pool;
 
 pub use agreement::{routing_alignment, AgreementStats};
 pub use backend::FallibleLanguageModel;
@@ -43,4 +43,3 @@ pub use model::{
 };
 pub use resilience::{BreakerState, ResilienceConfig, ResilienceStats, Resilient};
 pub use retrieval::{DemoStore, Demonstration};
-pub use routing_pool::{clause_inventory, ClauseKind, FeedbackDemo, RoutingPool};

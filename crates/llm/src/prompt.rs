@@ -1,11 +1,11 @@
-//! Prompt construction, mirroring the paper's Figures 1, 5, and 6.
+//! Prompt templates, mirroring the paper's Figures 1, 5, and 6.
 //!
-//! Even though the backing model is simulated, the full prompt text is
-//! built and threaded through every call: the pipeline stays faithful to
-//! the paper end-to-end, prompt-construction bugs are testable, and the
-//! prompts double as documentation of the method. The schema block is
-//! read from the database's memoized [`fisql_engine::DbContext`], so it is
-//! rendered once per schema, not once per prompt.
+//! The simulated model reads counts, queries and edit lists, not prompt
+//! text, so no pipeline path renders these templates. They document the
+//! method a real-LLM backend would send, and golden tests pin their text.
+//! The schema block is read from the database's memoized
+//! [`fisql_engine::DbContext`], so it is rendered once per schema, not
+//! once per prompt.
 
 use crate::retrieval::Demonstration;
 use fisql_engine::Database;
@@ -126,40 +126,6 @@ pub fn rewrite_prompt(question: &str, feedback: &str) -> String {
          Question: {question}\n\
          Feedback: {feedback}\n\
          Rewritten:"
-    )
-}
-
-/// Folds a static-analysis diagnostic report into a regeneration prompt.
-///
-/// When `core::pipeline`'s analyzer gate finds error-severity problems in
-/// a candidate query, the rendered report (see
-/// `fisql_sqlkit::check::render_report`) is appended to the prompt so the
-/// next regeneration sees exactly which names or clauses were invalid and
-/// what the nearest schema-valid alternatives are.
-pub fn diagnostics_addendum(report: &str) -> String {
-    format!(
-        "\n\nThe candidate SQL has schema problems found by static \
-         analysis. Fix them in your revision:\n{report}"
-    )
-}
-
-/// Folds a feedback-conformance diagnostic into a regeneration prompt.
-///
-/// When the conformance gate in `core::pipeline` finds that the edit
-/// class realized by a candidate (per `fisql_sqlkit::diff_queries`)
-/// disagrees with the routed feedback type, this addendum tells the
-/// re-prompted model what kind of change the feedback called for and what
-/// the candidate actually did.
-pub fn conformance_addendum(routed: &str, realized: &[String]) -> String {
-    let did = if realized.is_empty() {
-        "made no change to the query".to_string()
-    } else {
-        format!("realized {} operations instead", realized.join(", "))
-    };
-    format!(
-        "\n\nThe feedback calls for a {routed}-type revision, but your \
-         candidate {did}. Regenerate so the revision actually applies a \
-         {routed} operation to the previous SQL."
     )
 }
 

@@ -4,7 +4,7 @@
 //! would transform the predicted query into the gold query. The diff is
 //! the substrate for two parts of the reproduction:
 //!
-//! - the **simulated user** ([`fisql-feedback`]) picks one visible edit
+//! - the **simulated user** (`fisql-feedback`) picks one visible edit
 //!   per round and verbalizes it as natural-language feedback, mirroring
 //!   how the paper's annotators described one correction at a time;
 //! - the paper's error analysis ("SQL queries with multiple errors …

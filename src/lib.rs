@@ -10,7 +10,7 @@
 //! - [`fisql_engine`]: an in-memory relational executor with SQLite-like
 //!   semantics and the execution-match metric;
 //! - [`fisql_spider`]: seeded SPIDER-like and AEP-like benchmark corpora;
-//! - [`fisql_llm`]: the simulated LLM (prompts per the paper's Figures
+//! - [`fisql_llm`]: the simulated LLM (prompt templates per the paper's Figures
 //!   1/5/6, RAG retrieval, calibrated comprehension model);
 //! - [`fisql_feedback`]: the simulated user/annotator;
 //! - [`fisql_core`]: FISQL itself — Assistant, feedback interpretation,

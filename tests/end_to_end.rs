@@ -175,8 +175,8 @@ fn gate_corrects_hallucinated_column_without_engine_execution() {
     // A candidate referencing a column that exists nowhere in the schema
     // (a hallucinated name one typo away from a real one) is caught by the
     // static analyzer inside the incorporation step: repaired before it
-    // could burn an engine execution, with the diagnostics folded into the
-    // regeneration prompt.
+    // could burn an engine execution, with the diagnostics kept in the gate
+    // outcome.
     let aep = build_aep(&AepConfig {
         n_examples: 3,
         seed: 21,
@@ -225,9 +225,23 @@ fn gate_corrects_hallucinated_column_without_engine_execution() {
     let sql = print_query(&out.query);
     assert!(sql.contains("createdtime"), "not corrected: {sql}");
     assert!(!sql.contains("createdtme"), "typo survived: {sql}");
-    // The prompt carries the analyzer's findings for the next round.
-    assert!(out.prompt.contains("static analysis"), "{}", out.prompt);
-    assert!(out.prompt.contains("createdtme"), "{}", out.prompt);
+    // The gate outcome keeps the analyzer's findings for the typo.
+    let typo = out
+        .gate
+        .diagnostics
+        .iter()
+        .find(|d| d.code == DiagCode::UnknownColumn)
+        .expect("unknown-column diagnostic");
+    assert!(
+        typo.message.to_lowercase().contains("createdtme"),
+        "{typo:?}"
+    );
+    assert!(
+        typo.hint
+            .as_deref()
+            .is_some_and(|h| h.contains("createdTime")),
+        "{typo:?}"
+    );
     // And the repaired query executes cleanly.
     assert!(execute_sql(db, &sql).is_ok());
 }

@@ -163,7 +163,9 @@ fn query_rewrite_session_changes_question_across_rounds() {
     };
     let mut session = fisql_core::Session::new(db, assistant, Strategy::QueryRewrite);
     session.ask(&example);
-    let turn = session.give_feedback(&llm, &example, "we are in 2024", None);
-    // The rewrite prompt records the merged question.
-    assert!(turn.prompt.contains("we are in 2024"), "{}", turn.prompt);
+    session.give_feedback(&llm, &example, "we are in 2024", None);
+    // The session carries the rewritten question into the next round.
+    let question = session.question().expect("an active question");
+    assert_ne!(question, example.question);
+    assert!(question.contains("2024"), "{question}");
 }
