@@ -86,7 +86,7 @@ pub(crate) fn build_view(
 }
 
 /// [`build_view`] with the engine call abstracted out so the runner can
-/// route it through the per-shard result cache's exact-print lane. The
+/// route it through the per-worker result cache's exact-print lane. The
 /// executor must reproduce `execute_with_limits` under the interactive
 /// row budget byte-for-byte (rows and error strings) for rendered views
 /// to stay bit-identical.

@@ -13,9 +13,9 @@ use fisql_spider::Example;
 use fisql_sqlkit::check::{check_query, repair_query, Diagnostic, SchemaInfo};
 use fisql_sqlkit::{
     apply_edits, diff_queries, enumerate_repairs, literal_year, locate_faults_with_cues,
-    normalize_query, print_query, print_query_spanned, prune_against, realized_classes,
-    same_clause_family, Expr, FeedbackCues, Literal, OpClass, PruneBase, PruneOutcome, Query,
-    RepairCandidate,
+    locate_faults_with_diagnostics, normalize_query, print_query, print_query_spanned,
+    prune_against, realized_classes, same_clause_family, Expr, FeedbackCues, Literal, OpClass,
+    PruneBase, PruneOutcome, Query, RepairCandidate,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -494,8 +494,14 @@ fn search_step<L: FallibleLanguageModel + ?Sized>(
     let beam = survivors.len().min(BEAM_WIDTH);
     let mut enumerated_round2 = 0u64;
     for i in 0..beam {
-        let member = &survivors[i].cand;
-        let member_sites = locate_faults_with_cues(&member.query, schema, Some(&cues), None);
+        // A member is localized from the diagnostics pruning kept for it.
+        let Ranked {
+            cand: member,
+            diagnostics,
+            ..
+        } = &survivors[i];
+        let member_sites =
+            locate_faults_with_diagnostics(&member.query, schema, diagnostics, Some(&cues), None);
         let expansions = enumerate_repairs(&member.query, schema, &member_sites, &cues);
         enumerated_round2 += expansions.len() as u64;
         let expansions: Vec<RepairCandidate> = expansions

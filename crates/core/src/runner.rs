@@ -18,20 +18,24 @@
 //!
 //! # Sharding and determinism
 //!
-//! Cases are split into contiguous chunks, one per worker, and each chunk
-//! is evaluated on its own scoped thread ([`std::thread::scope`], so the
-//! corpus, model, and user are plain borrows — no `Arc` plumbing).
+//! Workers take case indices one at a time from a shared atomic cursor,
+//! so a worker that draws cheap cases simply takes more of them and none
+//! idles while another still holds a backlog. The calling thread is one
+//! of the workers; the rest run on scoped threads ([`std::thread::scope`],
+//! so the corpus, model, and user are plain borrows — no `Arc` plumbing).
 //! Per-case work is *order-independent by construction*: every random
 //! draw in the simulated model and user derives from a pure hash of
 //! (component seed, example id, round), never from shared mutable state,
-//! and the merged report is a sum of per-case outcomes. Chunks are merged
-//! in shard order, so the report is **bit-identical to the serial driver
-//! at any worker count** — asserted by this module's tests and
+//! and the merged report is a sum of per-case outcomes. Outcomes are
+//! placed by case index, so the report is **bit-identical to a serial
+//! run at any worker count** — asserted by this module's tests and
 //! `tests/concurrency.rs`.
 //!
 //! The only thread-count-dependent observables are throughput numbers
 //! (wall time, cache hit counters), which are quarantined in
-//! [`RunMetrics`] and excluded from report serialization.
+//! [`RunMetrics`] and excluded from report serialization. Which cases
+//! share a worker — and so a per-worker semantic cache — now varies from
+//! run to run, so the cache counters vary between runs too.
 //!
 //! # Durability and robustness
 //!
@@ -111,7 +115,7 @@ pub struct ExperimentConfig {
     /// no case actually stalls).
     #[serde(default)]
     pub case_deadline_ms: Option<u64>,
-    /// Per-shard semantic result cache: serve repeated executions of
+    /// Per-worker semantic result cache: serve repeated executions of
     /// canonically-equivalent SQL (and byte-identical view renders)
     /// from memory instead of the engine (see [`crate::semcache`]).
     /// Reports are bit-identical with the cache on or off and at any
@@ -187,9 +191,10 @@ pub struct RunMetrics {
     pub cache_hits: u64,
     /// Retrieval/embedding cache misses during the run.
     pub cache_misses: u64,
-    /// Engine executions served from the per-shard semantic result
-    /// caches instead of the engine (summed over shards; zero with the
-    /// cache disabled).
+    /// Engine executions served from the per-worker semantic result
+    /// caches instead of the engine, gold results read from the corpus
+    /// memo included (summed over workers; zero with the cache
+    /// disabled).
     pub executions_skipped_cache: u64,
     /// Semantic-cache lookups that had to execute the engine.
     pub semantic_cache_misses: u64,
@@ -380,7 +385,7 @@ impl<'a, L: FallibleLanguageModel + ?Sized> CorrectionRun<'a, L> {
         self
     }
 
-    /// Enables or disables the per-shard semantic result cache (on by
+    /// Enables or disables the per-worker semantic result cache (on by
     /// default; reports are bit-identical either way).
     pub fn semantic_cache(mut self, on: bool) -> Self {
         self.cfg.semantic_cache = on;
@@ -576,9 +581,11 @@ impl<'a, L: FallibleLanguageModel + ?Sized> CorrectionRun<'a, L> {
         }
     }
 
-    /// Evaluates the not-yet-recorded cases, sharded contiguously over
-    /// `workers` scoped threads, write-ahead journaling each outcome as
-    /// it lands. Returns `(case index, outcome)` pairs.
+    /// Evaluates the not-yet-recorded cases on `workers` workers — the
+    /// calling thread plus `workers - 1` scoped threads — each taking the
+    /// next pending case from one shared cursor, write-ahead journaling
+    /// each outcome as it lands. Returns `(case index, outcome)` pairs in
+    /// completion order.
     fn run_pending(
         &self,
         cases: &[AnnotatedCase],
@@ -593,47 +600,35 @@ impl<'a, L: FallibleLanguageModel + ?Sized> CorrectionRun<'a, L> {
         let slots: Vec<Arc<CaseSlot>> = (0..workers).map(|_| Arc::new(CaseSlot::idle())).collect();
         let done = AtomicBool::new(false);
         let epoch = Instant::now();
-        let chunk = pending.len().div_ceil(workers);
+        let cursor = Cursor::new(pending);
         std::thread::scope(|scope| {
             let watchdog = self.cfg.case_deadline_ms.map(|deadline_ms| {
                 let slots = slots.clone();
                 let done = &done;
                 scope.spawn(move || watch_for_stalls(&slots, done, epoch, deadline_ms, journal))
             });
-            let handles: Vec<_> = pending
-                .chunks(chunk)
-                .zip(&slots)
-                .map(|(shard, slot)| {
-                    scope.spawn(|| {
-                        self.run_shard(cases, shard, slot, epoch, journal, semcache_totals)
-                    })
-                })
-                .collect();
-            let mut merged = Vec::with_capacity(pending.len());
-            let mut first_err = None;
-            for handle in handles {
-                match handle.join().expect("runner worker panicked") {
-                    Ok(part) => merged.extend(part),
-                    Err(e) => first_err = first_err.or(Some(e)),
-                }
-            }
+            let parts = on_workers(workers, |w| {
+                self.run_worker(cases, &cursor, &slots[w], epoch, journal, semcache_totals)
+            });
             done.store(true, Ordering::Release);
             if let Some(watchdog) = watchdog {
                 watchdog.join().expect("watchdog panicked");
             }
-            match first_err {
-                Some(e) => Err(e),
-                None => Ok(merged),
+            let mut merged = Vec::with_capacity(pending.len());
+            for part in parts {
+                merged.extend(part?);
             }
+            Ok(merged)
         })
     }
 
-    /// One worker's loop: run each assigned case in panic isolation,
-    /// journal its outcome, and keep the watchdog slot current.
-    fn run_shard(
+    /// One worker's loop: take the next pending case from `cursor` until
+    /// none is left, run it in panic isolation, journal its outcome, and
+    /// keep the watchdog slot current.
+    fn run_worker(
         &self,
         cases: &[AnnotatedCase],
-        shard: &[usize],
+        cursor: &Cursor<'_, usize>,
         slot: &Arc<CaseSlot>,
         epoch: Instant,
         journal: Option<&Mutex<RunJournal>>,
@@ -649,12 +644,12 @@ impl<'a, L: FallibleLanguageModel + ?Sized> CorrectionRun<'a, L> {
             })));
             PulseGuard
         });
-        // One semantic result cache per shard: no cross-thread state, so
-        // which executions hit depends only on this shard's own case
-        // sequence — worker count still cannot change any report field.
+        // One semantic result cache per worker: no cross-thread state,
+        // and its result lanes are transparent, so which cases this
+        // worker happens to draw cannot change any report field.
         let mut semcache = SemanticCache::new(self.cfg.semantic_cache);
-        let mut out = Vec::with_capacity(shard.len());
-        for &idx in shard {
+        let mut out = Vec::new();
+        while let Some((_, &idx)) = cursor.next() {
             slot.begin(idx, epoch, self.cfg.case_deadline_ms);
             let mut outcome = match crate::isolate::run_isolated(|| {
                 self.run_case(&cases[idx], slot, epoch, &mut semcache)
@@ -802,11 +797,12 @@ impl<'a, L: FallibleLanguageModel + ?Sized> CorrectionRun<'a, L> {
             // The correctness check (predicted + gold) goes through the
             // cache's execution gate. A candidate canonically equivalent
             // to a query this case already refuted is answered without
-            // the engine; otherwise both executions route through the
-            // semantic lane, and the logical counter is charged whether
-            // or not they hit, so reports stay cache-invariant.
+            // the engine; otherwise the prediction routes through the
+            // semantic lane and the gold comes from the corpus memo, and
+            // the logical counter is charged whether or not either ran,
+            // so reports stay cache-invariant.
             let Some(check) =
-                semcache.check_prediction(db, example, &current, !step.gate.has_errors())
+                semcache.check_in_corpus(self.corpus, example, &current, !step.gate.has_errors())
             else {
                 verdict.executions_skipped_static += 2;
                 continue;
@@ -851,34 +847,74 @@ impl CorrectionRun<'_, SimLlm> {
     }
 }
 
-/// Maps `f` over `items` on `workers` scoped threads, each taking one
-/// contiguous chunk, and concatenates the per-chunk outputs in shard
-/// order — so the result equals `items.iter().map(f).collect()` exactly,
-/// for any `workers`.
+/// Hands out the items of a slice one at a time, with their positions,
+/// to whichever worker asks next — the runner's only scheduling state.
+struct Cursor<'a, T> {
+    items: &'a [T],
+    next: AtomicUsize,
+}
+
+impl<'a, T> Cursor<'a, T> {
+    fn new(items: &'a [T]) -> Self {
+        Cursor {
+            items,
+            next: AtomicUsize::new(0),
+        }
+    }
+
+    /// The next untaken item and its position; `None` once all are taken.
+    fn next(&self) -> Option<(usize, &'a T)> {
+        // Relaxed: the read-modify-write alone makes every position
+        // unique, the cursor publishes no other data, and outputs travel
+        // back through the threads' joins.
+        let i = self.next.fetch_add(1, Ordering::Relaxed);
+        self.items.get(i).map(|item| (i, item))
+    }
+}
+
+/// Runs `work(w)` for every worker `w` in `0..workers` — worker 0 on the
+/// calling thread, so it does not idle while the others run, and the
+/// rest on scoped threads — and returns their results in worker order.
+fn on_workers<R: Send>(workers: usize, work: impl Fn(usize) -> R + Sync) -> Vec<R> {
+    let work = &work;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (1..workers).map(|w| scope.spawn(move || work(w))).collect();
+        let mut results = vec![work(0)];
+        results.extend(
+            handles
+                .into_iter()
+                .map(|handle| handle.join().expect("runner worker panicked")),
+        );
+        results
+    })
+}
+
+/// Maps `f` over `items` on `workers` workers, each taking the next item
+/// from one shared [`Cursor`], and places every output at its item's
+/// position — so the result equals `items.iter().map(f).collect()`
+/// exactly, for any `workers`.
 fn shard_map<T, R, F>(items: &[T], workers: usize, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    if items.is_empty() {
-        return Vec::new();
-    }
-    if workers <= 1 {
-        return items.iter().map(f).collect();
-    }
-    let chunk = items.len().div_ceil(workers);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .chunks(chunk)
-            .map(|shard| scope.spawn(|| shard.iter().map(&f).collect::<Vec<R>>()))
-            .collect();
-        let mut merged = Vec::with_capacity(items.len());
-        for handle in handles {
-            merged.extend(handle.join().expect("runner worker panicked"));
+    let cursor = Cursor::new(items);
+    let parts = on_workers(workers, |_| {
+        let mut out = Vec::new();
+        while let Some((i, item)) = cursor.next() {
+            out.push((i, f(item)));
         }
-        merged
-    })
+        out
+    });
+    let mut placed: Vec<Option<R>> = items.iter().map(|_| None).collect();
+    for (i, r) in parts.into_iter().flatten() {
+        placed[i] = Some(r);
+    }
+    placed
+        .into_iter()
+        .map(|r| r.expect("the cursor hands out every item"))
+        .collect()
 }
 
 /// Milliseconds elapsed since the run epoch (saturating).
@@ -1026,7 +1062,9 @@ mod tests {
     fn shard_map_equals_serial_map_for_any_worker_count() {
         let items: Vec<u64> = (0..23).collect();
         let serial: Vec<u64> = items.iter().map(|x| x * x).collect();
-        for workers in [1, 2, 3, 8, 64] {
+        // 3 and 7 leave an uneven cursor tail; 64 is more workers than
+        // items.
+        for workers in [1, 2, 3, 7, 8, 64] {
             assert_eq!(shard_map(&items, workers, |x| x * x), serial);
         }
         assert!(shard_map(&[] as &[u64], 4, |x| x * x).is_empty());
@@ -1047,7 +1085,9 @@ mod tests {
 
         let serial = run.workers(1).run(&annotated);
         let serial_json = serde_json::to_string(&serial).unwrap();
-        for workers in [2, 8] {
+        // 3 and 7 do not divide the case count; the last is more workers
+        // than cases (the runner clamps it to one per case).
+        for workers in [2, 3, 7, 8, annotated.len() + 5] {
             let parallel = run.workers(workers).run(&annotated);
             assert_eq!(
                 serde_json::to_string(&parallel).unwrap(),
@@ -1055,6 +1095,13 @@ mod tests {
                 "report diverged at {workers} workers"
             );
         }
+        assert_eq!(
+            run.workers(annotated.len() + 5)
+                .run(&annotated)
+                .metrics
+                .workers,
+            annotated.len()
+        );
     }
 
     #[test]
@@ -1433,36 +1480,46 @@ mod tests {
 
         let path =
             std::env::temp_dir().join(format!("fisql-runner-journal-{}.fjnl", std::process::id()));
-        let journaled = run.journal(&path).fsync(FsyncPolicy::Never).run(&annotated);
-        assert_eq!(
-            serde_json::to_string(&journaled).unwrap(),
-            baseline_json,
-            "journaling must not perturb the report"
-        );
-
-        // Chop the journal mid-record — the moral equivalent of SIGKILL
-        // mid-write — and resume at several worker counts.
-        let full = std::fs::read(&path).unwrap();
-        assert!(full.len() > crate::journal::HEADER_LEN + 16);
-        for (workers, cut) in [
-            (1, full.len() / 3),
-            (4, full.len() / 2),
-            (8, full.len() - 5),
-        ] {
-            let cut = cut.max(crate::journal::HEADER_LEN);
-            std::fs::write(&path, &full[..cut]).unwrap();
-            let resumed = run
-                .workers(workers)
+        // Journal at one worker (records in case order) and at three
+        // (records in completion order, so a torn tail loses cases from
+        // anywhere in the list), then chop each journal mid-record — the
+        // moral equivalent of SIGKILL mid-write — and resume at several
+        // worker counts.
+        for journal_workers in [1, 3] {
+            let journaled = run
+                .workers(journal_workers)
                 .journal(&path)
-                .resume(true)
                 .fsync(FsyncPolicy::Never)
                 .run(&annotated);
             assert_eq!(
-                serde_json::to_string(&resumed).unwrap(),
+                serde_json::to_string(&journaled).unwrap(),
                 baseline_json,
-                "resume(cut={cut}, workers={workers}) diverged from the fresh run"
+                "journaling must not perturb the report"
             );
+            let full = std::fs::read(&path).unwrap();
+            assert!(full.len() > crate::journal::HEADER_LEN + 16);
+            for (workers, cut) in [
+                (1, full.len() / 3),
+                (4, full.len() / 2),
+                (8, full.len() - 5),
+            ] {
+                let cut = cut.max(crate::journal::HEADER_LEN);
+                std::fs::write(&path, &full[..cut]).unwrap();
+                let resumed = run
+                    .workers(workers)
+                    .journal(&path)
+                    .resume(true)
+                    .fsync(FsyncPolicy::Never)
+                    .run(&annotated);
+                assert_eq!(
+                    serde_json::to_string(&resumed).unwrap(),
+                    baseline_json,
+                    "resume(journaled at {journal_workers}, cut={cut}, workers={workers}) \
+                     diverged from the fresh run"
+                );
+            }
         }
+        let full = std::fs::read(&path).unwrap();
 
         // A resume against a *different* experiment is refused outright.
         std::fs::write(&path, &full).unwrap();

@@ -1,11 +1,11 @@
 //! Semantic result cache keyed by `(db_fingerprint, canon_fingerprint)`,
 //! and the one gate that decides whether a correctness check executes.
 //!
-//! Correction runs execute the same SQL over and over: the gold query of
-//! a case re-executes every round, candidate repairs are dense with
-//! semantically-equal spellings, and serve sessions re-render the same
-//! prediction grid after every feedback turn. [`SemanticCache`] turns
-//! those repeats into hash lookups with three lanes:
+//! Correction runs execute the same SQL over and over: candidate repairs
+//! are dense with semantically-equal spellings, and serve sessions
+//! re-render the same prediction grid after every feedback turn.
+//! [`SemanticCache`] turns those repeats into hash lookups with three
+//! lanes:
 //!
 //! * the **refuted lane** answers a correctness check without running it
 //!   at all. It holds, per case, the keys of queries the case already
@@ -35,7 +35,10 @@
 //!   fingerprints ⇒ identical engine results) and the analyzer-agreement
 //!   property (analyzer-clean queries execute without error) — the lane
 //!   therefore only serves or stores analyzer-clean queries and `Ok`
-//!   results, the same gate the refuted lane applies;
+//!   results, the same gate the refuted lane applies. A runner check
+//!   ([`check_in_corpus`](SemanticCache::check_in_corpus)) takes the
+//!   gold's outcome from the corpus memo ([`Corpus::gold_result`])
+//!   instead, and counts that read as a hit;
 //! * the **exact lane** serves user-visible renders (view grids and
 //!   serve-session result frames) under the interactive row budget. It
 //!   is keyed by the exact printed SQL, which makes it trivially sound —
@@ -45,15 +48,15 @@
 //! Every lookup prints its query once. One map keyed by
 //! `(db fingerprint, print fingerprint)` holds what the lanes derive
 //! from a query: its canonical fingerprint and empty-arity key (computed
-//! on first need) and its analyzer verdict against that database — so
-//! a case's gold query is checked once per shard, not once per round.
-//! The database fingerprint, like the analyzer schema, is read from the
+//! on first need) and its analyzer verdict against that database. The
+//! database fingerprint, like the analyzer schema, is read from the
 //! database's memoized [`fisql_engine::DbContext`].
 //!
-//! The cache is deliberately **per-shard** (one per worker thread, one
-//! per serve session): no cross-thread state means worker count cannot
-//! change which executions hit, and reports stay bit-identical at any
-//! worker count. Hit counters of the two result lanes are folded into
+//! The cache is deliberately **per worker** (one per runner worker, one
+//! per serve session): no cross-thread state, and the result lanes are
+//! transparent, so which cases share a cache cannot change a verdict and
+//! reports stay bit-identical at any worker count. Hit counters of the
+//! two result lanes are folded into
 //! [`RunMetrics`](crate::runner::RunMetrics), which is `#[serde(skip)]`
 //! in serialized reports, so cache effectiveness is observable without
 //! perturbing replay contracts; refuted-lane skips are report fields
@@ -61,7 +64,7 @@
 
 use fisql_engine::{Database, DbContext, ExecLimits, ResultSet};
 use fisql_llm::CacheStats;
-use fisql_spider::{check_prediction_with, Example, Verdict};
+use fisql_spider::{check_prediction_with, judge_prediction, Corpus, Example, Verdict};
 use fisql_sqlkit::{canon_fingerprint, check_query, empty_arity, fnv64, print_query, Query};
 use std::collections::{HashMap, HashSet};
 
@@ -112,7 +115,7 @@ fn query_key(db: &DbContext, query: &Query) -> QueryKey {
     (db.fingerprint, fnv64(print_query(query).as_bytes()))
 }
 
-/// A per-shard execution gate: refuted + semantic + exact lanes. See
+/// A per-worker execution gate: refuted + semantic + exact lanes. See
 /// the module docs for the lanes and their soundness arguments.
 #[derive(Debug, Default)]
 pub struct SemanticCache {
@@ -187,7 +190,8 @@ impl SemanticCache {
     /// skipped. Otherwise the check runs through the semantic lane, and
     /// a `WrongResult` verdict is recorded in the refuted lane. Only
     /// `analyzer_clean` queries (no error-severity diagnostics) consult
-    /// or extend the refuted lane.
+    /// or extend the refuted lane; the caller's `true` is taken as the
+    /// analyzer's verdict on `query`, so it is not checked again.
     pub fn check_prediction(
         &mut self,
         db: &Database,
@@ -195,22 +199,70 @@ impl SemanticCache {
         query: &Query,
         analyzer_clean: bool,
     ) -> Option<Verdict> {
+        self.check(db, example, None, query, analyzer_clean)
+    }
+
+    /// [`check_prediction`](Self::check_prediction) for an element of
+    /// `corpus.examples`: with the result lanes enabled, the gold's
+    /// outcome is read from [`Corpus::gold_result`] — counted as an
+    /// execution the cache skipped — so the gold is never printed,
+    /// checked, canonicalized or executed here. Disabled, the gold
+    /// executes afresh.
+    pub fn check_in_corpus(
+        &mut self,
+        corpus: &Corpus,
+        example: &Example,
+        query: &Query,
+        analyzer_clean: bool,
+    ) -> Option<Verdict> {
+        self.check(
+            corpus.database(example),
+            example,
+            Some(corpus),
+            query,
+            analyzer_clean,
+        )
+    }
+
+    fn check(
+        &mut self,
+        db: &Database,
+        example: &Example,
+        corpus: Option<&Corpus>,
+        query: &Query,
+        analyzer_clean: bool,
+    ) -> Option<Verdict> {
         let ctx = db.context();
         let key = query_key(&ctx, query);
-        let keys = analyzer_clean.then(|| self.keys(key, query));
+        let keys = analyzer_clean.then(|| {
+            self.queries
+                .entry(key)
+                .or_default()
+                .clean
+                .get_or_insert(true);
+            self.keys(key, query)
+        });
         if keys.is_some_and(|k| k.refuted().any(|key| self.refuted.contains(&key))) {
             return None;
         }
-        let verdict = check_prediction_with(db, example, query, |db, q| {
-            // The predicted query's key is already printed; the gold's
-            // is printed here.
-            let key = if std::ptr::eq(q, query) {
-                key
-            } else {
-                query_key(&ctx, q)
-            };
-            self.semantic(db, &ctx, key, q)
-        });
+        let verdict = match corpus.filter(|_| self.enabled) {
+            Some(corpus) => {
+                self.stats.hits += 1;
+                judge_prediction(&corpus.gold_result(example), || {
+                    self.semantic(db, &ctx, key, query)
+                })
+            }
+            None => check_prediction_with(db, example, query, |db, q| {
+                // The predicted query's key is already printed; the
+                // gold's is printed here.
+                let key = if std::ptr::eq(q, query) {
+                    key
+                } else {
+                    query_key(&ctx, q)
+                };
+                self.semantic(db, &ctx, key, q)
+            }),
+        };
         if let (Some(keys), Verdict::WrongResult) = (keys, &verdict) {
             self.refuted.extend(keys.refuted());
         }

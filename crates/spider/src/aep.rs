@@ -421,11 +421,7 @@ pub fn build_aep(cfg: &AepConfig) -> Corpus {
         id += 1;
     }
 
-    Corpus {
-        name: "aep-like".to_string(),
-        databases: vec![db],
-        examples,
-    }
+    Corpus::new("aep-like", vec![db], examples)
 }
 
 /// The paper's Figure 4 walkthrough: "how many audiences were created in

@@ -92,16 +92,13 @@ pub fn build_spider(cfg: &SpiderConfig) -> Corpus {
         id += 1;
     }
 
-    Corpus {
-        name: "spider-like".to_string(),
-        databases,
-        examples,
-    }
+    Corpus::new("spider-like", databases, examples)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::borrow::Cow;
 
     #[test]
     fn small_corpus_builds_completely() {
@@ -114,6 +111,74 @@ mod tests {
             // Gold executes on its database.
             assert!(execute(corpus.database(e), &e.gold).is_ok());
         }
+    }
+
+    fn fresh_gold(corpus: &Corpus, e: &crate::Example) -> crate::ExecOutcome {
+        execute(corpus.database(e), &e.gold).map_err(|err| err.to_string())
+    }
+
+    #[test]
+    fn gold_results_equal_fresh_executions() {
+        let mut corpus = build_spider(&SpiderConfig::small(7));
+        // One gold that fails, so the memo must keep error text too.
+        corpus.examples[1].gold = fisql_sqlkit::parse_query("SELECT no_such_column FROM nowhere")
+            .expect("the broken gold parses");
+        for e in &corpus.examples {
+            let fresh = fresh_gold(&corpus, e);
+            assert_eq!(*corpus.gold_result(e), fresh, "example {}", e.id);
+            // Later reads are the memo itself, not new executions.
+            let (Cow::Borrowed(first), Cow::Borrowed(again)) =
+                (corpus.gold_result(e), corpus.gold_result(e))
+            else {
+                panic!("example {} did not read its memo", e.id);
+            };
+            assert!(std::ptr::eq(first, again));
+        }
+        assert!(corpus.gold_result(&corpus.examples[1]).is_err());
+        // A copy of an example is not the corpus's own: it executes afresh.
+        let copy = corpus.examples[2].clone();
+        let served = corpus.gold_result(&copy);
+        assert!(matches!(served, Cow::Owned(_)));
+        assert_eq!(*served, fresh_gold(&corpus, &copy));
+        // A clone of the corpus carries the memo along.
+        let cloned = corpus.clone();
+        for e in &cloned.examples {
+            assert_eq!(*cloned.gold_result(e), fresh_gold(&cloned, e));
+        }
+    }
+
+    /// A small corpus whose example at the returned index has a gold
+    /// that returns rows and has been read once.
+    fn corpus_with_a_read_gold() -> (Corpus, usize) {
+        let corpus = build_spider(&SpiderConfig::small(7));
+        let e = corpus
+            .examples
+            .iter()
+            .position(|e| fresh_gold(&corpus, e).is_ok_and(|rs| !rs.rows.is_empty()))
+            .expect("an example whose gold returns rows");
+        let _ = corpus.gold_result(&corpus.examples[e]);
+        (corpus, e)
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "changed after it was memoized")]
+    fn debug_builds_catch_a_gold_mutated_after_its_read() {
+        let (mut corpus, e) = corpus_with_a_read_gold();
+        corpus.examples[e].gold.limit = Some(fisql_sqlkit::LimitClause::new(0));
+        let _ = corpus.gold_result(&corpus.examples[e]);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "changed after it was memoized")]
+    fn debug_builds_catch_a_database_mutated_after_its_read() {
+        let (mut corpus, e) = corpus_with_a_read_gold();
+        let db = corpus.examples[e].db_index;
+        for t in &mut corpus.databases[db].tables {
+            t.rows.clear();
+        }
+        let _ = corpus.gold_result(&corpus.examples[e]);
     }
 
     #[test]

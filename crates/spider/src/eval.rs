@@ -1,6 +1,6 @@
 //! Execution-accuracy evaluation harness (the SPIDER evaluator's metric).
 
-use crate::example::{Corpus, Example, Hardness};
+use crate::example::{Corpus, Example, ExecOutcome, Hardness};
 use fisql_engine::{execute, results_match, Database, ResultSet};
 use fisql_sqlkit::Query;
 use serde::{Deserialize, Serialize};
@@ -45,7 +45,15 @@ pub fn check_prediction_with(
     predicted: &Query,
     mut exec: impl FnMut(&Database, &Query) -> Result<ResultSet, String>,
 ) -> Verdict {
-    let gold_rs = match exec(db, &example.gold) {
+    let gold = exec(db, &example.gold);
+    judge_prediction(&gold, || exec(db, predicted))
+}
+
+/// The verdict on a prediction given the gold's execution outcome (for
+/// instance [`Corpus::gold_result`]). `predicted` executes the
+/// prediction; it is not called when the gold itself failed.
+pub fn judge_prediction(gold: &ExecOutcome, predicted: impl FnOnce() -> ExecOutcome) -> Verdict {
+    let gold_rs = match gold {
         Ok(rs) => rs,
         Err(e) => {
             // Corpus construction validates gold; reaching this means the
@@ -55,9 +63,9 @@ pub fn check_prediction_with(
             };
         }
     };
-    match exec(db, predicted) {
+    match predicted() {
         Ok(rs) => {
-            if results_match(&rs, &gold_rs) {
+            if results_match(&rs, gold_rs) {
                 Verdict::Correct
             } else {
                 Verdict::WrongResult

@@ -2,9 +2,11 @@
 
 use crate::channels::WeightedChannel;
 use crate::intent::{Intent, Shape};
-use fisql_engine::Database;
+use fisql_engine::{Database, ResultSet};
 use fisql_sqlkit::Query;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
+use std::sync::OnceLock;
 
 /// SPIDER-style hardness tiers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -76,6 +78,10 @@ pub struct Example {
     pub hardness: Hardness,
 }
 
+/// What executing a query under unlimited budgets yields: its rows, or
+/// the engine's error text.
+pub type ExecOutcome = Result<ResultSet, String>;
+
 /// A corpus: databases plus examples over them.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Corpus {
@@ -85,12 +91,70 @@ pub struct Corpus {
     pub databases: Vec<Database>,
     /// Examples.
     pub examples: Vec<Example>,
+    /// Each example's gold execution, run on first need
+    /// ([`Corpus::gold_result`]).
+    #[serde(skip)]
+    gold_results: GoldResults,
 }
 
+/// One [`OnceLock`] per example, sized to the examples on first use.
+#[derive(Debug, Clone, Default)]
+struct GoldResults(OnceLock<Box<[OnceLock<ExecOutcome>]>>);
+
 impl Corpus {
+    /// A corpus over `databases` and `examples`. An example whose `id` is
+    /// its position in `examples` — as `build_spider` and `build_aep`
+    /// number them — gets its gold memoized ([`Corpus::gold_result`]).
+    pub fn new(name: impl Into<String>, databases: Vec<Database>, examples: Vec<Example>) -> Self {
+        Corpus {
+            name: name.into(),
+            databases,
+            examples,
+            gold_results: GoldResults::default(),
+        }
+    }
+
     /// The database an example runs against.
     pub fn database(&self, example: &Example) -> &Database {
         &self.databases[example.db_index]
+    }
+
+    /// The outcome of executing `example`'s gold on its database, the way
+    /// [`fisql_engine::execute`] reports it (rows, or the error text).
+    ///
+    /// The gold is fixed per example, so an example of this corpus —
+    /// `example` must be the element of [`Corpus::examples`] itself, not
+    /// a copy — executes it on the first call and every later call, from
+    /// any thread, reads the memo. Any other example executes afresh. The
+    /// memo trusts the corpus not to change under it: the fields are
+    /// public, so debug builds confirm every read against a fresh
+    /// execution.
+    pub fn gold_result(&self, example: &Example) -> Cow<'_, ExecOutcome> {
+        let execute_gold = || {
+            fisql_engine::execute(self.database(example), &example.gold).map_err(|e| e.to_string())
+        };
+        let own = self
+            .examples
+            .get(example.id)
+            .is_some_and(|e| std::ptr::eq(e, example));
+        let slots = self
+            .gold_results
+            .0
+            .get_or_init(|| self.examples.iter().map(|_| OnceLock::new()).collect());
+        let Some(slot) = slots.get(example.id).filter(|_| own) else {
+            return Cow::Owned(execute_gold());
+        };
+        let mut fresh = false;
+        let memo = slot.get_or_init(|| {
+            fresh = true;
+            execute_gold()
+        });
+        debug_assert!(
+            fresh || *memo == execute_gold(),
+            "example {}'s gold result changed after it was memoized",
+            example.id
+        );
+        Cow::Borrowed(memo)
     }
 
     /// Hardness histogram `(easy, medium, hard, extra)`.

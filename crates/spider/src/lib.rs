@@ -36,9 +36,10 @@ pub use channels::{
 };
 pub use corpus::{build_spider, SpiderConfig};
 pub use eval::{
-    check_prediction, check_prediction_with, evaluate, user_visible_result, AccuracyReport, Verdict,
+    check_prediction, check_prediction_with, evaluate, judge_prediction, user_visible_result,
+    AccuracyReport, Verdict,
 };
-pub use example::{Corpus, Example, Hardness};
+pub use example::{Corpus, Example, ExecOutcome, Hardness};
 pub use intent::{AggIntent, Intent, JoinStep, PredIntent, PredKind, Projection, Shape};
 pub use intent_gen::generate_intent;
 pub use question::{humanize, pluralize, render_question};

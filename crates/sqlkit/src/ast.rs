@@ -61,6 +61,22 @@ pub enum Literal {
     Null,
 }
 
+/// Consistent with `PartialEq`: equal literals hash alike (`0.0` and
+/// `-0.0` are equal, so floats hash through a zero-normalized bit
+/// pattern), which makes whole queries hashable for duplicate detection.
+impl std::hash::Hash for Literal {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        std::mem::discriminant(self).hash(state);
+        match self {
+            Literal::Number(n) => n.hash(state),
+            Literal::Float(x) => (if *x == 0.0 { 0.0f64 } else { *x }).to_bits().hash(state),
+            Literal::String(s) => s.hash(state),
+            Literal::Bool(b) => b.hash(state),
+            Literal::Null => {}
+        }
+    }
+}
+
 impl fmt::Display for Literal {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -253,7 +269,7 @@ impl fmt::Display for Func {
 }
 
 /// A scalar (or boolean) expression.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Hash, Serialize, Deserialize)]
 pub enum Expr {
     /// Column reference.
     Column(ColumnRef),
@@ -622,7 +638,7 @@ impl Expr {
 }
 
 /// One item of a SELECT list.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Hash, Serialize, Deserialize)]
 pub enum SelectItem {
     /// `*`
     Wildcard,
@@ -653,7 +669,7 @@ impl SelectItem {
 }
 
 /// A table or derived table in FROM.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Hash, Serialize, Deserialize)]
 pub enum TableFactor {
     /// A named table, optionally aliased.
     Table {
@@ -721,7 +737,7 @@ impl JoinKind {
 }
 
 /// One join step in a FROM clause.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Hash, Serialize, Deserialize)]
 pub struct Join {
     /// Join flavour.
     pub kind: JoinKind,
@@ -732,7 +748,7 @@ pub struct Join {
 }
 
 /// The FROM clause: a base factor plus a chain of joins.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Hash, Serialize, Deserialize)]
 pub struct FromClause {
     /// Leftmost relation.
     pub base: TableFactor,
@@ -766,7 +782,7 @@ impl FromClause {
 }
 
 /// An ORDER BY element.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Hash, Serialize, Deserialize)]
 pub struct OrderItem {
     /// Sort key.
     pub expr: Expr,
@@ -787,7 +803,7 @@ impl OrderItem {
 }
 
 /// LIMIT/OFFSET.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct LimitClause {
     /// Maximum number of rows.
     pub count: u64,
@@ -828,7 +844,7 @@ impl SetOp {
 }
 
 /// The core of a SELECT (no set ops, no trailing ORDER BY/LIMIT).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Hash, Serialize, Deserialize)]
 pub struct SelectCore {
     /// `SELECT DISTINCT`.
     pub distinct: bool,
@@ -860,7 +876,7 @@ impl SelectCore {
 
 /// A complete query: a select core, an optional chain of set operations,
 /// and trailing ORDER BY/LIMIT applying to the whole compound.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Hash, Serialize, Deserialize)]
 pub struct Query {
     /// First (or only) SELECT core.
     pub core: SelectCore,

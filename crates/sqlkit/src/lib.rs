@@ -73,8 +73,8 @@ pub use flow::{
 pub use hash::{fnv1a_32, fnv64, Fnv64};
 pub use lexicon::{humanize, spaced, SchemaLexicon};
 pub use locate::{
-    literal_year, locate_faults, locate_faults_with_cues, FaultKind, FaultSite, FeedbackCues,
-    LocateOptions,
+    literal_year, locate_faults, locate_faults_with_cues, locate_faults_with_diagnostics,
+    FaultKind, FaultSite, FeedbackCues, LocateOptions,
 };
 pub use normalize::{normalize_query, structurally_equal};
 pub use parser::{parse_expr, parse_query};

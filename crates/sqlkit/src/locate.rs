@@ -28,7 +28,7 @@
 //! structure-preserving edits at each site.
 
 use crate::ast::{ClausePath, Expr, Func, Literal, Query};
-use crate::check::{check_query, DiagCode, SchemaInfo, Severity};
+use crate::check::{check_query, DiagCode, Diagnostic, SchemaInfo, Severity};
 use crate::lexicon::SchemaLexicon;
 use crate::printer::{print_query_spanned, SpannedSql};
 use crate::span::Span;
@@ -418,12 +418,27 @@ pub fn locate_faults_with_cues(
     cues: Option<&FeedbackCues>,
     highlight: Option<Span>,
 ) -> Vec<FaultSite> {
+    let diagnostics = check_query(query, schema);
+    locate_faults_with_diagnostics(query, schema, &diagnostics, cues, highlight)
+}
+
+/// [`locate_faults_with_cues`] for a query whose analyzer `diagnostics`
+/// against `schema` are already known — `check_query(query, schema)`
+/// exactly, as the repair search's pruning keeps them for every
+/// survivor — so the query is not checked a second time.
+pub fn locate_faults_with_diagnostics(
+    query: &Query,
+    schema: &SchemaInfo,
+    diagnostics: &[Diagnostic],
+    cues: Option<&FeedbackCues>,
+    highlight: Option<Span>,
+) -> Vec<FaultSite> {
     let spanned = print_query_spanned(query);
     let mut b = SiteBuilder { sites: Vec::new() };
 
     // Stream 1 + 2: analyzer diagnostics (flow lints ride the same
     // channel but prove semantic dead-ends, so they outrank warnings).
-    for d in check_query(query, schema) {
+    for d in diagnostics {
         let confidence = if d.severity == Severity::Error {
             90
         } else if is_flow_code(d.code) {

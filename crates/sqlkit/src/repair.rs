@@ -39,7 +39,9 @@ use crate::edit::{apply_edit, apply_edits};
 use crate::flow::{analyze_conjunction, empty_arity, provably_empty};
 use crate::locate::{literal_year, FaultKind, FaultSite, FeedbackCues};
 use crate::normalize::normalize_query;
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashSet;
+use std::hash::{Hash, Hasher};
 
 /// Maximum candidates enumerated per call; keeps the search bounded.
 const ENUM_BUDGET: usize = 48;
@@ -865,36 +867,84 @@ pub fn prune_candidates(
 /// fingerprint set drops exactly what pairwise proving dropped.
 /// Equivalence to the original also honours that path, since the
 /// original need not be non-empty ([`PruneBase`]).
+///
+/// A candidate whose query equals an earlier one's in the same pool (a
+/// structural hash, confirmed by AST equality) takes that candidate's
+/// lane without being fingerprinted or checked: contradictory or invalid
+/// again, and otherwise deduplicated, exactly as its own fingerprint
+/// would have decided.
 pub fn prune_against(
     base: &PruneBase,
     candidates: Vec<RepairCandidate>,
     schema: &SchemaInfo,
 ) -> PruneOutcome {
-    let mut out = PruneOutcome::default();
+    let hashes: Vec<u64> = candidates
+        .iter()
+        .map(|cand| {
+            let mut h = DefaultHasher::new();
+            cand.query.hash(&mut h);
+            h.finish()
+        })
+        .collect();
+    let mut lanes: Vec<Lane> = Vec::with_capacity(candidates.len());
     let mut seen: HashSet<u64> = HashSet::new();
-    for cand in candidates {
-        let fp = canon_fingerprint(&cand.query);
-        if base.equivalent(&cand.query, fp) {
-            out.deduped += 1;
-            continue;
+    for (i, cand) in candidates.iter().enumerate() {
+        let copy_of = (0..i).find(|&j| hashes[j] == hashes[i] && candidates[j].query == cand.query);
+        let lane = match copy_of.map(|j| &lanes[j]) {
+            Some(Lane::Contradictory) => Lane::Contradictory,
+            Some(Lane::Invalid) => Lane::Invalid,
+            Some(Lane::Deduped | Lane::Kept(_)) => Lane::Deduped,
+            None => first_lane(base, &cand.query, schema, &mut seen),
+        };
+        lanes.push(lane);
+    }
+    let mut out = PruneOutcome::default();
+    for (cand, lane) in candidates.into_iter().zip(lanes) {
+        match lane {
+            Lane::Deduped => out.deduped += 1,
+            Lane::Contradictory => out.contradictory.push(cand),
+            Lane::Invalid => out.invalid.push(cand),
+            Lane::Kept(diagnostics) => {
+                out.kept.push(cand);
+                out.diagnostics.push(diagnostics);
+            }
         }
-        if provably_empty(&cand.query) || where_unsat(&cand.query) {
-            out.contradictory.push(cand);
-            continue;
-        }
-        let diagnostics = check_query(&cand.query, schema);
-        if diagnostics.iter().any(Diagnostic::is_error) {
-            out.invalid.push(cand);
-            continue;
-        }
-        if !seen.insert(fp) {
-            out.deduped += 1;
-            continue;
-        }
-        out.kept.push(cand);
-        out.diagnostics.push(diagnostics);
     }
     out
+}
+
+/// Where [`prune_against`] puts one candidate.
+enum Lane {
+    Deduped,
+    Contradictory,
+    Invalid,
+    /// Survived, with its (warning-only) diagnostics.
+    Kept(Vec<Diagnostic>),
+}
+
+/// The lane of the first candidate in a pool with this `query`; `seen`
+/// holds the canonical fingerprints of the survivors so far.
+fn first_lane(
+    base: &PruneBase,
+    query: &Query,
+    schema: &SchemaInfo,
+    seen: &mut HashSet<u64>,
+) -> Lane {
+    let fp = canon_fingerprint(query);
+    if base.equivalent(query, fp) {
+        return Lane::Deduped;
+    }
+    if provably_empty(query) || where_unsat(query) {
+        return Lane::Contradictory;
+    }
+    let diagnostics = check_query(query, schema);
+    if diagnostics.iter().any(Diagnostic::is_error) {
+        return Lane::Invalid;
+    }
+    if !seen.insert(fp) {
+        return Lane::Deduped;
+    }
+    Lane::Kept(diagnostics)
 }
 
 /// Whether a candidate is structure-preserving: the realized AST diff
@@ -927,7 +977,9 @@ pub fn is_structure_preserving(original: &Query, cand: &RepairCandidate) -> bool
 mod tests {
     use super::*;
     use crate::check::TableInfo;
-    use crate::locate::{locate_faults, LocateOptions};
+    use crate::locate::{
+        locate_faults, locate_faults_with_cues, locate_faults_with_diagnostics, LocateOptions,
+    };
     use crate::parser::parse_query;
     use crate::printer::print_query;
 
@@ -1182,13 +1234,26 @@ mod tests {
         }
         assert_eq!(pool.len(), 200);
         let fast = prune_candidates(&q, pool.clone(), &s);
-        let slow = prune_reference(&q, pool, &s);
+        let slow = prune_reference(&q, pool.clone(), &s);
         assert_prunes_alike(&fast, &slow);
         // The pool is genuinely dense: every lane is exercised.
         assert!(fast.deduped > 0, "deduped {}", fast.deduped);
         assert!(!fast.contradictory.is_empty());
         assert!(!fast.invalid.is_empty());
         assert!(!fast.kept.is_empty());
+
+        // Exact copies of the first 30 candidates, appended: each takes
+        // its first occurrence's lane without a fingerprint or a check.
+        let mut repeated = pool.clone();
+        repeated.extend(pool.iter().take(30).map(|c| RepairCandidate {
+            label: "copy",
+            ..c.clone()
+        }));
+        let fast = prune_candidates(&q, repeated.clone(), &s);
+        assert_prunes_alike(&fast, &prune_reference(&q, repeated, &s));
+        assert!(fast.contradictory.iter().any(|c| c.label == "copy"));
+        assert!(fast.invalid.iter().any(|c| c.label == "copy"));
+        assert!(fast.kept.iter().all(|c| c.label != "copy"));
     }
 
     /// Originals over the test schema: clean, misspelled, joined,
@@ -1216,13 +1281,59 @@ mod tests {
         "the country should be 'France'",
     ];
 
+    /// Round one of a search over the test schema: the original built
+    /// from `ORIGINALS[t]` and the parameters, the cues of `FEEDBACK[f]`,
+    /// and its enumerated repair pool. With `stride > 0` the pool repeats
+    /// candidates: every `stride`-th one again right after itself, and
+    /// every `stride`-th from the end once more at the end, each copy
+    /// relabeled so the lanes show which one went where.
+    fn round_one(
+        t: usize,
+        f: usize,
+        (n, m, k): (i64, i64, i64),
+        stride: usize,
+    ) -> (Query, SchemaInfo, FeedbackCues, Vec<RepairCandidate>) {
+        let sql = ORIGINALS[t]
+            .replace("{n}", &n.to_string())
+            .replace("{m}", &m.to_string())
+            .replace("{k}", &k.to_string())
+            .replace("{y}", &(2020 + m % 6).to_string())
+            .replace("{z}", &(2020 + n % 6).to_string());
+        let q = parse_query(&sql).unwrap();
+        let s = schema();
+        let feedback = FEEDBACK[f];
+        let cues = FeedbackCues::extract(feedback, &s);
+        let options = LocateOptions {
+            feedback: Some(feedback),
+            highlight: None,
+        };
+        let mut pool = enumerate_repairs(&q, &s, &locate_faults(&q, &s, options), &cues);
+        if stride > 0 {
+            let copy = |c: &RepairCandidate| RepairCandidate {
+                label: "copy",
+                ..c.clone()
+            };
+            let mut repeated = Vec::new();
+            for (i, cand) in pool.iter().enumerate() {
+                repeated.push(cand.clone());
+                if i % stride == 0 {
+                    repeated.push(copy(cand));
+                }
+            }
+            repeated.extend(pool.iter().rev().step_by(stride).map(copy));
+            pool = repeated;
+        }
+        (q, s, cues, pool)
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::Config::with_cases(64))]
 
         /// `prune_against` equals the three-canonicalization reference on
-        /// enumerated repair candidates: round one against the original,
-        /// then — as the search does — one expansion pool per survivor,
-        /// each pruned against the same once-built base.
+        /// enumerated repair candidates — pools that repeat candidates
+        /// included: round one against the original, then — as the
+        /// search does — one expansion pool per survivor, each pruned
+        /// against the same once-built base.
         #[test]
         fn prune_against_matches_the_reference(
             t in 0usize..8,
@@ -1230,27 +1341,44 @@ mod tests {
             n in 0i64..60,
             m in 0i64..60,
             k in 1i64..6,
+            stride in 0usize..4,
         ) {
-            let sql = ORIGINALS[t]
-                .replace("{n}", &n.to_string())
-                .replace("{m}", &m.to_string())
-                .replace("{k}", &k.to_string())
-                .replace("{y}", &(2020 + m % 6).to_string())
-                .replace("{z}", &(2020 + n % 6).to_string());
-            let q = parse_query(&sql).unwrap();
-            let s = schema();
-            let feedback = FEEDBACK[f];
-            let cues = FeedbackCues::extract(feedback, &s);
-            let options = LocateOptions { feedback: Some(feedback), highlight: None };
-            let pool = enumerate_repairs(&q, &s, &locate_faults(&q, &s, options), &cues);
+            let (q, s, cues, pool) = round_one(t, f, (n, m, k), stride);
             let base = PruneBase::new(&q);
             let fast = prune_against(&base, pool.clone(), &s);
             assert_prunes_alike(&fast, &prune_reference(&q, pool, &s));
             for member in fast.kept.iter().take(4) {
                 let sites = locate_faults(&member.query, &s, LocateOptions::default());
-                let expansions = enumerate_repairs(&member.query, &s, &sites, &cues);
+                let mut expansions = enumerate_repairs(&member.query, &s, &sites, &cues);
+                if stride > 0 {
+                    let again: Vec<RepairCandidate> =
+                        expansions.iter().step_by(stride).cloned().collect();
+                    expansions.extend(again);
+                }
                 let fast = prune_against(&base, expansions.clone(), &s);
                 assert_prunes_alike(&fast, &prune_reference(&q, expansions, &s));
+            }
+        }
+
+        /// Localizing a survivor from the diagnostics pruning kept for it
+        /// equals localizing it afresh.
+        #[test]
+        fn survivors_localize_alike_from_their_pruning_diagnostics(
+            t in 0usize..8,
+            f in 0usize..8,
+            n in 0i64..60,
+            m in 0i64..60,
+            k in 1i64..6,
+        ) {
+            let (q, s, cues, pool) = round_one(t, f, (n, m, k), 0);
+            let outcome = prune_against(&PruneBase::new(&q), pool, &s);
+            for (member, diagnostics) in outcome.kept.iter().zip(&outcome.diagnostics) {
+                assert_eq!(
+                    locate_faults_with_diagnostics(&member.query, &s, diagnostics, Some(&cues), None),
+                    locate_faults_with_cues(&member.query, &s, Some(&cues), None),
+                    "{}",
+                    print_query(&member.query)
+                );
             }
         }
     }

@@ -56,7 +56,9 @@ fn serial_and_parallel_reports_are_bit_identical() {
     ] {
         let serial = run.strategy(strategy).workers(1).run(&cases);
         let serial_json = serde_json::to_string(&serial).unwrap();
-        for workers in [2usize, 8] {
+        // Workers take cases from one shared cursor: 3 and 7 leave an
+        // uneven tail, and the last count is more workers than cases.
+        for workers in [2usize, 3, 7, 8, cases.len() + 3] {
             let parallel = run.strategy(strategy).workers(workers).run(&cases);
             assert_eq!(
                 serde_json::to_string(&parallel).unwrap(),
