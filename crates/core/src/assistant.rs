@@ -1,14 +1,18 @@
 //! The Assistant: FISQL's NL2SQL front end (§3.2).
 //!
-//! For each question the Assistant retrieves query-relevant
-//! demonstrations (RAG), asks the model, executes the SQL against the
-//! database, and returns the four outputs of the paper: (a) the execution
-//! result, (b) a reformulation of the question, (c) a step-by-step NL
-//! explanation, and (d) the SQL itself ("Show source").
+//! For each question the Assistant asks the model, executes the SQL
+//! against the database, and returns the four outputs of the paper: (a)
+//! the execution result, (b) a reformulation of the question, (c) a
+//! step-by-step NL explanation, and (d) the SQL itself ("Show source").
+//!
+//! The paper retrieves query-relevant demonstrations for each prompt
+//! (RAG). The simulated model reads only how many it was shown, so the
+//! Assistant keeps that count and nothing else: which demonstrations a
+//! retriever would pick cannot change an answer.
 
 use crate::explain::{explain_query, reformulate};
 use fisql_engine::{Database, ResultSet};
-use fisql_llm::{DemoStore, Demonstration, GenMode, GenRequest, SimLlm};
+use fisql_llm::{Embedding, GenMode, GenRequest, SimLlm};
 use fisql_spider::{Corpus, Example};
 use fisql_sqlkit::{normalize_query, print_query, print_query_spanned, Query, SpannedSql};
 
@@ -37,32 +41,18 @@ pub struct AssistantTurn {
 pub struct Assistant {
     /// The backing (simulated) LLM.
     pub llm: SimLlm,
-    /// RAG demonstration store.
-    pub store: DemoStore,
-    /// Demonstrations per prompt (0 = zero-shot, Figure 1).
-    pub demos_k: usize,
+    /// Demonstrations shown per prompt (0 = zero-shot, Figure 1).
+    pub demos: usize,
 }
 
 impl Assistant {
-    /// Builds an Assistant whose demonstration pool is sampled from the
-    /// corpus itself (every fourth example — a stand-in for the paper's
-    /// separate training split; retrieval never sees the example under
-    /// evaluation because demos are keyed by question text and the
-    /// simulated model only consumes the *count*).
+    /// Builds an Assistant that shows `demos_k` demonstrations per
+    /// prompt, capped by a pool of every fourth corpus example (a
+    /// stand-in for the paper's separate training split).
     pub fn for_corpus(corpus: &Corpus, llm: SimLlm, demos_k: usize) -> Assistant {
-        let demos: Vec<Demonstration> = corpus
-            .examples
-            .iter()
-            .step_by(4)
-            .map(|e| Demonstration {
-                question: e.question.clone(),
-                sql: print_query(&e.gold),
-            })
-            .collect();
         Assistant {
             llm,
-            store: DemoStore::new(demos),
-            demos_k,
+            demos: demos_k.min(corpus.examples.len().div_ceil(4)),
         }
     }
 
@@ -90,11 +80,9 @@ impl Assistant {
         salt: u64,
         exec: impl FnMut(&Database, &Query) -> Result<ResultSet, String>,
     ) -> AssistantTurn {
-        // The model reads how many demonstrations were retrieved.
-        let retrieved = self.store.retrieve(&example.question, self.demos_k);
         let generation = self.llm.generate_sql(&GenRequest {
             example,
-            demos: retrieved.len(),
+            demos: self.demos,
             hint_text: "",
             salt,
             mode: GenMode::Initial,
@@ -154,6 +142,48 @@ impl Assistant {
     }
 }
 
+/// Resolves typed text onto a corpus's examples: the first example whose
+/// question equals the text (ASCII case ignored), otherwise the one whose
+/// question embedding is nearest, the last of tied maxima. The console
+/// and `fisql serve` both ask through it; the daemon journals the
+/// resolved index, so replay never re-runs it.
+#[derive(Debug, Clone)]
+pub struct QuestionIndex {
+    questions: Vec<(String, Embedding)>,
+}
+
+impl QuestionIndex {
+    /// Embeds every question of `corpus`.
+    pub fn new(corpus: &Corpus) -> QuestionIndex {
+        QuestionIndex {
+            questions: corpus
+                .examples
+                .iter()
+                .map(|e| (e.question.clone(), Embedding::embed(&e.question)))
+                .collect(),
+        }
+    }
+
+    /// The index of the example `question` resolves to (0 for an empty
+    /// corpus).
+    pub fn resolve(&self, question: &str) -> usize {
+        if let Some(idx) = self
+            .questions
+            .iter()
+            .position(|(text, _)| text.eq_ignore_ascii_case(question))
+        {
+            return idx;
+        }
+        let q = Embedding::embed(question);
+        self.questions
+            .iter()
+            .map(|(_, e)| q.cosine(e))
+            .enumerate()
+            .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
+            .map_or(0, |(i, _)| i)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -193,12 +223,54 @@ mod tests {
         let (corpus, _) = setup();
         let assistant = Assistant {
             llm: SimLlm::new(LlmConfig::default()),
-            store: DemoStore::new(vec![]),
-            demos_k: 0,
+            demos: 0,
         };
         let e = &corpus.examples[0];
         let turn = assistant.answer(corpus.database(e), e, 0);
         assert!(!turn.sql_text.is_empty());
+    }
+
+    #[test]
+    fn for_corpus_shows_at_most_the_pool() {
+        let (corpus, _) = setup();
+        let pool = corpus.examples.iter().step_by(4).count();
+        assert_eq!(pool, 8, "30 examples, every fourth");
+        for (k, shown) in [(0, 0), (3, 3), (pool + 5, pool)] {
+            let llm = SimLlm::new(LlmConfig::default());
+            let built = Assistant::for_corpus(&corpus, llm.clone(), k);
+            assert_eq!(built.demos, shown, "k = {k}");
+            let direct = Assistant { llm, demos: shown };
+            for e in &corpus.examples {
+                let db = corpus.database(e);
+                assert_eq!(
+                    built.answer(db, e, 0).sql_text,
+                    direct.answer(db, e, 0).sql_text,
+                    "k = {k}, example {}",
+                    e.id
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn console_questions_resolve_to_their_first_exact_match() {
+        // The console's bundled corpus: a question typed verbatim must
+        // answer that question, as `fisql serve` does, even when another
+        // question's embedding ties with it.
+        let corpus = build_aep(&AepConfig {
+            n_examples: 120,
+            seed: 0xC11,
+        });
+        let index = QuestionIndex::new(&corpus);
+        for e in &corpus.examples {
+            let first = corpus
+                .examples
+                .iter()
+                .position(|o| o.question.eq_ignore_ascii_case(&e.question))
+                .unwrap();
+            assert_eq!(index.resolve(&e.question), first, "{}", e.question);
+            assert_eq!(index.resolve(&e.question.to_ascii_uppercase()), first);
+        }
     }
 
     #[test]

@@ -29,8 +29,7 @@ use crate::assistant::Assistant;
 pub fn zero_shot_report(corpus: &Corpus, llm: &SimLlm) -> AccuracyReport {
     let assistant = Assistant {
         llm: llm.clone(),
-        store: fisql_llm::DemoStore::new(vec![]),
-        demos_k: 0,
+        demos: 0,
     };
     let predictions: Vec<(usize, Query)> = corpus
         .examples

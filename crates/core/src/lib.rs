@@ -44,11 +44,10 @@ pub mod serve;
 pub mod session;
 
 pub use analysis::{analyze_round, ErrorAnalysis, FailureCause};
-pub use assistant::{Assistant, AssistantTurn};
+pub use assistant::{Assistant, AssistantTurn, QuestionIndex};
 pub use config::{chaos_stack, ConfigError, EvalConfig, LoadConfig, ServeConfig};
 pub use experiment::{zero_shot_report, AnnotatedCase, CorrectionReport, ErrorCase};
 pub use explain::{explain_query, reformulate};
-pub use fisql_llm::CacheStats;
 pub use interpret::{interpret, interpret_candidates, Candidate, Interpretation};
 pub use journal::{FsyncPolicy, RunJournal};
 pub use pipeline::{
@@ -60,7 +59,7 @@ pub use runner::{
     run_fingerprint, workers_from_env, CaseOutcome, CaseVerdict, CorrectionRun, ExperimentConfig,
     RunMetrics,
 };
-pub use semcache::SemanticCache;
+pub use semcache::{CacheStats, SemanticCache};
 pub use serve::{
     run_chaos, run_load, ChaosBehavior, ChaosConfig, ChaosReport, ClientTurn, Connected,
     LoadReport, ServeClient, Server, ServerHandle, ServerStats, SessionStore, StoreOptions,

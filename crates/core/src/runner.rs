@@ -68,11 +68,9 @@ use crate::assistant::Assistant;
 use crate::experiment::{build_view, build_view_with, AnnotatedCase, CorrectionReport, ErrorCase};
 use crate::journal::{FsyncPolicy, RunJournal};
 use crate::pipeline::{try_incorporate, IncorporateContext, Strategy};
-use crate::semcache::SemanticCache;
+use crate::semcache::{CacheStats, SemanticCache};
 use fisql_feedback::SimUser;
-use fisql_llm::{
-    cache, AgreementStats, CacheStats, FallibleLanguageModel, ResilienceStats, SimLlm,
-};
+use fisql_llm::{AgreementStats, FallibleLanguageModel, ResilienceStats, SimLlm};
 use fisql_spider::{check_prediction, Corpus, Verdict};
 use fisql_sqlkit::{normalize_query, print_query, print_query_spanned, Fnv64};
 use serde::{Deserialize, Serialize};
@@ -99,7 +97,8 @@ pub struct ExperimentConfig {
     /// Worker threads for sharded evaluation. `0` means "auto": use
     /// [`std::thread::available_parallelism`].
     pub workers: usize,
-    /// Demonstrations retrieved per prompt for error collection.
+    /// Demonstrations per prompt for error collection (capped by the
+    /// pool, see [`Assistant::for_corpus`]).
     pub demos_k: usize,
     /// Feedback-conformance gate in the incorporation pipeline (see
     /// [`crate::pipeline::ConformanceReport`]).
@@ -187,10 +186,6 @@ pub struct RunMetrics {
     /// Engine executions attributable to the evaluation loop (user-view
     /// renders and correctness checks; deterministic).
     pub engine_executions: u64,
-    /// Retrieval/embedding cache hits during the run (process-wide delta).
-    pub cache_hits: u64,
-    /// Retrieval/embedding cache misses during the run.
-    pub cache_misses: u64,
     /// Engine executions served from the per-worker semantic result
     /// caches instead of the engine, gold results read from the corpus
     /// memo included (summed over workers; zero with the cache
@@ -210,15 +205,6 @@ pub struct RunMetrics {
 }
 
 impl RunMetrics {
-    /// Cache hits as a fraction of all cache lookups during the run.
-    pub fn cache_hit_rate(&self) -> f64 {
-        CacheStats {
-            hits: self.cache_hits,
-            misses: self.cache_misses,
-        }
-        .hit_rate()
-    }
-
     /// Semantic result-cache hits as a fraction of all lookups.
     pub fn semantic_cache_hit_rate(&self) -> f64 {
         CacheStats {
@@ -232,12 +218,10 @@ impl RunMetrics {
         workers: usize,
         n_cases: usize,
         started: Instant,
-        before: CacheStats,
         engine_executions: u64,
         resilience: ResilienceStats,
     ) -> RunMetrics {
         let wall = started.elapsed();
-        let delta = cache::global_stats().since(&before);
         let secs = wall.as_secs_f64();
         RunMetrics {
             workers,
@@ -248,8 +232,6 @@ impl RunMetrics {
                 0.0
             },
             engine_executions,
-            cache_hits: delta.hits,
-            cache_misses: delta.misses,
             executions_skipped_cache: 0,
             semantic_cache_misses: 0,
             resilience,
@@ -467,7 +449,6 @@ impl<'a, L: FallibleLanguageModel + ?Sized> CorrectionRun<'a, L> {
     /// of panicking.
     pub fn try_run(&self, cases: &[AnnotatedCase]) -> io::Result<CorrectionReport> {
         let started = Instant::now();
-        let cache_before = cache::global_stats();
         let resilience_before = self.llm.resilience_stats().unwrap_or_default();
 
         let mut outcomes: Vec<Option<CaseOutcome>> = vec![None; cases.len()];
@@ -525,14 +506,8 @@ impl<'a, L: FallibleLanguageModel + ?Sized> CorrectionRun<'a, L> {
             .resilience_stats()
             .unwrap_or_default()
             .since(&resilience_before);
-        let mut metrics = RunMetrics::finish(
-            workers,
-            cases.len(),
-            started,
-            cache_before,
-            engine_executions,
-            resilience,
-        );
+        let mut metrics =
+            RunMetrics::finish(workers, cases.len(), started, engine_executions, resilience);
         metrics.agreement = agreement;
         metrics.executions_skipped_cache = semcache_hits.load(Ordering::Acquire);
         metrics.semantic_cache_misses = semcache_misses.load(Ordering::Acquire);

@@ -63,10 +63,30 @@
 //! (`executions_skipped_static`).
 
 use fisql_engine::{Database, DbContext, ExecLimits, ResultSet};
-use fisql_llm::CacheStats;
 use fisql_spider::{check_prediction_with, judge_prediction, Corpus, Example, Verdict};
 use fisql_sqlkit::{canon_fingerprint, check_query, empty_arity, fnv64, print_query, Query};
 use std::collections::{HashMap, HashSet};
+
+/// Cumulative cache hit/miss counters.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CacheStats {
+    /// Lookups answered from the cache.
+    pub hits: u64,
+    /// Lookups that required a recomputation.
+    pub misses: u64,
+}
+
+impl CacheStats {
+    /// Hits as a fraction of all lookups (0 when nothing was looked up).
+    pub fn hit_rate(&self) -> f64 {
+        let total = self.hits + self.misses;
+        if total == 0 {
+            0.0
+        } else {
+            self.hits as f64 / total as f64
+        }
+    }
+}
 
 /// A query's keys in the refuted lane (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -366,6 +386,8 @@ mod tests {
         assert_eq!(cache.stats, CacheStats { hits: 0, misses: 1 });
         let rb = cache.execute_semantic(&db, &b).unwrap();
         assert_eq!(cache.stats, CacheStats { hits: 1, misses: 1 });
+        assert!((cache.stats.hit_rate() - 0.5).abs() < 1e-9);
+        assert_eq!(CacheStats::default().hit_rate(), 0.0);
         assert!(fisql_engine::results_match(&ra, &rb));
         // Fresh execution agrees with the served result.
         let fresh = fisql_engine::execute(&db, &b).unwrap();

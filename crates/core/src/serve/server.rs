@@ -50,10 +50,10 @@ use super::protocol::{
 };
 use super::replicate::{notify_deposed, run_follower, run_repl_acceptor, ReplState, Role};
 use super::store::{Appended, SessionOp, SessionStore, StoreOptions};
-use crate::assistant::{Assistant, AssistantTurn};
+use crate::assistant::{Assistant, AssistantTurn, QuestionIndex};
 use crate::config::{chaos_stack, ServeConfig};
 use crate::session::{Session, SessionEvent};
-use fisql_llm::{Embedding, FallibleLanguageModel, FaultyBackend, LlmConfig, Resilient, SimLlm};
+use fisql_llm::{FallibleLanguageModel, FaultyBackend, LlmConfig, Resilient, SimLlm};
 use fisql_spider::{build_aep, AepConfig, Corpus, Example};
 use std::io;
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
@@ -93,9 +93,8 @@ fn bump(counter: &AtomicU64) {
 struct Daemon {
     config: ServeConfig,
     corpus: Corpus,
-    /// Question embeddings, one per corpus example (see
-    /// [`resolve_example`]).
-    embeddings: Vec<Embedding>,
+    /// Resolves each Ask's text onto a corpus example.
+    questions: QuestionIndex,
     assistant: Assistant,
     store: Arc<SessionStore>,
     gate: Arc<AdmissionGate>,
@@ -248,11 +247,7 @@ impl Server {
             n_examples: config.n_examples,
             seed: config.seed,
         });
-        let embeddings = corpus
-            .examples
-            .iter()
-            .map(|e| Embedding::embed(&e.question))
-            .collect();
+        let questions = QuestionIndex::new(&corpus);
         let assistant = Assistant::for_corpus(&corpus, SimLlm::new(LlmConfig::default()), 3);
         let faults = (config.disk_fault_rate > 0.0)
             .then(|| DiskFaultConfig::uniform(config.disk_fault_rate));
@@ -289,7 +284,7 @@ impl Server {
         let daemon = Arc::new(Daemon {
             config,
             corpus,
-            embeddings,
+            questions,
             assistant,
             store,
             gate,
@@ -892,7 +887,7 @@ fn dispatch<'a>(d: &'a Daemon, hosted: &mut Hosted<'a>, request: ClientRequest) 
     }
     match request {
         ClientRequest::Ask { question } => {
-            let example_idx = resolve_example(d, &question) as u64;
+            let example_idx = d.questions.resolve(&question) as u64;
             serve_turn(
                 d,
                 hosted,
@@ -962,30 +957,6 @@ fn serve_turn<'a>(d: &'a Daemon, hosted: &mut Hosted<'a>, op: SessionOp) -> Serv
             }
         }
     }
-}
-
-/// Resolves a question onto the corpus: exact text match first, nearest
-/// embedding otherwise (both deterministic; the resolved index is
-/// journaled, so replay never re-runs this).
-fn resolve_example(d: &Daemon, question: &str) -> usize {
-    if let Some(idx) = d
-        .corpus
-        .examples
-        .iter()
-        .position(|e| e.question.eq_ignore_ascii_case(question))
-    {
-        return idx;
-    }
-    let q = Embedding::embed(question);
-    d.embeddings
-        .iter()
-        .enumerate()
-        .max_by(|a, b| {
-            q.cosine(a.1)
-                .partial_cmp(&q.cosine(b.1))
-                .unwrap_or(std::cmp::Ordering::Equal)
-        })
-        .map_or(0, |(i, _)| i)
 }
 
 /// Feedback turns recorded in the transcript (replayed + live).

@@ -123,7 +123,7 @@ impl<'a> Session<'a> {
     }
 
     /// Hit/miss counters of the per-session result cache.
-    pub fn cache_stats(&self) -> fisql_llm::CacheStats {
+    pub fn cache_stats(&self) -> crate::semcache::CacheStats {
         self.semcache.stats
     }
 
@@ -394,8 +394,7 @@ mod tests {
         let e = &e;
         let assistant = Assistant {
             llm: failing.clone(),
-            store: fisql_llm::DemoStore::new(vec![]),
-            demos_k: 0,
+            demos: 0,
         };
         let mut session = Session::new(
             corpus.database(e),
@@ -459,8 +458,7 @@ mod tests {
         let (corpus, e, llm) = figure4_fixture();
         let assistant = Assistant {
             llm: llm.clone(),
-            store: fisql_llm::DemoStore::new(vec![]),
-            demos_k: 0,
+            demos: 0,
         };
         let mut session = Session::new(
             corpus.database(&e),
@@ -490,8 +488,7 @@ mod tests {
         let e = &e;
         let assistant = Assistant {
             llm: failing.clone(),
-            store: fisql_llm::DemoStore::new(vec![]),
-            demos_k: 0,
+            demos: 0,
         };
         let mut session = Session::new(corpus.database(e), assistant, Strategy::SearchRefine);
         let first = session.ask(e);
@@ -517,8 +514,7 @@ mod tests {
         let (corpus, e, llm) = figure4_fixture();
         let assistant = Assistant {
             llm: llm.clone(),
-            store: fisql_llm::DemoStore::new(vec![]),
-            demos_k: 0,
+            demos: 0,
         };
         let mut session = Session::new(
             corpus.database(&e),
@@ -562,11 +558,7 @@ mod tests {
         // Every non-calibration call faults, so incorporation always
         // exhausts into a degrade.
         let broken = FaultyBackend::new(llm.clone(), FaultConfig::uniform(1.0));
-        let assistant = Assistant {
-            llm,
-            store: fisql_llm::DemoStore::new(vec![]),
-            demos_k: 0,
-        };
+        let assistant = Assistant { llm, demos: 0 };
         let mut session = Session::new(
             corpus.database(&e),
             assistant,
@@ -618,11 +610,7 @@ mod tests {
                 ..FaultConfig::default()
             },
         );
-        let assistant = Assistant {
-            llm,
-            store: fisql_llm::DemoStore::new(vec![]),
-            demos_k: 0,
-        };
+        let assistant = Assistant { llm, demos: 0 };
         let mut session = Session::new(
             corpus.database(&e),
             assistant,

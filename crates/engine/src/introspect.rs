@@ -9,14 +9,14 @@
 //!
 //! **The context memo.** [`Database::context`] keeps one [`DbContext`]
 //! per distinct database shape for the life of the process: the
-//! analyzer schema, the prompt templates' schema block, the schema
-//! lexicon and the cache fingerprint, each derived once instead of on
-//! every call (the schema and lexicon on first use: the semantic cache
-//! reads only the fingerprint of every database it executes against).
+//! analyzer schema, the schema lexicon and the cache fingerprint, each
+//! derived once instead of on every call (the schema and lexicon on
+//! first use: the semantic cache reads only the fingerprint of every
+//! database it executes against).
 //! The key is FNV-1a over the database name and table count, which tell
 //! corpus databases apart. Because `Database`'s fields are public, a hit
 //! is confirmed field by field against the shape the context was built
-//! from — every field the four read: names, column types, keys and row
+//! from — every field the three read: names, column types, keys and row
 //! counts, never row data — so a key collision or a mutated database
 //! builds a fresh context, which replaces the stale entry. Hashing the
 //! whole shape into the key would add a second pass over every field to
@@ -122,8 +122,6 @@ impl Database {
 /// distinct shape and shared ([`Database::context`]).
 #[derive(Debug)]
 pub struct DbContext {
-    /// The prompt templates' schema block ([`Database::schema_text`]).
-    pub schema_text: String,
     /// Result-cache fingerprint: FNV-1a over the database name plus every
     /// table's name, column names and row count. Cheap (no row data) but
     /// strong enough to content-check the corpus's unique-name guarantee.
@@ -141,7 +139,6 @@ pub struct DbContext {
 impl DbContext {
     fn build(db: &Database) -> DbContext {
         DbContext {
-            schema_text: db.schema_text(),
             fingerprint: fingerprint(db),
             schema: OnceLock::new(),
             lexicon: OnceLock::new(),
@@ -349,7 +346,6 @@ mod tests {
         );
         assert!(Arc::ptr_eq(&a, &db.clone().context()), "keyed by content");
         assert_eq!(*a.schema(&db), db.schema_info());
-        assert_eq!(a.schema_text, db.schema_text());
 
         // Every field the context reads invalidates it.
         let mutations: [fn(&mut Database); 6] = [
@@ -366,7 +362,6 @@ mod tests {
             let b = changed.context();
             assert!(!Arc::ptr_eq(&a, &b));
             assert_eq!(*b.schema(&changed), changed.schema_info());
-            assert_eq!(b.schema_text, changed.schema_text());
             assert!(Arc::ptr_eq(&b, &changed.context()));
         }
         // Row values are not part of the shape.

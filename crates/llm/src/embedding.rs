@@ -1,11 +1,12 @@
 //! Hashed bag-of-words embeddings.
 //!
-//! The paper's Assistant uses a RAG pipeline to "adaptively draw user
-//! query-relevant SQL demonstrations" (§3.2). Standing in for the
-//! proprietary embedding service is a classic feature-hashing bag-of-words
+//! Standing in for the proprietary embedding service the paper's RAG
+//! pipeline uses (§3.2) is a classic feature-hashing bag-of-words
 //! vectorizer: deterministic, dependency-free, and good enough to rank
-//! demonstrations by lexical relatedness — which is what demonstration
-//! retrieval for NL2SQL largely reduces to.
+//! texts by lexical relatedness. The simulated model reads only how many
+//! demonstrations a prompt carries, so nothing ranks demonstrations; the
+//! console and `fisql serve` use these vectors to resolve a typed
+//! question onto the nearest corpus question.
 
 use fisql_sqlkit::fnv64;
 

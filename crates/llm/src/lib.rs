@@ -21,7 +21,6 @@
 
 pub mod agreement;
 pub mod backend;
-pub mod cache;
 pub mod calibration;
 pub mod embedding;
 pub mod error;
@@ -29,11 +28,9 @@ pub mod faults;
 pub mod model;
 pub mod prompt;
 pub mod resilience;
-pub mod retrieval;
 
 pub use agreement::{routing_alignment, AgreementStats};
 pub use backend::FallibleLanguageModel;
-pub use cache::{CacheStats, ConcurrentCache};
 pub use calibration::Calibration;
 pub use embedding::Embedding;
 pub use error::{BackendError, BackendResult, ExhaustedReason};
@@ -41,5 +38,5 @@ pub use faults::{FaultConfig, FaultyBackend, FAULT_RATE_ENV};
 pub use model::{
     channel_resolved_by_text, keyword_route, GenMode, GenRequest, Generation, LlmConfig, SimLlm,
 };
+pub use prompt::Demonstration;
 pub use resilience::{BreakerState, ResilienceConfig, ResilienceStats, Resilient};
-pub use retrieval::{DemoStore, Demonstration};

@@ -3,13 +3,20 @@
 //! The simulated model reads counts, queries and edit lists, not prompt
 //! text, so no pipeline path renders these templates. They document the
 //! method a real-LLM backend would send, and golden tests pin their text.
-//! The schema block is read from the database's memoized
-//! [`fisql_engine::DbContext`], so it is rendered once per schema, not
-//! once per prompt.
+//! Each builder renders its schema block ([`Database::schema_text`]) itself.
 
-use crate::retrieval::Demonstration;
 use fisql_engine::Database;
 use fisql_sqlkit::OpClass;
+
+/// One (question, SQL) demonstration pair, as the few-shot templates
+/// render it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Demonstration {
+    /// Natural-language question.
+    pub question: String,
+    /// Its SQL answer, as text.
+    pub sql: String,
+}
 
 /// The zero-shot NL2SQL prompt of Figure 1: generic instructions plus full
 /// schema definitions, no in-context examples.
@@ -21,7 +28,7 @@ pub fn zero_shot_prompt(db: &Database, question: &str) -> String {
          Schema:\n{}\n\
          Question: {question}\n\
          Query:",
-        db.context().schema_text
+        db.schema_text()
     )
 }
 
@@ -34,7 +41,7 @@ pub fn few_shot_prompt(db: &Database, demos: &[&Demonstration], question: &str) 
          Return only the SQL query.\n\n",
     );
     out.push_str("Schema:\n");
-    out.push_str(&db.context().schema_text);
+    out.push_str(&db.schema_text());
     if !demos.is_empty() {
         out.push_str("\nHere are some examples:\n");
         for d in demos {
@@ -75,7 +82,7 @@ pub fn feedback_prompt(
          Return only the SQL query.\n\n",
     );
     out.push_str("Schema:\n");
-    out.push_str(&db.context().schema_text);
+    out.push_str(&db.schema_text());
     if !rag_demos.is_empty() || !type_demos.is_empty() {
         out.push_str("\nHere are some examples:\n");
         for d in rag_demos {

@@ -208,7 +208,6 @@ mod tests {
             let ctx = db.context();
             assert!(std::sync::Arc::ptr_eq(&ctx, &db.context()), "{}", db.name);
             assert_eq!(*ctx.schema(db), db.schema_info(), "{}", db.name);
-            assert_eq!(ctx.schema_text, db.schema_text(), "{}", db.name);
         }
     }
 

@@ -38,8 +38,7 @@ fn main() {
     });
     let assistant = CoreAssistant {
         llm: llm.clone(),
-        store: DemoStore::new(vec![]),
-        demos_k: 0,
+        demos: 0,
     };
 
     let mut session = Session::new(

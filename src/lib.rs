@@ -10,8 +10,8 @@
 //! - [`fisql_engine`]: an in-memory relational executor with SQLite-like
 //!   semantics and the execution-match metric;
 //! - [`fisql_spider`]: seeded SPIDER-like and AEP-like benchmark corpora;
-//! - [`fisql_llm`]: the simulated LLM (prompt templates per the paper's Figures
-//!   1/5/6, RAG retrieval, calibrated comprehension model);
+//! - [`fisql_llm`]: the simulated LLM (prompt templates per the paper's
+//!   Figures 1/5/6, calibrated comprehension model);
 //! - [`fisql_feedback`]: the simulated user/annotator;
 //! - [`fisql_core`]: FISQL itself — Assistant, feedback interpretation,
 //!   routing, highlighting, baselines, and the experiment drivers.
@@ -58,7 +58,7 @@ pub mod prelude {
     };
     pub use fisql_feedback::{Feedback, SimUser, UserConfig, UserView};
     pub use fisql_llm::{
-        BackendError, BackendResult, Calibration, DemoStore, Demonstration, ExhaustedReason,
+        BackendError, BackendResult, Calibration, Demonstration, ExhaustedReason,
         FallibleLanguageModel, FaultConfig, FaultyBackend, GenMode, GenRequest, LlmConfig,
         ResilienceConfig, ResilienceStats, Resilient, SimLlm,
     };

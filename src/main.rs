@@ -34,16 +34,16 @@
 //!   `--shutdown` asks the daemon to drain afterwards.
 //!
 //! The backing model is the simulated LLM, so "asking a question" means
-//! picking the bundled corpus question closest to yours (by embedding
-//! similarity) and answering it — good enough to drive the whole feedback
+//! picking the bundled corpus question that matches yours (its exact text,
+//! else the nearest by embedding similarity, as `fisql serve` resolves an
+//! Ask) and answering it — good enough to drive the whole feedback
 //! pipeline interactively.
 
 #![forbid(unsafe_code)]
 
 use fisql::prelude::*;
 use fisql_core::serve::{run_load, Server};
-use fisql_core::{chaos_stack, Assistant, EvalConfig, LoadConfig, ServeConfig};
-use fisql_llm::Embedding;
+use fisql_core::{chaos_stack, Assistant, EvalConfig, LoadConfig, QuestionIndex, ServeConfig};
 use std::io::{BufRead, Write};
 
 fn main() {
@@ -82,12 +82,7 @@ fn main() {
     };
     let mut session = fisql_core::Session::new(db, assistant, strategy);
 
-    // Question embeddings for nearest-question matching.
-    let embeddings: Vec<Embedding> = corpus
-        .examples
-        .iter()
-        .map(|e| Embedding::embed(&e.question))
-        .collect();
+    let questions = QuestionIndex::new(&corpus);
     let mut current_example: Option<Example> = None;
 
     println!("fisql — Feedback-Infused SQL console (database: {db})");
@@ -163,23 +158,12 @@ fn main() {
             continue;
         }
 
-        // A question: find the nearest bundled question and answer it.
+        // A question: find the matching bundled question and answer it.
         if custom_db.is_some() {
             println!("(custom databases support `:run <SQL>`; questions need the bundled corpus)");
             continue;
         }
-        let q = Embedding::embed(input);
-        let best = embeddings
-            .iter()
-            .enumerate()
-            .max_by(|a, b| {
-                q.cosine(a.1)
-                    .partial_cmp(&q.cosine(b.1))
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            })
-            .map(|(i, _)| i)
-            .unwrap_or(0);
-        let example = corpus.examples[best].clone();
+        let example = corpus.examples[questions.resolve(input)].clone();
         if !example.question.eq_ignore_ascii_case(input) {
             println!("(interpreting as: {})", example.question);
         }
@@ -479,12 +463,8 @@ fn run_eval(args: &[String]) {
             report.pct_after(2),
         );
         println!(
-            "  {} worker(s), {:.1} ms, {:.1} cases/s, {} engine executions, cache hit rate {:.0}%",
-            m.workers,
-            m.wall_ms,
-            m.cases_per_sec,
-            m.engine_executions,
-            100.0 * m.cache_hit_rate(),
+            "  {} worker(s), {:.1} ms, {:.1} cases/s, {} engine executions",
+            m.workers, m.wall_ms, m.cases_per_sec, m.engine_executions,
         );
         println!(
             "  statically skipped: {} execution(s)",

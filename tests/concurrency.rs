@@ -1,6 +1,6 @@
 //! Concurrency contracts of the parallel evaluation runner:
-//! thread-safety of the shared components, bit-identical reports at any
-//! worker count, and cache-correctness of the memoized retrieval paths.
+//! thread-safety of the shared components and bit-identical reports at
+//! any worker count.
 
 use fisql::prelude::*;
 
@@ -24,7 +24,6 @@ fn shared_components_are_send_and_sync() {
     assert_send_sync::<Corpus>();
     assert_send_sync::<SimLlm>();
     assert_send_sync::<SimUser>();
-    assert_send_sync::<DemoStore>();
     // The backend trait object the generic runner accepts.
     assert_send_sync::<&dyn FallibleLanguageModel>();
 }
@@ -122,36 +121,10 @@ fn error_collection_is_worker_count_invariant() {
 }
 
 #[test]
-fn cached_retrieval_equals_fresh_retrieval() {
-    // The concurrent embedding cache must be invisible to results: a
-    // store built after the cache is warm retrieves exactly what a
-    // fresh computation does.
-    let demos: Vec<Demonstration> = (0..20)
-        .map(|i| Demonstration {
-            question: format!("how many singers are older than {i}"),
-            sql: format!("SELECT COUNT(*) FROM singer WHERE age > {i}"),
-        })
-        .collect();
-    let cold = DemoStore::new(demos.clone());
-    let cold_result: Vec<String> = cold
-        .retrieve("how many singers are older than 7", 5)
-        .into_iter()
-        .map(|d| d.sql.clone())
-        .collect();
-    // Second store: every embedding now comes from the warm cache.
-    let warm = DemoStore::new(demos);
-    let warm_result: Vec<String> = warm
-        .retrieve("how many singers are older than 7", 5)
-        .into_iter()
-        .map(|d| d.sql.clone())
-        .collect();
-    assert_eq!(cold_result, warm_result);
-}
-
-#[test]
 fn concurrent_runs_do_not_interfere() {
-    // Two full correction runs on separate threads, sharing the global
-    // caches, must each equal the run executed alone.
+    // Two full correction runs on separate threads, sharing the
+    // process-wide database contexts, must each equal the run executed
+    // alone.
     let (corpus, llm, user) = setup();
     let run = CorrectionRun::new(&corpus, &llm, &user)
         .demos_k(3)

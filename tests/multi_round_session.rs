@@ -52,8 +52,7 @@ fn two_errors_need_two_rounds_and_then_match() {
     let db = &corpus.databases[0];
     let assistant = Assistant {
         llm: llm.clone(),
-        store: DemoStore::new(vec![]),
-        demos_k: 0,
+        demos: 0,
     };
     let mut session = fisql_core::Session::new(
         db,
@@ -104,8 +103,7 @@ fn feedback_order_does_not_matter() {
     let db = &corpus.databases[0];
     let assistant = Assistant {
         llm: llm.clone(),
-        store: DemoStore::new(vec![]),
-        demos_k: 0,
+        demos: 0,
     };
     let mut session = fisql_core::Session::new(
         db,
@@ -131,8 +129,7 @@ fn asking_again_resets_the_round_counter() {
     let db = &corpus.databases[0];
     let assistant = Assistant {
         llm: llm.clone(),
-        store: DemoStore::new(vec![]),
-        demos_k: 0,
+        demos: 0,
     };
     let mut session = fisql_core::Session::new(
         db,
@@ -158,8 +155,7 @@ fn query_rewrite_session_changes_question_across_rounds() {
     let db = &corpus.databases[0];
     let assistant = Assistant {
         llm: llm.clone(),
-        store: DemoStore::new(vec![]),
-        demos_k: 0,
+        demos: 0,
     };
     let mut session = fisql_core::Session::new(db, assistant, Strategy::QueryRewrite);
     session.ask(&example);
