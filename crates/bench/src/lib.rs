@@ -3,8 +3,9 @@
 //! Every table and figure of the paper is a row of the `exp` binary (see
 //! DESIGN.md §4); this library holds the common corpus/model/user
 //! construction so all experiments run off identical, seeded inputs, and
-//! [`emit`], the one writer of the `BENCH_*.json` files the three bench
-//! binaries (`bench_eval`, `bench_serve`, `bench_ha`) produce.
+//! [`emit`], the one writer of the `BENCH_*.json` files the two bench
+//! binaries (`bench_serve`, `bench_ha`) produce. The eval benchmark of
+//! record is perfbench's `eval` workload.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -142,8 +143,7 @@ pub fn pct(n: usize, total: usize) -> String {
 /// Every BENCH file opens with the same header: the bench `name`, the
 /// `seed` its inputs derive from, the `FISQL_SCALE` it ran under, and the
 /// machine's `available_parallelism`. The fields of `body` (a JSON
-/// object: `cases`, `rounds` and the result rows where they apply)
-/// follow.
+/// object: the bench's settings and result rows) follow.
 ///
 /// # Panics
 /// Panics when `body` is not a JSON object or the file cannot be

@@ -96,14 +96,18 @@ fn semantic_cache_reports_are_bit_identical() {
             baseline_json,
             "cached report diverged from uncached at {workers} workers"
         );
+        // The cache fires at every worker count — the invariance above is
+        // not vacuous — and its hits are executions the engine never ran.
+        let m = &cached.metrics;
+        assert!(
+            m.executions_skipped_cache >= 1,
+            "semantic cache never hit at {workers} workers"
+        );
+        assert!(
+            m.engine_executions - m.executions_skipped_cache < baseline.metrics.engine_executions,
+            "no measured execution drop at {workers} workers"
+        );
     }
-    // The cache actually fires on this corpus — the invariance above is
-    // not vacuous.
-    let cached = run.workers(1).semantic_cache(true).run(&cases);
-    assert!(
-        cached.metrics.executions_skipped_cache > 0,
-        "semantic cache never hit on a corpus with repeated equivalent queries"
-    );
 }
 
 #[test]

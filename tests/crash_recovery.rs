@@ -7,6 +7,9 @@
 //!   damaged tail is dropped and re-evaluated.
 //! - A journal from a *different* experiment (config or case set) is
 //!   refused outright rather than silently mixed in.
+//! - Under every fsync policy the journal is an observer: a journaled
+//!   run and a resume from its complete journal equal the unjournaled
+//!   report.
 //!
 //! The `#[ignore]`d SIGKILL loop at the bottom exercises the real thing —
 //! killing a child `fisql --eval` process at random points and resuming —
@@ -178,19 +181,33 @@ fn without_resume_an_existing_journal_is_overwritten() {
         .rounds(2);
     let baseline_json = serde_json::to_string(&run.workers(1).run(&cases)).unwrap();
 
-    let path = temp_journal("overwrite");
-    // Stale garbage at the path: a fresh (non-resume) run truncates it.
-    std::fs::write(&path, b"stale bytes from another era").unwrap();
-    let report = run
-        .workers(2)
-        .journal(&path)
-        .fsync(FsyncPolicy::EachRecord)
-        .run(&cases);
-    assert_eq!(serde_json::to_string(&report).unwrap(), baseline_json);
-    // And the rewritten journal resumes cleanly.
-    let resumed = run.workers(1).journal(&path).resume(true).run(&cases);
-    assert_eq!(serde_json::to_string(&resumed).unwrap(), baseline_json);
-    std::fs::remove_file(&path).ok();
+    // The journal is an observer under every fsync policy: the report
+    // and a resume from the complete journal equal the unjournaled run.
+    for policy in [
+        FsyncPolicy::Never,
+        FsyncPolicy::Batch,
+        FsyncPolicy::EachRecord,
+    ] {
+        let path = temp_journal(&format!("overwrite-{policy}"));
+        // Stale garbage at the path: a fresh (non-resume) run truncates it.
+        std::fs::write(&path, b"stale bytes from another era").unwrap();
+        let journaled = run.workers(4).journal(&path).fsync(policy);
+        let report = journaled.run(&cases);
+        assert_eq!(
+            serde_json::to_string(&report).unwrap(),
+            baseline_json,
+            "journaling under {policy} changed the report"
+        );
+        // And the rewritten journal resumes cleanly: everything replays
+        // from disk.
+        let resumed = journaled.resume(true).run(&cases);
+        assert_eq!(
+            serde_json::to_string(&resumed).unwrap(),
+            baseline_json,
+            "full-journal resume under {policy} diverged"
+        );
+        std::fs::remove_file(&path).ok();
+    }
 }
 
 /// The real thing: SIGKILL a child `fisql --eval --journal` process at a
