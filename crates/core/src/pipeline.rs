@@ -10,16 +10,17 @@ use fisql_engine::Database;
 use fisql_feedback::Feedback;
 use fisql_llm::{routing_alignment, BackendResult, FallibleLanguageModel, GenMode, GenRequest};
 use fisql_spider::Example;
-use fisql_sqlkit::check::{check_query, repair_query, Diagnostic, SchemaInfo};
+use fisql_sqlkit::check::{repair_query, Diagnostic, SchemaInfo};
 use fisql_sqlkit::{
-    apply_edits, diff_queries, enumerate_repairs, literal_year, locate_faults_with_cues,
-    locate_faults_with_diagnostics, normalize_query, print_query, print_query_spanned,
-    prune_against, realized_classes, same_clause_family, Expr, FeedbackCues, Literal, OpClass,
-    PruneBase, PruneOutcome, Query, RepairCandidate,
+    apply_edits, diff_queries, enumerate_repairs, literal_year, locate_faults_with_diagnostics,
+    normalize_query, print_query, print_query_spanned, prune_against, realized_classes,
+    same_clause_family, Expr, FeedbackCues, Literal, OpClass, PruneBase, Query, QueryFacts,
+    RepairCandidate, Survivor,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
+use std::collections::HashSet;
 
 /// Which feedback-incorporation strategy to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -136,6 +137,8 @@ pub struct IncorporateOutcome {
     /// What the static-analysis gate found (and possibly fixed) in the
     /// candidate before it could reach the engine.
     pub gate: GateOutcome,
+    /// The facts of `query`, for the runner's execution gate.
+    pub facts: QueryFacts,
     /// What the feedback-conformance gate observed, when it ran (FISQL
     /// paths with routing, `conformance_gate` on).
     pub conformance: Option<ConformanceReport>,
@@ -209,51 +212,37 @@ impl GateOutcome {
 }
 
 /// Gates a candidate query through the static analyzer before it can
-/// reach the engine. Error findings are kept in the outcome, and a
-/// unique typo-level repair (edit distance ≤ 2 against the schema, names
-/// that exist nowhere in it) is applied when it makes the candidate
-/// analyzer-clean.
-pub fn gate_candidate(db: &Database, candidate: Query) -> (Query, GateOutcome) {
-    let ctx = db.context();
-    let schema = ctx.schema(db);
-    let diagnostics = check_query(&candidate, schema);
-    gate_checked(schema, candidate, diagnostics)
-}
-
-/// [`gate_candidate`] for a candidate whose analyzer `diagnostics`
-/// against `schema` are already known.
-fn gate_checked(
+/// reach the engine, reading what `facts` already know about it. Error
+/// findings are kept in the outcome, and a unique typo-level repair
+/// (edit distance ≤ 2 against the schema, names that exist nowhere in
+/// it) is applied when it makes the candidate analyzer-clean. Returns
+/// the gated query, the outcome and the gated query's own facts.
+pub fn gate_candidate(
     schema: &SchemaInfo,
     candidate: Query,
-    diagnostics: Vec<Diagnostic>,
-) -> (Query, GateOutcome) {
-    if !diagnostics.iter().any(Diagnostic::is_error) {
-        return (
-            candidate,
-            GateOutcome {
-                diagnostics,
-                ..GateOutcome::default()
-            },
-        );
-    }
-    match repair_query(&candidate, schema) {
-        Some(fixed) => (
-            normalize_query(&fixed),
-            GateOutcome {
-                diagnostics,
-                repaired: true,
-                executions_saved: 1,
-            },
-        ),
-        None => (
-            candidate,
-            GateOutcome {
-                diagnostics,
-                repaired: false,
-                executions_saved: 0,
-            },
-        ),
-    }
+    facts: QueryFacts,
+) -> (Query, GateOutcome, QueryFacts) {
+    let diagnostics = facts.diagnostics(&candidate, schema).to_vec();
+    let (query, facts, repaired) = match repair_query(&candidate, &diagnostics, schema) {
+        Some((fixed, fixed_facts)) => {
+            let query = normalize_query(&fixed);
+            // The repair's facts, unless normalizing changed it.
+            let facts = if query == fixed {
+                fixed_facts
+            } else {
+                QueryFacts::default()
+            };
+            (query, facts, true)
+        }
+        None => (candidate, facts, false),
+    };
+    facts.debug_confirm(&query, schema);
+    let gate = GateOutcome {
+        diagnostics,
+        repaired,
+        executions_saved: u64::from(repaired),
+    };
+    (query, gate, facts)
 }
 
 /// Runs one feedback-incorporation step with `strategy`.
@@ -390,7 +379,8 @@ fn fisql_step<L: FallibleLanguageModel + ?Sized>(
         _ => None,
     };
 
-    let (query, gate) = gate_candidate(ctx.db, query);
+    let db = ctx.db.context();
+    let (query, gate, facts) = gate_candidate(db.schema(ctx.db), query, QueryFacts::default());
 
     Ok(IncorporateOutcome {
         query,
@@ -398,6 +388,7 @@ fn fisql_step<L: FallibleLanguageModel + ?Sized>(
         routed,
         interpretation: Some(interp),
         gate,
+        facts,
         conformance,
         search: None,
     })
@@ -406,12 +397,11 @@ fn fisql_step<L: FallibleLanguageModel + ?Sized>(
 /// Beam width of the repair search: survivors re-localized in round two.
 const BEAM_WIDTH: usize = 4;
 
-/// One statically-surviving repair candidate, scored once: its analyzer
-/// diagnostics from pruning, its closeness score, and its printed SQL
-/// (the rank's tie-break).
+/// One statically-surviving repair candidate (with the facts pruning
+/// derived for it), scored once: its closeness score, and its printed
+/// SQL (the rank's tie-break).
 struct Ranked {
-    cand: RepairCandidate,
-    diagnostics: Vec<Diagnostic>,
+    kept: Survivor,
     score: i64,
     sql: String,
 }
@@ -428,15 +418,19 @@ fn search_step<L: FallibleLanguageModel + ?Sized>(
     let db = ctx.db.context();
     let schema = db.schema(ctx.db);
     let highlight = ctx.feedback.highlight;
-    // The original's normalized form, canonical fingerprint and empty
-    // arity, derived once for every pool pruned this round.
+    // The original's normalized form and facts, derived once for every
+    // pool pruned this step.
     let base = PruneBase::new(ctx.previous);
     let previous = base.query();
 
     // Mine the feedback once for the whole round; localize: rank fault
-    // sites from analyzer, flow, feedback, and highlight evidence.
+    // sites from analyzer, flow, feedback, and highlight evidence. The
+    // previous query's diagnostics are derived here, once: they also
+    // gate it when no candidate survives.
     let cues = FeedbackCues::extract_linked(&ctx.feedback.text, db.lexicon(ctx.db));
-    let sites = locate_faults_with_cues(previous, schema, Some(&cues), highlight);
+    let diagnostics = base.facts().diagnostics(previous, schema);
+    let sites =
+        locate_faults_with_diagnostics(previous, schema, diagnostics, Some(&cues), highlight);
 
     // Enumerate: site-driven repairs, plus the feedback interpreter's
     // full candidate pool (the same pool `interpret` samples one member
@@ -465,41 +459,40 @@ fn search_step<L: FallibleLanguageModel + ?Sized>(
     // Prune: abstract interpretation (contradictory/empty), analyzer
     // (invalid names), and the equivalence oracle (no-ops, duplicates)
     // drop candidates before anything can reach the engine. Each
-    // survivor is scored once, from the diagnostics pruning kept.
-    let ranked = |outcome: PruneOutcome| {
-        outcome
-            .kept
-            .into_iter()
-            .zip(outcome.diagnostics)
-            .map(|(cand, diagnostics)| Ranked {
-                score: closeness(previous, &cand, &diagnostics, &cues, routed),
-                sql: print_query(&cand.query),
-                cand,
-                diagnostics,
-            })
+    // survivor is scored once, from the diagnostics pruning derived.
+    let ranked = |kept: Survivor| {
+        let diagnostics = kept.facts.diagnostics(&kept.cand.query, schema);
+        Ranked {
+            score: closeness(previous, &kept.cand, diagnostics, &cues, routed),
+            sql: print_query(&kept.cand.query),
+            kept,
+        }
     };
     let rank = |pool: &mut Vec<Ranked>| {
         pool.sort_by(|a, b| b.score.cmp(&a.score).then_with(|| a.sql.cmp(&b.sql)));
     };
     let outcome = prune_against(&base, pool, schema);
     let mut pruned_static = outcome.pruned_static();
-    let mut survivors: Vec<Ranked> = ranked(outcome).collect();
+    let mut survivors: Vec<Ranked> = outcome.kept.into_iter().map(ranked).collect();
     rank(&mut survivors);
 
     // Expand: a second localization round on the top beam members, so
     // multi-edit faults (join + literal, table + column) are reachable.
     // Second-round candidates are re-pruned against the *original* query
     // and the accumulated pool, then ranked into it. Survivors are only
-    // appended here, so the beam stays at the front of the pool.
+    // appended here, so the beam stays at the front of the pool; the
+    // pool's structural hashes key its duplicate check.
     let beam = survivors.len().min(BEAM_WIDTH);
+    let mut hashes: HashSet<u64> = survivors.iter().map(|r| r.kept.hash).collect();
     let mut enumerated_round2 = 0u64;
     for i in 0..beam {
-        // A member is localized from the diagnostics pruning kept for it.
-        let Ranked {
+        // A member is localized from the diagnostics pruning derived.
+        let Survivor {
             cand: member,
-            diagnostics,
+            facts,
             ..
-        } = &survivors[i];
+        } = &survivors[i].kept;
+        let diagnostics = facts.diagnostics(&member.query, schema);
         let member_sites =
             locate_faults_with_diagnostics(&member.query, schema, diagnostics, Some(&cues), None);
         let expansions = enumerate_repairs(&member.query, schema, &member_sites, &cues);
@@ -515,12 +508,15 @@ fn search_step<L: FallibleLanguageModel + ?Sized>(
             .collect();
         let second = prune_against(&base, expansions, schema);
         pruned_static += second.pruned_static();
-        for cand in ranked(second) {
-            let duplicate = survivors.iter().any(|k| k.cand.query == cand.cand.query);
+        for kept in second.kept {
+            let duplicate = !hashes.insert(kept.hash)
+                && survivors
+                    .iter()
+                    .any(|r| r.kept.hash == kept.hash && r.kept.cand.query == kept.cand.query);
             if duplicate {
                 pruned_static += 1;
             } else {
-                survivors.push(cand);
+                survivors.push(ranked(kept));
             }
         }
     }
@@ -533,18 +529,18 @@ fn search_step<L: FallibleLanguageModel + ?Sized>(
         survivors: survivors.len() as u64,
         expanded: beam as u64,
         score: survivors.first().map_or(0, |r| r.score),
-        chosen: survivors.first().map_or("none", |r| r.cand.label),
+        chosen: survivors.first().map_or("none", |r| r.kept.cand.label),
     };
 
     // Choose: the top-ranked survivor goes to the runner's validator,
-    // gated on the diagnostics pruning already found; an empty pool keeps
+    // gated on the facts pruning already derived; an empty pool keeps
     // the previous query (interpretation failure, the paper's error
-    // cause (b)).
-    let (chosen, diagnostics) = match survivors.into_iter().next() {
-        Some(top) => (top.cand.query, top.diagnostics),
-        None => (previous.clone(), check_query(previous, schema)),
+    // cause (b)), gated on the facts localization derived.
+    let (chosen, facts) = match survivors.into_iter().next() {
+        Some(top) => (top.kept.cand.query, top.kept.facts),
+        None => (previous.clone(), base.facts().clone()),
     };
-    let (query, gate) = gate_checked(schema, chosen, diagnostics);
+    let (query, gate, facts) = gate_candidate(schema, chosen, facts);
 
     Ok(IncorporateOutcome {
         query,
@@ -552,6 +548,7 @@ fn search_step<L: FallibleLanguageModel + ?Sized>(
         routed: Some(routed),
         interpretation: None,
         gate,
+        facts,
         conformance: None,
         search: Some(report),
     })
@@ -686,13 +683,19 @@ fn rewrite_step<L: FallibleLanguageModel + ?Sized>(
         salt: 1000 + ctx.round,
         mode: GenMode::Rewrite,
     })?;
-    let (query, gate) = gate_candidate(ctx.db, normalize_query(&generation.query));
+    let db = ctx.db.context();
+    let (query, gate, facts) = gate_candidate(
+        db.schema(ctx.db),
+        normalize_query(&generation.query),
+        QueryFacts::default(),
+    );
     Ok(IncorporateOutcome {
         query,
         question: new_question,
         routed: None,
         interpretation: None,
         gate,
+        facts,
         conformance: None,
         search: None,
     })
@@ -1054,7 +1057,7 @@ mod tests {
         let candidate =
             parse_query("SELECT COUNT(*) FROM hkg_dim_segment WHERE createdTme >= '2024-01-01'")
                 .unwrap();
-        let (fixed, gate) = gate_candidate(db, candidate);
+        let (fixed, gate, _) = gate_candidate(&db.schema_info(), candidate, QueryFacts::default());
         assert!(gate.has_errors());
         assert!(gate.repaired);
         assert_eq!(gate.executions_saved, 1);
@@ -1084,7 +1087,10 @@ mod tests {
         // `activation_date` is a real column of another table: that is a
         // missing join, not a typo — the gate must not rename it.
         let candidate = parse_query("SELECT activation_date FROM hkg_dim_segment").unwrap();
-        let (kept, gate) = gate_candidate(db, candidate.clone());
+        let schema = db.schema_info();
+        let (kept, gate, facts) = gate_candidate(&schema, candidate.clone(), QueryFacts::default());
+        // Unrepaired, the candidate keeps its own (error) facts.
+        assert!(!facts.is_clean(&kept, &schema));
         assert!(gate.has_errors());
         assert!(!gate.repaired);
         assert_eq!(kept, candidate);
@@ -1095,6 +1101,55 @@ mod tests {
             "{:?}",
             gate.diagnostics
         );
+    }
+
+    /// A gate-repaired step hands the runner the repaired query's own
+    /// facts, never the pre-repair candidate's, and the refuted lane
+    /// still does not answer for it: the repair makes it clean, but only
+    /// candidates clean before any repair consult the lane.
+    #[test]
+    fn repaired_steps_hand_forward_their_own_facts_and_are_never_refuted() {
+        let corpus = build_aep(&AepConfig {
+            n_examples: 5,
+            seed: 2,
+        });
+        let e = &corpus.examples[0];
+        let db = corpus.database(e);
+        let schema = db.schema_info();
+        // A lower-case repair, which normalizing leaves as it is, so the
+        // facts repair derived are the ones handed forward.
+        let candidate =
+            parse_query("SELECT COUNT(*) FROM hkg_dim_segment WHERE stats = 'active'").unwrap();
+        let candidate_facts = QueryFacts::of(&candidate, &schema);
+        let (fixed, gate, facts) = gate_candidate(&schema, candidate.clone(), candidate_facts);
+        assert!(gate.repaired && gate.has_errors());
+        assert_eq!(
+            print_query(&fixed),
+            "SELECT COUNT(*) FROM hkg_dim_segment WHERE status = 'active'"
+        );
+        assert!(facts.is_clean(&fixed, &schema));
+        assert_eq!(
+            facts.diagnostics(&fixed, &schema),
+            fisql_sqlkit::check_query(&fixed, &schema)
+        );
+        assert_eq!(
+            facts.fingerprint(&fixed),
+            fisql_sqlkit::canon_fingerprint(&fixed)
+        );
+
+        // Seed the refuted lane with the repaired query itself: a clean,
+        // unrepaired candidate equal to it is refuted, the repaired one
+        // still executes.
+        let mut cache = crate::SemanticCache::new(true);
+        cache.begin_case(Some((&fixed, &QueryFacts::default())));
+        let clean = GateOutcome::default();
+        assert_eq!(
+            cache.check_in_corpus(&corpus, e, &fixed, &facts, &clean),
+            None
+        );
+        assert!(cache
+            .check_in_corpus(&corpus, e, &fixed, &facts, &gate)
+            .is_some());
     }
 
     #[test]

@@ -32,13 +32,14 @@
 //! ```
 
 use crate::interpret::interpret;
+use crate::pipeline::gate_candidate;
 use fisql_engine::{Database, DbContext};
 use fisql_llm::keyword_route;
-use fisql_sqlkit::check::{check_query, render_report, repair_query, Diagnostic};
+use fisql_sqlkit::check::{render_report, Diagnostic};
 use fisql_sqlkit::{
-    apply_edits, diff_queries, enumerate_repairs, locate_faults_with_cues, normalize_query,
+    apply_edits, diff_queries, enumerate_repairs, locate_faults_with_diagnostics, normalize_query,
     parse_query, print_query, prune_candidates, realized_classes, EditOp, FeedbackCues, OpClass,
-    Query,
+    Query, QueryFacts,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -129,21 +130,19 @@ pub struct QueryBuilder<'a> {
     ctx: Arc<DbContext>,
     current: Query,
     history: Vec<RefineStep>,
-    diagnostics: Vec<Diagnostic>,
+    /// The current query's facts, derived on first need.
+    facts: QueryFacts,
 }
 
 impl<'a> QueryBuilder<'a> {
     /// Starts from an existing query.
     pub fn new(db: &'a Database, seed: Query) -> Self {
-        let ctx = db.context();
-        let current = normalize_query(&seed);
-        let diagnostics = check_query(&current, ctx.schema(db));
         QueryBuilder {
             db,
-            ctx,
-            current,
+            ctx: db.context(),
+            current: normalize_query(&seed),
             history: Vec::new(),
-            diagnostics,
+            facts: QueryFacts::default(),
         }
     }
 
@@ -174,7 +173,8 @@ impl<'a> QueryBuilder<'a> {
     /// an error-bearing refinement is rejected, so the current query
     /// never carries error-severity diagnostics past [`Self::refine`]).
     pub fn diagnostics(&self) -> &[Diagnostic] {
-        &self.diagnostics
+        self.facts
+            .diagnostics(&self.current, self.ctx.schema(self.db))
     }
 
     /// Applies one plain-language refinement. Interpretation is
@@ -201,23 +201,14 @@ impl<'a> QueryBuilder<'a> {
         }
         // Static gate: a refinement that makes the query semantically
         // invalid is repaired when it is a unique typo, rejected otherwise.
-        let mut next = next;
         let schema = self.ctx.schema(self.db);
-        let mut diags = check_query(&next, schema);
-        if diags.iter().any(Diagnostic::is_error) {
-            match repair_query(&next, schema) {
-                Some(fixed) => {
-                    next = normalize_query(&fixed);
-                    diags = check_query(&next, schema);
-                }
-                None => {
-                    return Err(RefineError::Invalid {
-                        report: render_report(&print_query(&next), &diags),
-                    });
-                }
-            }
+        let (next, gate, facts) = gate_candidate(schema, next, QueryFacts::default());
+        if gate.has_errors() && !gate.repaired {
+            return Err(RefineError::Invalid {
+                report: render_report(&print_query(&next), &gate.diagnostics),
+            });
         }
-        self.diagnostics = diags;
+        self.facts = facts;
         let realized = realized_classes(&diff_queries(&self.current, &next));
         self.history.push(RefineStep {
             text: text.to_string(),
@@ -239,14 +230,17 @@ impl<'a> QueryBuilder<'a> {
         let routed = keyword_route(text);
         let schema = self.ctx.schema(self.db);
         let cues = FeedbackCues::extract_linked(text, self.ctx.lexicon(self.db));
-        let sites = locate_faults_with_cues(&self.current, schema, Some(&cues), None);
+        let diagnostics = self.diagnostics();
+        let sites =
+            locate_faults_with_diagnostics(&self.current, schema, diagnostics, Some(&cues), None);
         let pool = enumerate_repairs(&self.current, schema, &sites, &cues);
         let outcome = prune_candidates(&self.current, pool, schema);
         let mut scored: Vec<(String, i64)> = outcome
             .kept
             .iter()
-            .zip(&outcome.diagnostics)
-            .map(|(cand, diagnostics)| {
+            .map(|kept| {
+                let cand = &kept.cand;
+                let diagnostics = kept.facts.diagnostics(&cand.query, schema);
                 let score =
                     crate::pipeline::closeness(&self.current, cand, diagnostics, &cues, routed);
                 (print_query(&cand.query), score)
@@ -262,7 +256,7 @@ impl<'a> QueryBuilder<'a> {
         match self.history.pop() {
             Some(step) => {
                 self.current = step.before;
-                self.diagnostics = check_query(&self.current, self.ctx.schema(self.db));
+                self.facts = QueryFacts::default();
                 true
             }
             None => false,

@@ -72,7 +72,7 @@ use crate::semcache::{CacheStats, SemanticCache};
 use fisql_feedback::SimUser;
 use fisql_llm::{AgreementStats, FallibleLanguageModel, ResilienceStats, SimLlm};
 use fisql_spider::{check_prediction, Corpus, Verdict};
-use fisql_sqlkit::{normalize_query, print_query, print_query_spanned, Fnv64};
+use fisql_sqlkit::{normalize_query, print_query, print_query_spanned, Fnv64, QueryFacts};
 use serde::{Deserialize, Serialize};
 use std::io;
 use std::path::Path;
@@ -675,11 +675,13 @@ impl<'a, L: FallibleLanguageModel + ?Sized> CorrectionRun<'a, L> {
         let example = &self.corpus.examples[case.error.example_idx];
         let db = self.corpus.database(example);
         let mut current = normalize_query(&case.error.initial);
+        // `current`'s facts, kept while it stays the same query.
+        let mut facts = QueryFacts::default();
         let mut question = example.question.clone();
         let mut verdict = CaseVerdict::default();
         // The initial prediction seeds the refuted lane: the case exists
         // because that query was wrong.
-        semcache.begin_case(db, (!case.error.execution_error).then_some(&current));
+        semcache.begin_case((!case.error.execution_error).then_some((&current, &facts)));
 
         for round in 0..self.cfg.rounds {
             // Heartbeat plus stall checks at every round boundary: the
@@ -766,6 +768,12 @@ impl<'a, L: FallibleLanguageModel + ?Sized> CorrectionRun<'a, L> {
                     .agreement
                     .record(c.agreed, c.retried, c.agreed_after_retry);
             }
+            // An output equal to `current` keeps what was derived for it.
+            facts = if step.query == current {
+                facts.or(step.facts)
+            } else {
+                step.facts
+            };
             current = step.query;
             question = step.question;
 
@@ -777,7 +785,7 @@ impl<'a, L: FallibleLanguageModel + ?Sized> CorrectionRun<'a, L> {
             // the logical counter is charged whether or not either ran,
             // so reports stay cache-invariant.
             let Some(check) =
-                semcache.check_in_corpus(self.corpus, example, &current, !step.gate.has_errors())
+                semcache.check_in_corpus(self.corpus, example, &current, &facts, &step.gate)
             else {
                 verdict.executions_skipped_static += 2;
                 continue;

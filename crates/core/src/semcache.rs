@@ -12,20 +12,21 @@
 //!   executed and found *incorrect* (seeded with the case's initial
 //!   prediction, which is why the case exists). A candidate whose key is
 //!   in the set must produce the same wrong result, so
-//!   [`check_prediction`](SemanticCache::check_prediction) skips both
+//!   [`check_in_corpus`](SemanticCache::check_in_corpus) skips both
 //!   engine runs. Each query has up to two keys, and together they
 //!   reproduce [`canonically_equivalent`](fisql_sqlkit::canonically_equivalent)
 //!   exactly: its canonical fingerprint (equal canonical forms), and —
 //!   when [`flow::provably_empty`](fisql_sqlkit::provably_empty) proves
 //!   the normalized query empty with a known
 //!   [`output_arity`](fisql_sqlkit::output_arity) — that arity (two empty
-//!   results of one width compare equal). Only analyzer-clean candidates
-//!   consult or extend the lane, and `ExecutionError` verdicts are never
-//!   recorded: rewrites may erase an erroring subexpression, so a
-//!   refutation only transfers between queries that cannot error. The
-//!   lane is cleared by [`begin_case`](SemanticCache::begin_case) and
-//!   runs whether or not the result lanes are enabled, so skip counts
-//!   never depend on cache state or on which cases share a worker;
+//!   results of one width compare equal). Only candidates the static
+//!   gate found analyzer-clean *before* any repair consult or extend the
+//!   lane, and `ExecutionError` verdicts are never recorded: rewrites may
+//!   erase an erroring subexpression, so a refutation only transfers
+//!   between queries that cannot error. The lane is cleared by
+//!   [`begin_case`](SemanticCache::begin_case) and runs whether or not
+//!   the result lanes are enabled, so skip counts never depend on cache
+//!   state or on which cases share a worker;
 //! * the **semantic lane** serves correctness checks
 //!   ([`check_prediction`](fisql_spider::check_prediction)-shaped
 //!   executions under unlimited budgets). It is keyed by the canonical
@@ -45,11 +46,12 @@
 //!   byte-identical query text on the same database — so it may cache
 //!   `Err` strings too.
 //!
-//! Every lookup prints its query once. One map keyed by
-//! `(db fingerprint, print fingerprint)` holds what the lanes derive
-//! from a query: its canonical fingerprint and empty-arity key (computed
-//! on first need) and its analyzer verdict against that database. The
-//! database fingerprint, like the analyzer schema, is read from the
+//! The refuted and semantic lanes key a query by its [`QueryFacts`]: the
+//! caller hands in the facts the pipeline already derived for it (the
+//! gate's diagnostics, pruning's fingerprint), and the lanes derive only
+//! what is still missing, into those facts, so nothing is printed,
+//! checked or canonicalized twice. Only the exact lane prints its query.
+//! The database fingerprint, like the analyzer schema, is read from the
 //! database's memoized [`fisql_engine::DbContext`].
 //!
 //! The cache is deliberately **per worker** (one per runner worker, one
@@ -62,9 +64,10 @@
 //! perturbing replay contracts; refuted-lane skips are report fields
 //! (`executions_skipped_static`).
 
+use crate::pipeline::GateOutcome;
 use fisql_engine::{Database, DbContext, ExecLimits, ResultSet};
 use fisql_spider::{check_prediction_with, judge_prediction, Corpus, Example, Verdict};
-use fisql_sqlkit::{canon_fingerprint, check_query, empty_arity, fnv64, print_query, Query};
+use fisql_sqlkit::{fnv64, print_query, Query, QueryFacts};
 use std::collections::{HashMap, HashSet};
 
 /// Cumulative cache hit/miss counters.
@@ -97,38 +100,14 @@ enum RefutedKey {
     Empty(usize),
 }
 
-/// Fingerprints of one query.
-#[derive(Debug, Clone, Copy)]
-struct QueryKeys {
-    canon: u64,
-    empty_arity: Option<usize>,
+/// The refuted-lane keys of `query`, from (and into) its `facts`.
+fn refuted_keys(query: &Query, facts: &QueryFacts) -> impl Iterator<Item = RefutedKey> {
+    let canon = RefutedKey::Canon(facts.fingerprint(query));
+    std::iter::once(canon).chain(facts.empty_arity(query).map(RefutedKey::Empty))
 }
 
-impl QueryKeys {
-    fn of(query: &Query) -> QueryKeys {
-        QueryKeys {
-            canon: canon_fingerprint(query),
-            empty_arity: empty_arity(query),
-        }
-    }
-
-    fn refuted(self) -> impl Iterator<Item = RefutedKey> {
-        std::iter::once(RefutedKey::Canon(self.canon))
-            .chain(self.empty_arity.map(RefutedKey::Empty))
-    }
-}
-
-/// What the lanes know about one query on one database, each fact
-/// derived on first need.
-#[derive(Debug, Default)]
-struct QueryFacts {
-    keys: Option<QueryKeys>,
-    /// No error-severity analyzer diagnostics against the database.
-    clean: Option<bool>,
-}
-
-/// The key of one query on one database: `(db fingerprint, print
-/// fingerprint)`.
+/// The exact lane's key of one query on one database: `(db
+/// fingerprint, print fingerprint)`.
 type QueryKey = (u64, u64);
 
 fn query_key(db: &DbContext, query: &Query) -> QueryKey {
@@ -140,8 +119,6 @@ fn query_key(db: &DbContext, query: &Query) -> QueryKey {
 #[derive(Debug, Default)]
 pub struct SemanticCache {
     enabled: bool,
-    /// Per-query facts (see the module docs).
-    queries: HashMap<QueryKey, QueryFacts>,
     /// Refuted lane: keys of queries the current case found incorrect.
     refuted: HashSet<RefutedKey>,
     /// Semantic lane: `(db_fp, canon_fp)` → unlimited-budget `Ok` rows.
@@ -163,128 +140,59 @@ impl SemanticCache {
         }
     }
 
-    fn keys(&mut self, key: QueryKey, query: &Query) -> QueryKeys {
-        *self
-            .queries
-            .entry(key)
-            .or_default()
-            .keys
-            .get_or_insert_with(|| QueryKeys::of(query))
-    }
-
-    fn analyzer_clean(
-        &mut self,
-        db: &Database,
-        ctx: &DbContext,
-        key: QueryKey,
-        query: &Query,
-    ) -> bool {
-        *self
-            .queries
-            .entry(key)
-            .or_default()
-            .clean
-            .get_or_insert_with(|| {
-                !check_query(query, ctx.schema(db))
-                    .iter()
-                    .any(|d| d.is_error())
-            })
-    }
-
-    /// Starts a new case on `db`: clears the refuted lane and seeds it
-    /// with the case's initial prediction when that query executed
-    /// without error (it is known incorrect — that is why the case
-    /// exists).
-    pub fn begin_case(&mut self, db: &Database, initial: Option<&Query>) {
+    /// Starts a new case: clears the refuted lane and seeds it with the
+    /// case's initial prediction (and its facts) when that query
+    /// executed without error (it is known incorrect — that is why the
+    /// case exists).
+    pub fn begin_case(&mut self, initial: Option<(&Query, &QueryFacts)>) {
         self.refuted.clear();
-        if let Some(query) = initial {
-            let keys = self.keys(query_key(&db.context(), query), query);
-            self.refuted.extend(keys.refuted());
+        if let Some((query, facts)) = initial {
+            self.refuted.extend(refuted_keys(query, facts));
         }
     }
 
-    /// One correctness check of `query` against `example`'s gold.
+    /// One correctness check of `query`, whose `facts` are what is known
+    /// about it on its database, against the gold of `example`, an
+    /// element of `corpus.examples`.
     ///
     /// `None` means refuted: `query` is canonically equivalent to a query
     /// this case already found incorrect, so both engine runs are
     /// skipped. Otherwise the check runs through the semantic lane, and
-    /// a `WrongResult` verdict is recorded in the refuted lane. Only
-    /// `analyzer_clean` queries (no error-severity diagnostics) consult
-    /// or extend the refuted lane; the caller's `true` is taken as the
-    /// analyzer's verdict on `query`, so it is not checked again.
-    pub fn check_prediction(
-        &mut self,
-        db: &Database,
-        example: &Example,
-        query: &Query,
-        analyzer_clean: bool,
-    ) -> Option<Verdict> {
-        self.check(db, example, None, query, analyzer_clean)
-    }
-
-    /// [`check_prediction`](Self::check_prediction) for an element of
-    /// `corpus.examples`: with the result lanes enabled, the gold's
-    /// outcome is read from [`Corpus::gold_result`] — counted as an
-    /// execution the cache skipped — so the gold is never printed,
-    /// checked, canonicalized or executed here. Disabled, the gold
-    /// executes afresh.
+    /// a `WrongResult` verdict is recorded in the refuted lane. Only a
+    /// query whose `gate` found no error-severity diagnostics — before
+    /// any repair — consults or extends the refuted lane. With the
+    /// result lanes enabled, the gold's outcome is read from
+    /// [`Corpus::gold_result`] — counted as an execution the cache
+    /// skipped — so the gold is never printed, checked, canonicalized or
+    /// executed here. Disabled, both queries execute afresh.
     pub fn check_in_corpus(
         &mut self,
         corpus: &Corpus,
         example: &Example,
         query: &Query,
-        analyzer_clean: bool,
+        facts: &QueryFacts,
+        gate: &GateOutcome,
     ) -> Option<Verdict> {
-        self.check(
-            corpus.database(example),
-            example,
-            Some(corpus),
-            query,
-            analyzer_clean,
-        )
-    }
-
-    fn check(
-        &mut self,
-        db: &Database,
-        example: &Example,
-        corpus: Option<&Corpus>,
-        query: &Query,
-        analyzer_clean: bool,
-    ) -> Option<Verdict> {
+        let db = corpus.database(example);
         let ctx = db.context();
-        let key = query_key(&ctx, query);
-        let keys = analyzer_clean.then(|| {
-            self.queries
-                .entry(key)
-                .or_default()
-                .clean
-                .get_or_insert(true);
-            self.keys(key, query)
-        });
-        if keys.is_some_and(|k| k.refuted().any(|key| self.refuted.contains(&key))) {
+        facts.debug_confirm(query, ctx.schema(db));
+        let refutable = !gate.has_errors();
+        let keys = || refuted_keys(query, facts);
+        if refutable && keys().any(|key| self.refuted.contains(&key)) {
             return None;
         }
-        let verdict = match corpus.filter(|_| self.enabled) {
-            Some(corpus) => {
-                self.stats.hits += 1;
-                judge_prediction(&corpus.gold_result(example), || {
-                    self.semantic(db, &ctx, key, query)
-                })
-            }
-            None => check_prediction_with(db, example, query, |db, q| {
-                // The predicted query's key is already printed; the
-                // gold's is printed here.
-                let key = if std::ptr::eq(q, query) {
-                    key
-                } else {
-                    query_key(&ctx, q)
-                };
-                self.semantic(db, &ctx, key, q)
-            }),
+        let verdict = if self.enabled {
+            self.stats.hits += 1;
+            judge_prediction(&corpus.gold_result(example), || {
+                self.semantic(db, &ctx, query, facts)
+            })
+        } else {
+            check_prediction_with(db, example, query, |db, q| {
+                fisql_engine::execute(db, q).map_err(|e| e.to_string())
+            })
         };
-        if let (Some(keys), Verdict::WrongResult) = (keys, &verdict) {
-            self.refuted.extend(keys.refuted());
+        if refutable && matches!(verdict, Verdict::WrongResult) {
+            self.refuted.extend(keys());
         }
         Some(verdict)
     }
@@ -294,30 +202,27 @@ impl SemanticCache {
     /// Analyzer-clean queries are served by canonical fingerprint and
     /// their `Ok` results stored; analyzer-rejected queries bypass the
     /// lane entirely (their error behaviour is spelling-dependent, which
-    /// canonical keying would erase).
+    /// canonical keying would erase). The query's facts are derived
+    /// afresh on every call.
     pub fn execute_semantic(&mut self, db: &Database, query: &Query) -> Result<ResultSet, String> {
-        if !self.enabled {
-            return fisql_engine::execute(db, query).map_err(|e| e.to_string());
-        }
-        let ctx = db.context();
-        self.semantic(db, &ctx, query_key(&ctx, query), query)
+        self.semantic(db, &db.context(), query, &QueryFacts::default())
     }
 
     fn semantic(
         &mut self,
         db: &Database,
         ctx: &DbContext,
-        key: QueryKey,
         query: &Query,
+        facts: &QueryFacts,
     ) -> Result<ResultSet, String> {
         if !self.enabled {
             return fisql_engine::execute(db, query).map_err(|e| e.to_string());
         }
-        if !self.analyzer_clean(db, ctx, key, query) {
+        if !facts.is_clean(query, ctx.schema(db)) {
             self.stats.misses += 1;
             return fisql_engine::execute(db, query).map_err(|e| e.to_string());
         }
-        let lane_key = (ctx.fingerprint, self.keys(key, query).canon);
+        let lane_key = (ctx.fingerprint, facts.fingerprint(query));
         if let Some(rs) = self.semantic.get(&lane_key) {
             self.stats.hits += 1;
             return Ok(rs.clone());
@@ -482,6 +387,30 @@ mod tests {
         (corpus, idx, t, c)
     }
 
+    /// The gate's outcome for a candidate the analyzer flagged and the
+    /// gate then repaired.
+    fn repaired_gate(db: &Database, t: &str) -> GateOutcome {
+        let typo = parse_query(&format!("SELECT no_such_column FROM {t}")).unwrap();
+        let gate = GateOutcome {
+            diagnostics: fisql_sqlkit::check_query(&typo, &db.schema_info()),
+            repaired: true,
+            executions_saved: 1,
+        };
+        assert!(gate.has_errors());
+        gate
+    }
+
+    /// Checks `query` with fresh facts, as the gate passed it clean.
+    fn check_clean(
+        cache: &mut SemanticCache,
+        corpus: &Corpus,
+        example: &Example,
+        query: &Query,
+    ) -> Option<Verdict> {
+        let (facts, gate) = (QueryFacts::default(), GateOutcome::default());
+        cache.check_in_corpus(corpus, example, query, &facts, &gate)
+    }
+
     #[test]
     fn refuted_lane_skips_equivalent_spellings_within_one_case() {
         let (corpus, idx, t, c) = example_with_rows();
@@ -490,16 +419,19 @@ mod tests {
         // Disabled result lanes: the refuted lane works regardless.
         for enabled in [true, false] {
             let mut cache = SemanticCache::new(enabled);
-            cache.begin_case(db, None);
+            cache.begin_case(None);
             let wrong = parse_query(&format!("SELECT {c} FROM {t} WHERE {c} < -999")).unwrap();
             let same =
                 parse_query(&format!("SELECT {c} FROM {t} WHERE NOT ({c} >= -999)")).unwrap();
-            let verdict = cache.check_prediction(db, example, &wrong, true);
+            let verdict = check_clean(&mut cache, &corpus, example, &wrong);
             assert_eq!(verdict, Some(Verdict::WrongResult));
-            assert_eq!(cache.check_prediction(db, example, &same, true), None);
-            // Analyzer-flagged candidates never consult the lane.
+            assert_eq!(check_clean(&mut cache, &corpus, example, &same), None);
+            // Candidates the analyzer flagged before the gate's repair
+            // never consult the lane, though they are clean now.
+            let facts = QueryFacts::of(&same, &db.schema_info());
+            assert!(facts.is_clean(&same, &db.schema_info()));
             assert_eq!(
-                cache.check_prediction(db, example, &same, false),
+                cache.check_in_corpus(&corpus, example, &same, &facts, &repaired_gate(db, &t)),
                 Some(Verdict::WrongResult)
             );
             // Any two provably empty queries of one width are refuted
@@ -512,10 +444,10 @@ mod tests {
                 fisql_sqlkit::canon_fingerprint(&also_empty)
             );
             assert_eq!(
-                cache.check_prediction(db, example, &empty, true),
+                check_clean(&mut cache, &corpus, example, &empty),
                 Some(Verdict::WrongResult)
             );
-            assert_eq!(cache.check_prediction(db, example, &also_empty, true), None);
+            assert_eq!(check_clean(&mut cache, &corpus, example, &also_empty), None);
         }
     }
 
@@ -523,15 +455,14 @@ mod tests {
     fn refuted_lane_is_per_case_and_seeded_by_begin_case() {
         let (corpus, idx, t, c) = example_with_rows();
         let example = &corpus.examples[idx];
-        let db = corpus.database(example);
         let wrong = parse_query(&format!("SELECT {c} FROM {t} WHERE {c} < -999")).unwrap();
         let mut cache = SemanticCache::new(true);
-        cache.begin_case(db, Some(&wrong));
-        assert_eq!(cache.check_prediction(db, example, &wrong, true), None);
+        cache.begin_case(Some((&wrong, &QueryFacts::default())));
+        assert_eq!(check_clean(&mut cache, &corpus, example, &wrong), None);
         // The next case starts with an empty lane.
-        cache.begin_case(db, None);
+        cache.begin_case(None);
         assert_eq!(
-            cache.check_prediction(db, example, &wrong, true),
+            check_clean(&mut cache, &corpus, example, &wrong),
             Some(Verdict::WrongResult)
         );
     }
@@ -540,15 +471,14 @@ mod tests {
     fn execution_errors_are_never_refuted() {
         let (corpus, idx, t, _) = example_with_rows();
         let example = &corpus.examples[idx];
-        let db = corpus.database(example);
         let broken = parse_query(&format!("SELECT no_such_column FROM {t}")).unwrap();
         let mut cache = SemanticCache::new(true);
-        cache.begin_case(db, None);
+        cache.begin_case(None);
         for _ in 0..2 {
-            // Even when the caller vouches for it, an erroring query's
+            // Even when the gate passed it clean, an erroring query's
             // verdict is not recorded: it executes every time.
             assert!(matches!(
-                cache.check_prediction(db, example, &broken, true),
+                check_clean(&mut cache, &corpus, example, &broken),
                 Some(Verdict::ExecutionError { .. })
             ));
         }

@@ -45,6 +45,7 @@
 use crate::ast::*;
 use crate::flow;
 use crate::printer::{print_expr, print_query_spanned, SpannedSql};
+use crate::repair::QueryFacts;
 use crate::span::Span;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -1985,11 +1986,20 @@ fn binding_index(bindings: &[ScopeBinding], cref: &ColumnRef) -> Option<usize> {
 /// schema are candidates — a "wrong" name that is a real column of some
 /// other table signals a structural mistake (a missing join, a
 /// mis-attributed column) that renaming would mask, so those are left for
-/// the feedback loop. Returns the repaired query only when the result is
-/// free of error-severity diagnostics; `None` when nothing needed fixing
-/// or the repair failed.
-pub fn repair_query(query: &Query, schema: &SchemaInfo) -> Option<Query> {
-    if !check_query(query, schema).iter().any(Diagnostic::is_error) {
+/// the feedback loop. `diagnostics` are `check_query(query, schema)`, as
+/// the caller has them. Returns the repaired query, with its facts, only
+/// when the result is free of error-severity diagnostics; `None` when
+/// nothing needed fixing or the repair failed.
+pub fn repair_query(
+    query: &Query,
+    diagnostics: &[Diagnostic],
+    schema: &SchemaInfo,
+) -> Option<(Query, QueryFacts)> {
+    debug_assert!(
+        diagnostics == check_query(query, schema),
+        "stale diagnostics"
+    );
+    if !diagnostics.iter().any(Diagnostic::is_error) {
         return None;
     }
     let mut repaired = query.clone();
@@ -1997,13 +2007,10 @@ pub fn repair_query(query: &Query, schema: &SchemaInfo) -> Option<Query> {
     if repaired == *query {
         return None;
     }
-    if check_query(&repaired, schema)
-        .iter()
-        .any(Diagnostic::is_error)
-    {
-        return None;
-    }
-    Some(repaired)
+    let facts = QueryFacts::of(&repaired, schema);
+    facts
+        .is_clean(&repaired, schema)
+        .then_some((repaired, facts))
 }
 
 /// Rewrites unknown names in place. `outer_tables` are schema tables
@@ -2287,21 +2294,25 @@ mod tests {
     fn repair_fixes_typo_level_names_only() {
         let s = schema();
         let q = parse_query("SELECT nme FROM singer").unwrap();
-        let fixed = repair_query(&q, &s).expect("typo is repairable");
+        let (fixed, facts) =
+            repair_query(&q, &check_query(&q, &s), &s).expect("typo is repairable");
         assert_eq!(print_query(&fixed), "SELECT name FROM singer");
+        // The facts handed back are the repaired query's.
+        assert!(facts.diagnostics(&fixed, &s).is_empty());
+        facts.debug_confirm(&fixed, &s);
         // A semantically different name is not touched.
         let q = parse_query("SELECT venue FROM singer").unwrap();
-        assert!(repair_query(&q, &s).is_none());
+        assert!(repair_query(&q, &check_query(&q, &s), &s).is_none());
         // A clean query is not "repaired".
         let q = parse_query("SELECT name FROM singer").unwrap();
-        assert!(repair_query(&q, &s).is_none());
+        assert!(repair_query(&q, &check_query(&q, &s), &s).is_none());
     }
 
     #[test]
     fn repair_fixes_table_typos() {
         let s = schema();
         let q = parse_query("SELECT name FROM singerr").unwrap();
-        let fixed = repair_query(&q, &s).expect("table typo repairable");
+        let (fixed, _) = repair_query(&q, &check_query(&q, &s), &s).expect("table typo repairable");
         assert_eq!(print_query(&fixed), "SELECT name FROM singer");
     }
 

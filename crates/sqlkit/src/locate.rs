@@ -406,26 +406,16 @@ pub fn locate_faults(
     let cues = opts
         .feedback
         .map(|text| FeedbackCues::extract(text, schema));
-    locate_faults_with_cues(query, schema, cues.as_ref(), opts.highlight)
-}
-
-/// [`locate_faults`] with the feedback already mined into `cues`, so a
-/// caller that localizes several queries against one utterance (the
-/// repair search's beam) extracts the cues once.
-pub fn locate_faults_with_cues(
-    query: &Query,
-    schema: &SchemaInfo,
-    cues: Option<&FeedbackCues>,
-    highlight: Option<Span>,
-) -> Vec<FaultSite> {
     let diagnostics = check_query(query, schema);
-    locate_faults_with_diagnostics(query, schema, &diagnostics, cues, highlight)
+    locate_faults_with_diagnostics(query, schema, &diagnostics, cues.as_ref(), opts.highlight)
 }
 
-/// [`locate_faults_with_cues`] for a query whose analyzer `diagnostics`
-/// against `schema` are already known — `check_query(query, schema)`
-/// exactly, as the repair search's pruning keeps them for every
-/// survivor — so the query is not checked a second time.
+/// [`locate_faults`] for a query whose analyzer `diagnostics` against
+/// `schema` are already known — `check_query(query, schema)` exactly, as
+/// a [`QueryFacts`](crate::QueryFacts) carries them — and whose feedback
+/// is already mined into `cues`, so a caller that localizes several
+/// queries against one utterance (the repair search's beam) extracts the
+/// cues once and checks no query a second time.
 pub fn locate_faults_with_diagnostics(
     query: &Query,
     schema: &SchemaInfo,
@@ -433,6 +423,10 @@ pub fn locate_faults_with_diagnostics(
     cues: Option<&FeedbackCues>,
     highlight: Option<Span>,
 ) -> Vec<FaultSite> {
+    debug_assert!(
+        diagnostics == check_query(query, schema),
+        "stale diagnostics"
+    );
     let spanned = print_query_spanned(query);
     let mut b = SiteBuilder { sites: Vec::new() };
 

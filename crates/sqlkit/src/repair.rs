@@ -16,11 +16,12 @@
 //! * candidates the analyzer rejects outright (unknown names, type
 //!   errors) never reach the pool's survivors.
 //!
-//! A search round prunes several pools against one original (round one,
-//! then one expansion per beam member), so the original's derived facts
-//! live in a [`PruneBase`] built once per round, and each candidate is
-//! canonicalized once. Each survivor keeps its analyzer diagnostics, so
-//! scoring and the pipeline's gate never re-check it.
+//! A search step prunes several pools against one original (round one,
+//! then one expansion per beam member), so the original and the
+//! [`QueryFacts`] of every candidate pruned so far live in a
+//! [`PruneBase`] built once per step. Each survivor carries its facts
+//! forward, so scoring, the pipeline's gate and the runner's execution
+//! gate never derive them again.
 //!
 //! Every candidate is *structure-preserving*: it is expressed as
 //! [`EditOp`]s against the normalized original, and the realized AST
@@ -39,9 +40,11 @@ use crate::edit::{apply_edit, apply_edits};
 use crate::flow::{analyze_conjunction, empty_arity, provably_empty};
 use crate::locate::{literal_year, FaultKind, FaultSite, FeedbackCues};
 use crate::normalize::normalize_query;
+use std::cell::RefCell;
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
+use std::sync::{Arc, OnceLock};
 
 /// Maximum candidates enumerated per call; keeps the search bounded.
 const ENUM_BUDGET: usize = 48;
@@ -64,16 +67,24 @@ pub struct RepairCandidate {
     pub label: &'static str,
 }
 
+/// One candidate that survived static pruning.
+#[derive(Debug, Clone)]
+pub struct Survivor {
+    /// The candidate.
+    pub cand: RepairCandidate,
+    /// Its query's facts (warning-only diagnostics, fingerprint).
+    pub facts: QueryFacts,
+    /// The structural hash pruning keyed its query by.
+    pub hash: u64,
+}
+
 /// Outcome of static pruning: survivors plus the statically-rejected
 /// pools, kept separate so callers (and tests) can inspect *why* a
 /// candidate never reached the engine.
 #[derive(Debug, Clone, Default)]
 pub struct PruneOutcome {
     /// Candidates that survived every static check, original order.
-    pub kept: Vec<RepairCandidate>,
-    /// The analyzer's diagnostics (warnings only) of each survivor,
-    /// index-aligned with `kept`.
-    pub diagnostics: Vec<Vec<Diagnostic>>,
+    pub kept: Vec<Survivor>,
     /// Proven contradictory / empty by the abstract interpreter.
     pub contradictory: Vec<RepairCandidate>,
     /// Rejected by the analyzer (error-severity diagnostics).
@@ -803,24 +814,113 @@ fn where_unsat(q: &Query) -> bool {
     })
 }
 
-/// The original query of one search round, derived once for every pool
-/// pruned against it: its normalized form, canonical fingerprint, and —
-/// when the abstract interpreter proves it empty — its output arity.
-#[derive(Debug, Clone)]
+/// What is known about one query against one schema: its analyzer
+/// diagnostics (and so whether it is clean), its canonical fingerprint,
+/// and its empty arity (the output arity of a provably empty query).
+///
+/// Each fact is derived on first need and then kept, so facts handed
+/// from one pass to the next (pruning to the lint gate, the gate to the
+/// runner's execution gate) are never derived twice. The diagnostics are
+/// lazy too: pruning fingerprints a candidate before (and often instead
+/// of) checking it. The facts do not hold their query: every accessor
+/// takes it, and it must be the query the facts travel with, which
+/// [`QueryFacts::debug_confirm`] checks in debug builds.
+#[derive(Debug, Clone, Default)]
+pub struct QueryFacts {
+    diagnostics: OnceLock<Arc<[Diagnostic]>>,
+    fingerprint: OnceLock<u64>,
+    empty_arity: OnceLock<Option<usize>>,
+}
+
+impl QueryFacts {
+    /// Facts of `query` with its diagnostics against `schema` derived.
+    pub fn of(query: &Query, schema: &SchemaInfo) -> QueryFacts {
+        let facts = QueryFacts::default();
+        facts.diagnostics(query, schema);
+        facts
+    }
+
+    /// The analyzer's diagnostics of `query` against `schema`.
+    pub fn diagnostics(&self, query: &Query, schema: &SchemaInfo) -> &[Diagnostic] {
+        self.diagnostics
+            .get_or_init(|| check_query(query, schema).into())
+    }
+
+    /// Whether `query` has no error-severity diagnostics.
+    pub fn is_clean(&self, query: &Query, schema: &SchemaInfo) -> bool {
+        !self
+            .diagnostics(query, schema)
+            .iter()
+            .any(Diagnostic::is_error)
+    }
+
+    /// The canonical fingerprint of `query` ([`canon_fingerprint`]).
+    pub fn fingerprint(&self, query: &Query) -> u64 {
+        *self.fingerprint.get_or_init(|| canon_fingerprint(query))
+    }
+
+    /// The output arity of `query` when the abstract interpreter proves
+    /// it empty ([`empty_arity`]).
+    pub fn empty_arity(&self, query: &Query) -> Option<usize> {
+        *self.empty_arity.get_or_init(|| empty_arity(query))
+    }
+
+    /// These facts, completed with what `other` (facts of the same
+    /// query) has derived and these have not.
+    pub fn or(self, other: QueryFacts) -> QueryFacts {
+        fn or<T>(known: OnceLock<T>, other: OnceLock<T>) -> OnceLock<T> {
+            known.into_inner().map_or(other, OnceLock::from)
+        }
+        QueryFacts {
+            diagnostics: or(self.diagnostics, other.diagnostics),
+            fingerprint: or(self.fingerprint, other.fingerprint),
+            empty_arity: or(self.empty_arity, other.empty_arity),
+        }
+    }
+
+    /// In debug builds, panics unless every fact derived so far equals a
+    /// fresh derivation on `query` against `schema`. Callers that receive
+    /// facts from another pass confirm them here.
+    #[track_caller]
+    pub fn debug_confirm(&self, query: &Query, schema: &SchemaInfo) {
+        fn holds<T: PartialEq>(known: &OnceLock<T>, fresh: impl FnOnce() -> T) -> bool {
+            known.get().is_none_or(|known| *known == fresh())
+        }
+        if cfg!(debug_assertions) {
+            assert!(
+                holds(&self.diagnostics, || check_query(query, schema).into())
+                    && holds(&self.fingerprint, || canon_fingerprint(query))
+                    && holds(&self.empty_arity, || empty_arity(query)),
+                "facts handed forward do not hold for `{}`",
+                crate::printer::print_query(query)
+            );
+        }
+    }
+}
+
+/// The original query of one search step, normalized, with its
+/// [`QueryFacts`] and the facts of every candidate pruned against it so
+/// far. A candidate that reappears in a later pool of the step, or that
+/// is the original itself, is found by its structural hash, confirmed by
+/// `==`, and is neither fingerprinted nor checked again. The memo holds
+/// facts only, never lanes: each pool makes its own dedup decisions.
+#[derive(Debug)]
 pub struct PruneBase {
     query: Query,
-    fingerprint: u64,
-    empty_arity: Option<usize>,
+    hash: u64,
+    facts: QueryFacts,
+    memo: RefCell<HashMap<u64, (Query, QueryFacts)>>,
 }
 
 impl PruneBase {
-    /// Derives the base facts of `original`.
+    /// The base of `original`; its facts are derived on first need.
     pub fn new(original: &Query) -> PruneBase {
         let query = normalize_query(original);
         PruneBase {
-            fingerprint: canon_fingerprint(&query),
-            empty_arity: empty_arity(&query),
+            hash: structural_hash(&query),
             query,
+            facts: QueryFacts::default(),
+            memo: RefCell::default(),
         }
     }
 
@@ -829,17 +929,23 @@ impl PruneBase {
         &self.query
     }
 
-    /// Whether a candidate with canonical fingerprint `fp` is proven
-    /// equivalent to the base. This is exactly
+    /// The normalized original's facts.
+    pub fn facts(&self) -> &QueryFacts {
+        &self.facts
+    }
+
+    /// Whether a candidate with these `facts` is proven equivalent to the
+    /// base. This is exactly
     /// [`canonically_equivalent`](crate::canon::canonically_equivalent)
-    /// given the fingerprint: equal canonical forms (or equal normalized
+    /// given the fingerprints: equal canonical forms (or equal normalized
     /// forms, which canonicalize alike) print alike, and the prover's
     /// other path is "both provably empty with one arity".
-    fn equivalent(&self, candidate: &Query, fp: u64) -> bool {
-        fp == self.fingerprint
+    fn equivalent(&self, candidate: &Query, facts: &QueryFacts) -> bool {
+        facts.fingerprint(candidate) == self.facts.fingerprint(&self.query)
             || self
-                .empty_arity
-                .is_some_and(|arity| empty_arity(candidate) == Some(arity))
+                .facts
+                .empty_arity(&self.query)
+                .is_some_and(|arity| facts.empty_arity(candidate) == Some(arity))
     }
 }
 
@@ -856,11 +962,13 @@ pub fn prune_candidates(
     prune_against(&PruneBase::new(original), candidates, schema)
 }
 
-/// [`prune_candidates`] against a base derived once per search round.
+/// [`prune_candidates`] against a base shared by every pool of a search
+/// step.
 ///
-/// Each candidate is canonicalized once. Dedup is a canonical-fingerprint
-/// set lookup (O(n) over the pool) instead of the old O(n²) pairwise
-/// prover. Canonical-form equality subsumes `structurally_equal` and the
+/// Each distinct candidate query of the step is canonicalized and
+/// checked at most once. Dedup is a canonical-fingerprint set lookup
+/// (O(n) over the pool) instead of the old O(n²) pairwise prover.
+/// Canonical-form equality subsumes `structurally_equal` and the
 /// prover's syntactic path; the prover's remaining path (both sides
 /// provably empty) cannot apply among survivors, because provably-empty
 /// candidates were already routed to the contradictory lane — so the
@@ -870,9 +978,9 @@ pub fn prune_candidates(
 ///
 /// A candidate whose query equals an earlier one's in the same pool (a
 /// structural hash, confirmed by AST equality) takes that candidate's
-/// lane without being fingerprinted or checked: contradictory or invalid
-/// again, and otherwise deduplicated, exactly as its own fingerprint
-/// would have decided.
+/// lane without being looked at: contradictory or invalid again, and
+/// otherwise deduplicated, exactly as its own fingerprint would have
+/// decided.
 pub fn prune_against(
     base: &PruneBase,
     candidates: Vec<RepairCandidate>,
@@ -880,12 +988,9 @@ pub fn prune_against(
 ) -> PruneOutcome {
     let hashes: Vec<u64> = candidates
         .iter()
-        .map(|cand| {
-            let mut h = DefaultHasher::new();
-            cand.query.hash(&mut h);
-            h.finish()
-        })
+        .map(|cand| structural_hash(&cand.query))
         .collect();
+    let mut memo = base.memo.borrow_mut();
     let mut lanes: Vec<Lane> = Vec::with_capacity(candidates.len());
     let mut seen: HashSet<u64> = HashSet::new();
     for (i, cand) in candidates.iter().enumerate() {
@@ -894,23 +999,43 @@ pub fn prune_against(
             Some(Lane::Contradictory) => Lane::Contradictory,
             Some(Lane::Invalid) => Lane::Invalid,
             Some(Lane::Deduped | Lane::Kept(_)) => Lane::Deduped,
-            None => first_lane(base, &cand.query, schema, &mut seen),
+            None => {
+                let fresh = QueryFacts::default();
+                let facts = if hashes[i] == base.hash && cand.query == base.query {
+                    &base.facts
+                } else {
+                    match memo
+                        .entry(hashes[i])
+                        .or_insert_with(|| (cand.query.clone(), QueryFacts::default()))
+                    {
+                        (known, facts) if *known == cand.query => &*facts,
+                        // A hash collision with a different query gets
+                        // fresh facts.
+                        _ => &fresh,
+                    }
+                };
+                first_lane(base, &cand.query, facts, schema, &mut seen)
+            }
         };
         lanes.push(lane);
     }
     let mut out = PruneOutcome::default();
-    for (cand, lane) in candidates.into_iter().zip(lanes) {
+    for ((cand, lane), hash) in candidates.into_iter().zip(lanes).zip(hashes) {
         match lane {
             Lane::Deduped => out.deduped += 1,
             Lane::Contradictory => out.contradictory.push(cand),
             Lane::Invalid => out.invalid.push(cand),
-            Lane::Kept(diagnostics) => {
-                out.kept.push(cand);
-                out.diagnostics.push(diagnostics);
-            }
+            Lane::Kept(facts) => out.kept.push(Survivor { cand, facts, hash }),
         }
     }
     out
+}
+
+/// The structural hash pruning keys a candidate query by.
+fn structural_hash(query: &Query) -> u64 {
+    let mut h = DefaultHasher::new();
+    query.hash(&mut h);
+    h.finish()
 }
 
 /// Where [`prune_against`] puts one candidate.
@@ -918,33 +1043,32 @@ enum Lane {
     Deduped,
     Contradictory,
     Invalid,
-    /// Survived, with its (warning-only) diagnostics.
-    Kept(Vec<Diagnostic>),
+    /// Survived, with its facts (warning-only diagnostics, fingerprint).
+    Kept(QueryFacts),
 }
 
-/// The lane of the first candidate in a pool with this `query`; `seen`
-/// holds the canonical fingerprints of the survivors so far.
+/// The lane of the first candidate in a pool with this `query` and
+/// these `facts`; `seen` holds the fingerprints of its survivors so far.
 fn first_lane(
     base: &PruneBase,
     query: &Query,
+    facts: &QueryFacts,
     schema: &SchemaInfo,
     seen: &mut HashSet<u64>,
 ) -> Lane {
-    let fp = canon_fingerprint(query);
-    if base.equivalent(query, fp) {
+    if base.equivalent(query, facts) {
         return Lane::Deduped;
     }
     if provably_empty(query) || where_unsat(query) {
         return Lane::Contradictory;
     }
-    let diagnostics = check_query(query, schema);
-    if diagnostics.iter().any(Diagnostic::is_error) {
+    if !facts.is_clean(query, schema) {
         return Lane::Invalid;
     }
-    if !seen.insert(fp) {
+    if !seen.insert(facts.fingerprint(query)) {
         return Lane::Deduped;
     }
-    Lane::Kept(diagnostics)
+    Lane::Kept(facts.clone())
 }
 
 /// Whether a candidate is structure-preserving: the realized AST diff
@@ -977,9 +1101,7 @@ pub fn is_structure_preserving(original: &Query, cand: &RepairCandidate) -> bool
 mod tests {
     use super::*;
     use crate::check::TableInfo;
-    use crate::locate::{
-        locate_faults, locate_faults_with_cues, locate_faults_with_diagnostics, LocateOptions,
-    };
+    use crate::locate::{locate_faults, locate_faults_with_diagnostics, LocateOptions};
     use crate::parser::parse_query;
     use crate::printer::print_query;
 
@@ -1132,8 +1254,8 @@ mod tests {
         let out = prune_candidates(&q, cands, &s);
         assert!(!out.kept.is_empty());
         for k in &out.kept {
-            assert!(!check_query(&k.query, &s).iter().any(|d| d.is_error()));
-            assert!(!provably_empty(&k.query));
+            assert!(!check_query(&k.cand.query, &s).iter().any(|d| d.is_error()));
+            assert!(!provably_empty(&k.cand.query));
         }
     }
 
@@ -1182,20 +1304,36 @@ mod tests {
             if out
                 .kept
                 .iter()
-                .any(|k| crate::canon::canonically_equivalent(&k.query, &cand.query))
+                .any(|k| crate::canon::canonically_equivalent(&k.cand.query, &cand.query))
             {
                 out.deduped += 1;
                 continue;
             }
-            out.diagnostics.push(check_query(&cand.query, schema));
-            out.kept.push(cand);
+            out.kept.push(Survivor {
+                facts: QueryFacts::of(&cand.query, schema),
+                hash: structural_hash(&cand.query),
+                cand,
+            });
         }
         out
     }
 
-    fn assert_prunes_alike(fast: &PruneOutcome, slow: &PruneOutcome) {
-        assert_eq!(fast.kept, slow.kept);
-        assert_eq!(fast.diagnostics, slow.diagnostics);
+    /// `fast` and the reference `slow` pruned alike, and every fact
+    /// `fast` derived for a survivor — memoized across the step's pools
+    /// or not — equals a fresh derivation.
+    fn assert_prunes_alike(fast: &PruneOutcome, slow: &PruneOutcome, schema: &SchemaInfo) {
+        let cands = |o: &PruneOutcome| o.kept.iter().map(|k| k.cand.clone()).collect::<Vec<_>>();
+        assert_eq!(cands(fast), cands(slow));
+        for (f, s) in fast.kept.iter().zip(&slow.kept) {
+            let query = &f.cand.query;
+            f.facts.debug_confirm(query, schema);
+            assert_eq!(
+                f.facts.diagnostics(query, schema),
+                s.facts.diagnostics(query, schema)
+            );
+            assert_eq!(f.facts.fingerprint(query), s.facts.fingerprint(query));
+            assert_eq!(f.hash, s.hash);
+        }
         assert_eq!(fast.contradictory, slow.contradictory);
         assert_eq!(fast.invalid, slow.invalid);
         assert_eq!(fast.deduped, slow.deduped);
@@ -1235,7 +1373,7 @@ mod tests {
         assert_eq!(pool.len(), 200);
         let fast = prune_candidates(&q, pool.clone(), &s);
         let slow = prune_reference(&q, pool.clone(), &s);
-        assert_prunes_alike(&fast, &slow);
+        assert_prunes_alike(&fast, &slow, &s);
         // The pool is genuinely dense: every lane is exercised.
         assert!(fast.deduped > 0, "deduped {}", fast.deduped);
         assert!(!fast.contradictory.is_empty());
@@ -1250,10 +1388,10 @@ mod tests {
             ..c.clone()
         }));
         let fast = prune_candidates(&q, repeated.clone(), &s);
-        assert_prunes_alike(&fast, &prune_reference(&q, repeated, &s));
+        assert_prunes_alike(&fast, &prune_reference(&q, repeated, &s), &s);
         assert!(fast.contradictory.iter().any(|c| c.label == "copy"));
         assert!(fast.invalid.iter().any(|c| c.label == "copy"));
-        assert!(fast.kept.iter().all(|c| c.label != "copy"));
+        assert!(fast.kept.iter().all(|k| k.cand.label != "copy"));
     }
 
     /// Originals over the test schema: clean, misspelled, joined,
@@ -1346,17 +1484,18 @@ mod tests {
             let (q, s, cues, pool) = round_one(t, f, (n, m, k), stride);
             let base = PruneBase::new(&q);
             let fast = prune_against(&base, pool.clone(), &s);
-            assert_prunes_alike(&fast, &prune_reference(&q, pool, &s));
+            assert_prunes_alike(&fast, &prune_reference(&q, pool, &s), &s);
             for member in fast.kept.iter().take(4) {
-                let sites = locate_faults(&member.query, &s, LocateOptions::default());
-                let mut expansions = enumerate_repairs(&member.query, &s, &sites, &cues);
+                let member = &member.cand.query;
+                let sites = locate_faults(member, &s, LocateOptions::default());
+                let mut expansions = enumerate_repairs(member, &s, &sites, &cues);
                 if stride > 0 {
                     let again: Vec<RepairCandidate> =
                         expansions.iter().step_by(stride).cloned().collect();
                     expansions.extend(again);
                 }
                 let fast = prune_against(&base, expansions.clone(), &s);
-                assert_prunes_alike(&fast, &prune_reference(&q, expansions, &s));
+                assert_prunes_alike(&fast, &prune_reference(&q, expansions, &s), &s);
             }
         }
 
@@ -1372,12 +1511,20 @@ mod tests {
         ) {
             let (q, s, cues, pool) = round_one(t, f, (n, m, k), 0);
             let outcome = prune_against(&PruneBase::new(&q), pool, &s);
-            for (member, diagnostics) in outcome.kept.iter().zip(&outcome.diagnostics) {
+            for kept in &outcome.kept {
+                let member = &kept.cand.query;
+                let diagnostics = kept.facts.diagnostics(member, &s);
                 assert_eq!(
-                    locate_faults_with_diagnostics(&member.query, &s, diagnostics, Some(&cues), None),
-                    locate_faults_with_cues(&member.query, &s, Some(&cues), None),
+                    locate_faults_with_diagnostics(member, &s, diagnostics, Some(&cues), None),
+                    locate_faults_with_diagnostics(
+                        member,
+                        &s,
+                        &check_query(member, &s),
+                        Some(&cues),
+                        None
+                    ),
                     "{}",
-                    print_query(&member.query)
+                    print_query(member)
                 );
             }
         }

@@ -20,7 +20,9 @@
 
 use fisql::prelude::*;
 use fisql_engine::{execute_with_limits, ExecLimits};
-use fisql_sqlkit::{enumerate_repairs, locate_faults_with_cues, FeedbackCues, Fnv64};
+use fisql_sqlkit::{
+    check_query, enumerate_repairs, locate_faults_with_diagnostics, FeedbackCues, Fnv64,
+};
 
 /// The digest of every outcome, recorded on the engine that cloned each
 /// base table per scan.
@@ -107,8 +109,14 @@ fn digest_seed(seed: u64, h: &mut Fnv64) -> Counts {
         let schema = ctx.schema(db);
         let previous = normalize_query(&case.error.initial);
         let cues = FeedbackCues::extract_linked(&case.feedback.text, ctx.lexicon(db));
-        let sites =
-            locate_faults_with_cues(&previous, schema, Some(&cues), case.feedback.highlight);
+        let diagnostics = check_query(&previous, schema);
+        let sites = locate_faults_with_diagnostics(
+            &previous,
+            schema,
+            &diagnostics,
+            Some(&cues),
+            case.feedback.highlight,
+        );
         for cand in enumerate_repairs(&previous, schema, &sites, &cues) {
             counts.errors += usize::from(fold(h, "cand", db, &cand.query));
             counts.candidates += 1;

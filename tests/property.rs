@@ -138,7 +138,7 @@ proptest! {
                 render_report(&gold_sql, &gold_diags)
             );
             prop_assert!(
-                repair_query(&e.gold, &schema).is_none(),
+                repair_query(&e.gold, &gold_diags, &schema).is_none(),
                 "repair rewrote a clean gold query: {}",
                 gold_sql
             );
@@ -303,6 +303,50 @@ proptest! {
             }
         }
     }
+
+    /// The facts pruning hands forward hold for their survivor, whether
+    /// derived in this pool or remembered from an earlier pool of the
+    /// same step, and remembering them changes no pool's lanes.
+    #[test]
+    fn repair_candidates_hand_forward_facts_that_hold(seed in 0u64..300) {
+        use fisql::fisql_sqlkit::{
+            canon_fingerprint, empty_arity, enumerate_repairs, locate_faults, prune_against,
+            prune_candidates, FeedbackCues, LocateOptions, PruneBase, PruneOutcome,
+        };
+        let lanes = |o: &PruneOutcome| {
+            let kept: Vec<_> = o.kept.iter().map(|k| k.cand.clone()).collect();
+            (kept, o.contradictory.clone(), o.invalid.clone(), o.deduped)
+        };
+        let corpus = corpus_for(seed);
+        for e in corpus.examples.iter().take(6) {
+            let schema = corpus.database(e).schema_info();
+            for wc in e.channels.iter().take(2) {
+                let bad = normalize_query(&fisql_spider::corrupt(&e.intent, &wc.channel));
+                let text = "that name is wrong, we are in 2024";
+                let cues = FeedbackCues::extract(text, &schema);
+                let options = LocateOptions { feedback: Some(text), highlight: None };
+                let sites = locate_faults(&bad, &schema, options);
+                let base = PruneBase::new(&bad);
+                let mut pools = vec![enumerate_repairs(&bad, &schema, &sites, &cues)];
+                let first = prune_against(&base, pools[0].clone(), &schema);
+                for member in first.kept.iter().take(2) {
+                    let member = &member.cand.query;
+                    let sites = locate_faults(member, &schema, LocateOptions::default());
+                    pools.push(enumerate_repairs(member, &schema, &sites, &cues));
+                }
+                for pool in pools {
+                    let shared = prune_against(&base, pool.clone(), &schema);
+                    prop_assert_eq!(lanes(&shared), lanes(&prune_candidates(&bad, pool, &schema)));
+                    for kept in &shared.kept {
+                        let q = &kept.cand.query;
+                        prop_assert_eq!(kept.facts.diagnostics(q, &schema), check_query(q, &schema));
+                        prop_assert_eq!(kept.facts.fingerprint(q), canon_fingerprint(q));
+                        prop_assert_eq!(kept.facts.empty_arity(q), empty_arity(q));
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// Cases for the canonicalization fuzz block below: 24 by default (the
@@ -454,12 +498,18 @@ proptest! {
                 })
                 .collect();
             variants.extend(emptied);
+            // Each variant's facts travel with it from check to check.
+            let facts: Vec<fisql::fisql_sqlkit::QueryFacts> = variants
+                .iter()
+                .map(|_| fisql::fisql_sqlkit::QueryFacts::default())
+                .collect();
+            let gate = fisql::fisql_core::GateOutcome::default();
             let mut cache = fisql::fisql_core::SemanticCache::new(true);
-            for a in &variants {
-                for b in &variants {
-                    cache.begin_case(db, Some(a));
+            for (a, a_facts) in variants.iter().zip(&facts) {
+                for (b, b_facts) in variants.iter().zip(&facts) {
+                    cache.begin_case(Some((a, a_facts)));
                     prop_assert_eq!(
-                        cache.check_prediction(db, e, b, true).is_none(),
+                        cache.check_in_corpus(&corpus, e, b, b_facts, &gate).is_none(),
                         canonically_equivalent(a, b),
                         "refuted lane disagrees with canonical equivalence: {} vs {}",
                         print_query(a),
