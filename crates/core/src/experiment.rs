@@ -15,7 +15,7 @@
 //!    Figure 8) — sharded across worker threads, bit-identical at any
 //!    worker count.
 
-use crate::runner::RunMetrics;
+use crate::runner::{CaseOutcome, RunMetrics};
 use fisql_engine::ExecLimits;
 use fisql_feedback::{Feedback, UserView};
 use fisql_llm::SimLlm;
@@ -104,7 +104,7 @@ pub(crate) fn build_view_with(
 }
 
 /// Per-round correction report for one strategy.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct CorrectionReport {
     /// Strategy display name.
     pub strategy: String,
@@ -116,8 +116,11 @@ pub struct CorrectionReport {
     /// diagnostics before execution (across all rounds).
     #[serde(default)]
     pub statically_flagged: usize,
-    /// Candidates the analyzer auto-repaired, i.e. engine executions of a
-    /// doomed query that were skipped (across all rounds).
+    /// Engine executions avoided without running a candidate (across all
+    /// rounds): the candidates the analyzer's gate auto-repaired (each a
+    /// doomed run skipped) plus the repair search's survivors ranked
+    /// below the one it chose. The sum of every case's
+    /// [`CaseVerdict::executions_saved`](crate::CaseVerdict::executions_saved).
     #[serde(default)]
     pub executions_saved: u64,
     /// Feedback rounds that degraded gracefully — backend calls failed
@@ -129,10 +132,13 @@ pub struct CorrectionReport {
     /// Cases with at least one degraded round.
     #[serde(default)]
     pub cases_degraded: usize,
-    /// Engine executions skipped by the static equivalence oracle: a
-    /// candidate provably equivalent to a query the case already executed
-    /// and found incorrect inherits that verdict without running (each
-    /// skip avoids the predicted + gold pair, so this counts in twos).
+    /// Engine executions skipped on static evidence (across all rounds):
+    /// the candidates the repair search's pruning dropped plus two per
+    /// correctness check the refuted lane answered (a candidate provably
+    /// equivalent to one the case already found incorrect inherits that
+    /// verdict, skipping the predicted + gold pair). The sum of every
+    /// case's
+    /// [`CaseVerdict::executions_skipped_static`](crate::CaseVerdict::executions_skipped_static).
     #[serde(default)]
     pub executions_skipped_static: u64,
     /// Conformance-gate checks where the realized edit class agreed with
@@ -163,6 +169,38 @@ pub struct CorrectionReport {
 }
 
 impl CorrectionReport {
+    /// Folds one case's terminal outcome into the totals. Every field is
+    /// a sum, so folding in any order yields the same report; a completed
+    /// case's engine executions go to
+    /// [`RunMetrics::engine_executions`].
+    pub(crate) fn add(&mut self, outcome: &CaseOutcome) {
+        let verdict = match outcome {
+            CaseOutcome::Completed(verdict) => verdict,
+            CaseOutcome::Crashed { .. } => {
+                self.cases_crashed += 1;
+                return;
+            }
+            CaseOutcome::TimedOut { .. } => {
+                self.cases_timed_out += 1;
+                return;
+            }
+        };
+        if let Some(r) = verdict.corrected_at {
+            for slot in self.corrected_after_round.iter_mut().skip(r) {
+                *slot += 1;
+            }
+        }
+        self.statically_flagged += verdict.statically_flagged;
+        self.executions_saved += verdict.executions_saved;
+        self.degraded_rounds += verdict.degraded_rounds;
+        self.cases_degraded += usize::from(verdict.degraded_rounds > 0);
+        self.executions_skipped_static += verdict.executions_skipped_static;
+        self.router_realized_agreements += verdict.agreement.agreements;
+        self.router_realized_disagreements += verdict.agreement.disagreements();
+        self.conformance_retries += verdict.agreement.retries;
+        self.metrics.engine_executions += verdict.engine_executions;
+    }
+
     /// % instances corrected after `round` rounds (1-based).
     ///
     /// Asking about a round beyond the recorded data returns 0 — the run
@@ -289,20 +327,9 @@ mod tests {
     #[test]
     fn correction_report_percentages() {
         let report = CorrectionReport {
-            strategy: "FISQL".into(),
             total: 100,
             corrected_after_round: vec![45, 60],
-            statically_flagged: 0,
-            executions_saved: 0,
-            degraded_rounds: 0,
-            cases_degraded: 0,
-            executions_skipped_static: 0,
-            router_realized_agreements: 0,
-            router_realized_disagreements: 0,
-            conformance_retries: 0,
-            cases_crashed: 0,
-            cases_timed_out: 0,
-            metrics: RunMetrics::default(),
+            ..CorrectionReport::default()
         };
         assert!((report.pct_after(1) - 45.0).abs() < 1e-9);
         assert!((report.pct_after(2) - 60.0).abs() < 1e-9);
@@ -313,40 +340,13 @@ mod tests {
         // Regression: out-of-range rounds used to clamp to the final
         // bucket, reporting 60% for a round the run never executed.
         let report = CorrectionReport {
-            strategy: "FISQL".into(),
             total: 100,
             corrected_after_round: vec![45, 60],
-            statically_flagged: 0,
-            executions_saved: 0,
-            degraded_rounds: 0,
-            cases_degraded: 0,
-            executions_skipped_static: 0,
-            router_realized_agreements: 0,
-            router_realized_disagreements: 0,
-            conformance_retries: 0,
-            cases_crashed: 0,
-            cases_timed_out: 0,
-            metrics: RunMetrics::default(),
+            ..CorrectionReport::default()
         };
         assert_eq!(report.pct_after(3), 0.0);
         assert_eq!(report.pct_after(5), 0.0);
         assert_eq!(report.pct_after(0), 0.0);
-        let empty = CorrectionReport {
-            strategy: "FISQL".into(),
-            total: 0,
-            corrected_after_round: vec![],
-            statically_flagged: 0,
-            executions_saved: 0,
-            degraded_rounds: 0,
-            cases_degraded: 0,
-            executions_skipped_static: 0,
-            router_realized_agreements: 0,
-            router_realized_disagreements: 0,
-            conformance_retries: 0,
-            cases_crashed: 0,
-            cases_timed_out: 0,
-            metrics: RunMetrics::default(),
-        };
-        assert_eq!(empty.pct_after(1), 0.0);
+        assert_eq!(CorrectionReport::default().pct_after(1), 0.0);
     }
 }

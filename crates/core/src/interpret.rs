@@ -19,7 +19,9 @@
 
 use fisql_engine::Database;
 use fisql_sqlkit::ast::*;
-use fisql_sqlkit::{parse_expr, print_query_spanned, EditOp, OpClass, SchemaLexicon, Span};
+use fisql_sqlkit::{
+    parse_expr, print_query_spanned, shift_years, EditOp, OpClass, SchemaLexicon, Span,
+};
 use rand::Rng;
 use std::sync::Arc;
 
@@ -323,7 +325,7 @@ fn generate_candidates(cues: &Cues, predicted: &Query, db: &Database) -> Vec<Can
     if let Some(&year) = cues.years.first() {
         let mut edits = Vec::new();
         for (i, c) in conjuncts.iter().enumerate() {
-            if let Some(replaced) = shift_years_in_expr(c, year) {
+            if let Some(replaced) = shift_years(c, year) {
                 edits.push(EditOp::ReplacePredicate {
                     index: i,
                     from: c.clone(),
@@ -921,33 +923,6 @@ fn swap_literal(conjunct: &Expr, cues: &Cues) -> Option<Expr> {
     })
 }
 
-/// Replaces every year inside date-string or year-number literals of `e`
-/// with `year`; returns None when nothing changed.
-fn shift_years_in_expr(e: &Expr, year: i64) -> Option<Expr> {
-    let mut changed = false;
-    let mut out = e.clone();
-    out.walk_mut(&mut |node| {
-        if let Expr::Literal(l) = node {
-            match l {
-                Literal::String(s) if s.len() >= 4 => {
-                    if let Ok(y) = s[..4].parse::<i64>() {
-                        if (1900..=2100).contains(&y) && y != year {
-                            *s = format!("{year:04}{}", &s[4..]);
-                            changed = true;
-                        }
-                    }
-                }
-                Literal::Number(n) if (1900..=2100).contains(n) && *n != year => {
-                    *n = year;
-                    changed = true;
-                }
-                _ => {}
-            }
-        }
-    });
-    changed.then_some(out)
-}
-
 /// Builds a predicate from the cues: prefer re-parsing the tail after a
 /// connective phrase; fall back to (column, comparator, value) assembly.
 fn build_predicate(cues: &Cues, predicted: &Query) -> Option<Expr> {
@@ -1277,6 +1252,26 @@ mod tests {
         let want = parse_query(
             "SELECT COUNT(*) FROM hkg_dim_segment \
              WHERE createdTime >= '2024-01-01' AND createdTime < '2024-02-01'",
+        )
+        .unwrap();
+        assert!(structurally_equal(&fixed, &want));
+    }
+
+    /// A string literal whose first four bytes are not four ASCII digits
+    /// carries no year, even when a multibyte character straddles byte
+    /// four: the shift leaves it as it is and rewrites only the dates.
+    #[test]
+    fn year_shift_leaves_non_ascii_string_literals_alone() {
+        let (fixed, interp) = run(
+            "we are in 2024",
+            "SELECT COUNT(*) FROM hkg_dim_segment \
+             WHERE segment_name = 'ab€d' AND createdTime >= '2023-01-01'",
+            Some(OpClass::Edit),
+        );
+        assert_eq!(interp.label, "year-shift");
+        let want = parse_query(
+            "SELECT COUNT(*) FROM hkg_dim_segment \
+             WHERE segment_name = 'ab€d' AND createdTime >= '2024-01-01'",
         )
         .unwrap();
         assert!(structurally_equal(&fixed, &want));

@@ -51,8 +51,8 @@ pub use explain::{explain_query, reformulate};
 pub use interpret::{interpret, interpret_candidates, Candidate, Interpretation};
 pub use journal::{FsyncPolicy, RunJournal};
 pub use pipeline::{
-    gate_candidate, try_incorporate, ConformanceReport, GateOutcome, IncorporateContext,
-    IncorporateOutcome, SearchReport, Strategy,
+    gate_candidate, try_incorporate, AvoidedExecutions, ConformanceReport, GateOutcome,
+    IncorporateContext, IncorporateOutcome, Strategy,
 };
 pub use refine::{QueryBuilder, RefineError, RefineStep};
 pub use runner::{

@@ -130,8 +130,6 @@ pub struct IncorporateOutcome {
     /// The question text after this round (changes only for Query
     /// Rewrite).
     pub question: String,
-    /// The routed feedback class, when routing ran.
-    pub routed: Option<OpClass>,
     /// Interpretation diagnostics (FISQL paths only).
     pub interpretation: Option<Interpretation>,
     /// What the static-analysis gate found (and possibly fixed) in the
@@ -142,38 +140,21 @@ pub struct IncorporateOutcome {
     /// What the feedback-conformance gate observed, when it ran (FISQL
     /// paths with routing, `conformance_gate` on).
     pub conformance: Option<ConformanceReport>,
-    /// What the repair search did, when the strategy was
-    /// [`Strategy::SearchRefine`].
-    pub search: Option<SearchReport>,
+    /// The candidate executions the repair search avoided (zero outside
+    /// [`Strategy::SearchRefine`]).
+    pub avoided: AvoidedExecutions,
 }
 
-/// Accounting for one search-refine step: how many fault sites were
-/// localized, how many candidates were enumerated, how many the static
-/// pruner removed before any execution, and how many survivors the beam
-/// search chose among. The runner folds `pruned_static` into
-/// `executions_skipped_static` and the non-chosen survivors into
-/// `executions_saved` — each is a candidate a generate-and-test loop
-/// would have run against the engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SearchReport {
-    /// Ranked fault sites localized in the previous query.
-    pub sites: u64,
-    /// Repair candidates enumerated across all search rounds.
-    pub enumerated: u64,
-    /// Candidates removed statically (contradictory, invalid, or proven
-    /// equivalent) — executions a generate-and-test loop would have
-    /// burned.
-    pub pruned_static: u64,
-    /// Candidates that survived static pruning (the beam pool).
-    pub survivors: u64,
-    /// Beam members expanded with a second localization round.
-    pub expanded: u64,
-    /// Static closeness score of the chosen candidate (0 when no
-    /// candidate survived and the previous query was kept).
-    pub score: i64,
-    /// Generator label of the chosen candidate (`"none"` when no
-    /// candidate survived).
-    pub chosen: &'static str,
+/// The candidate executions one repair-search step avoided: each is a
+/// candidate a generate-and-test loop would have run against the
+/// engine. The gate's own repair is counted in [`GateOutcome`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct AvoidedExecutions {
+    /// Candidates static pruning dropped (contradictory, invalid, or
+    /// proven equivalent), the beam's second-round duplicates included.
+    pub pruned: u64,
+    /// Surviving candidates ranked below the chosen one.
+    pub unchosen: u64,
 }
 
 /// What the feedback-conformance gate observed for one candidate: whether
@@ -385,12 +366,11 @@ fn fisql_step<L: FallibleLanguageModel + ?Sized>(
     Ok(IncorporateOutcome {
         query,
         question: ctx.question.to_string(),
-        routed,
         interpretation: Some(interp),
         gate,
         facts,
         conformance,
-        search: None,
+        avoided: AvoidedExecutions::default(),
     })
 }
 
@@ -400,10 +380,58 @@ const BEAM_WIDTH: usize = 4;
 /// One statically-surviving repair candidate (with the facts pruning
 /// derived for it), scored once: its closeness score, and its printed
 /// SQL (the rank's tie-break).
-struct Ranked {
+pub(crate) struct Ranked {
     kept: Survivor,
-    score: i64,
-    sql: String,
+    pub(crate) score: i64,
+    pub(crate) sql: String,
+}
+
+impl Ranked {
+    /// Scores `kept` against the normalized original, from the
+    /// diagnostics pruning derived.
+    fn new(
+        kept: Survivor,
+        previous: &Query,
+        schema: &SchemaInfo,
+        cues: &FeedbackCues,
+        routed: OpClass,
+    ) -> Ranked {
+        let diagnostics = kept.facts.diagnostics(&kept.cand.query, schema);
+        Ranked {
+            score: closeness(previous, &kept.cand, diagnostics, cues, routed),
+            sql: print_query(&kept.cand.query),
+            kept,
+        }
+    }
+}
+
+/// Sorts ranked candidates best first: by score, then by printed SQL.
+fn rank(pool: &mut [Ranked]) {
+    pool.sort_by(|a, b| b.score.cmp(&a.score).then_with(|| a.sql.cmp(&b.sql)));
+}
+
+/// The repair search's first round over a pool the caller built from
+/// `base`'s query: prunes it against `base` (abstract interpretation
+/// drops contradictory or empty candidates, the analyzer invalid names,
+/// the equivalence oracle no-ops and duplicates), scores each survivor
+/// once and ranks them best first. Returns the ranked survivors and the
+/// number of candidates pruning dropped. Never touches the engine.
+pub(crate) fn prune_and_rank(
+    base: &PruneBase,
+    pool: Vec<RepairCandidate>,
+    schema: &SchemaInfo,
+    cues: &FeedbackCues,
+    routed: OpClass,
+) -> (Vec<Ranked>, u64) {
+    let outcome = prune_against(base, pool, schema);
+    let pruned = outcome.pruned_static();
+    let mut ranked: Vec<Ranked> = outcome
+        .kept
+        .into_iter()
+        .map(|kept| Ranked::new(kept, base.query(), schema, cues, routed))
+        .collect();
+    rank(&mut ranked);
+    (ranked, pruned)
 }
 
 fn search_step<L: FallibleLanguageModel + ?Sized>(
@@ -454,27 +482,7 @@ fn search_step<L: FallibleLanguageModel + ?Sized>(
             });
         }
     }
-    let enumerated_round1 = pool.len() as u64;
-
-    // Prune: abstract interpretation (contradictory/empty), analyzer
-    // (invalid names), and the equivalence oracle (no-ops, duplicates)
-    // drop candidates before anything can reach the engine. Each
-    // survivor is scored once, from the diagnostics pruning derived.
-    let ranked = |kept: Survivor| {
-        let diagnostics = kept.facts.diagnostics(&kept.cand.query, schema);
-        Ranked {
-            score: closeness(previous, &kept.cand, diagnostics, &cues, routed),
-            sql: print_query(&kept.cand.query),
-            kept,
-        }
-    };
-    let rank = |pool: &mut Vec<Ranked>| {
-        pool.sort_by(|a, b| b.score.cmp(&a.score).then_with(|| a.sql.cmp(&b.sql)));
-    };
-    let outcome = prune_against(&base, pool, schema);
-    let mut pruned_static = outcome.pruned_static();
-    let mut survivors: Vec<Ranked> = outcome.kept.into_iter().map(ranked).collect();
-    rank(&mut survivors);
+    let (mut survivors, mut pruned) = prune_and_rank(&base, pool, schema, &cues, routed);
 
     // Expand: a second localization round on the top beam members, so
     // multi-edit faults (join + literal, table + column) are reachable.
@@ -484,7 +492,6 @@ fn search_step<L: FallibleLanguageModel + ?Sized>(
     // pool's structural hashes key its duplicate check.
     let beam = survivors.len().min(BEAM_WIDTH);
     let mut hashes: HashSet<u64> = survivors.iter().map(|r| r.kept.hash).collect();
-    let mut enumerated_round2 = 0u64;
     for i in 0..beam {
         // A member is localized from the diagnostics pruning derived.
         let Survivor {
@@ -495,41 +502,34 @@ fn search_step<L: FallibleLanguageModel + ?Sized>(
         let diagnostics = facts.diagnostics(&member.query, schema);
         let member_sites =
             locate_faults_with_diagnostics(&member.query, schema, diagnostics, Some(&cues), None);
-        let expansions = enumerate_repairs(&member.query, schema, &member_sites, &cues);
-        enumerated_round2 += expansions.len() as u64;
-        let expansions: Vec<RepairCandidate> = expansions
-            .into_iter()
-            .map(|e| RepairCandidate {
-                query: e.query,
-                edits: member.edits.iter().cloned().chain(e.edits).collect(),
-                site: member.site,
-                label: e.label,
-            })
-            .collect();
+        let expansions: Vec<RepairCandidate> =
+            enumerate_repairs(&member.query, schema, &member_sites, &cues)
+                .into_iter()
+                .map(|e| RepairCandidate {
+                    query: e.query,
+                    edits: member.edits.iter().cloned().chain(e.edits).collect(),
+                    site: member.site,
+                    label: e.label,
+                })
+                .collect();
         let second = prune_against(&base, expansions, schema);
-        pruned_static += second.pruned_static();
+        pruned += second.pruned_static();
         for kept in second.kept {
             let duplicate = !hashes.insert(kept.hash)
                 && survivors
                     .iter()
                     .any(|r| r.kept.hash == kept.hash && r.kept.cand.query == kept.cand.query);
             if duplicate {
-                pruned_static += 1;
+                pruned += 1;
             } else {
-                survivors.push(ranked(kept));
+                survivors.push(Ranked::new(kept, previous, schema, &cues, routed));
             }
         }
     }
     rank(&mut survivors);
-
-    let report = SearchReport {
-        sites: sites.len() as u64,
-        enumerated: enumerated_round1 + enumerated_round2,
-        pruned_static,
-        survivors: survivors.len() as u64,
-        expanded: beam as u64,
-        score: survivors.first().map_or(0, |r| r.score),
-        chosen: survivors.first().map_or("none", |r| r.kept.cand.label),
+    let avoided = AvoidedExecutions {
+        pruned,
+        unchosen: survivors.len().saturating_sub(1) as u64,
     };
 
     // Choose: the top-ranked survivor goes to the runner's validator,
@@ -545,12 +545,11 @@ fn search_step<L: FallibleLanguageModel + ?Sized>(
     Ok(IncorporateOutcome {
         query,
         question: ctx.question.to_string(),
-        routed: Some(routed),
         interpretation: None,
         gate,
         facts,
         conformance: None,
-        search: Some(report),
+        avoided,
     })
 }
 
@@ -559,7 +558,7 @@ fn search_step<L: FallibleLanguageModel + ?Sized>(
 /// count plus analyzer warnings (the candidate's `diagnostics`, as
 /// pruning found them) act as minimality penalties. Integer arithmetic
 /// throughout — scores must be exactly reproducible.
-pub(crate) fn closeness(
+fn closeness(
     previous: &Query,
     cand: &RepairCandidate,
     diagnostics: &[Diagnostic],
@@ -692,12 +691,11 @@ fn rewrite_step<L: FallibleLanguageModel + ?Sized>(
     Ok(IncorporateOutcome {
         query,
         question: new_question,
-        routed: None,
         interpretation: None,
         gate,
         facts,
         conformance: None,
-        search: None,
+        avoided: AvoidedExecutions::default(),
     })
 }
 
@@ -764,7 +762,6 @@ mod tests {
             "got {}",
             print_query(&out.query)
         );
-        assert_eq!(out.routed, Some(OpClass::Edit));
     }
 
     #[test]
@@ -959,15 +956,11 @@ mod tests {
             "got {}",
             print_query(&out.query)
         );
-        assert_eq!(out.routed, Some(OpClass::Edit));
-        let report = out.search.expect("search report should be present");
-        assert!(report.sites >= 1, "no fault sites localized: {report:?}");
-        assert!(report.survivors >= 1, "no survivors: {report:?}");
         assert!(
-            report.pruned_static >= 1,
-            "nothing pruned statically: {report:?}"
+            out.avoided.pruned >= 1,
+            "nothing pruned statically: {:?}",
+            out.avoided
         );
-        assert_ne!(report.chosen, "none");
         // The strategy itself never touches the engine; the runner's
         // validator does.
         assert!(out.interpretation.is_none());
@@ -1005,7 +998,7 @@ mod tests {
         let a = try_incorporate(Strategy::SearchRefine, &flawless_llm(), &ctx).unwrap();
         let b = try_incorporate(Strategy::SearchRefine, &flawless_llm(), &ctx).unwrap();
         assert_eq!(a.query, b.query);
-        assert_eq!(a.search, b.search);
+        assert_eq!(a.avoided, b.avoided);
     }
 
     #[test]
@@ -1036,12 +1029,10 @@ mod tests {
             },
         )
         .unwrap();
-        let report = out.search.expect("search report should be present");
-        if report.survivors == 0 {
-            assert!(structurally_equal(&out.query, &previous));
-            assert_eq!(report.chosen, "none");
-            assert_eq!(report.score, 0);
-        }
+        // Nothing survives, so nothing was avoided and the previous
+        // query is kept.
+        assert_eq!(out.avoided, AvoidedExecutions::default());
+        assert!(structurally_equal(&out.query, &previous));
     }
 
     #[test]

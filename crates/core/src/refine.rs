@@ -32,14 +32,14 @@
 //! ```
 
 use crate::interpret::interpret;
-use crate::pipeline::gate_candidate;
+use crate::pipeline::{gate_candidate, prune_and_rank};
 use fisql_engine::{Database, DbContext};
 use fisql_llm::keyword_route;
 use fisql_sqlkit::check::{render_report, Diagnostic};
 use fisql_sqlkit::{
     apply_edits, diff_queries, enumerate_repairs, locate_faults_with_diagnostics, normalize_query,
-    parse_query, print_query, prune_candidates, realized_classes, EditOp, FeedbackCues, OpClass,
-    Query, QueryFacts,
+    parse_query, print_query, realized_classes, EditOp, FeedbackCues, OpClass, PruneBase, Query,
+    QueryFacts,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -221,33 +221,25 @@ impl<'a> QueryBuilder<'a> {
 
     /// Ranked repair suggestions for an utterance, best first: the
     /// static repair search's surviving candidates (fault localization →
-    /// structure-preserving enumeration → static pruning) scored by the
-    /// same closeness measure the `SearchRefine` strategy beam-searches.
+    /// structure-preserving enumeration → static pruning), scored and
+    /// ranked by the `SearchRefine` strategy's own first search round.
     /// Useful when [`Self::refine`] returns `NotUnderstood` — the
     /// builder can show what the analyzer *would* change. Never touches
     /// the engine.
     pub fn suggest(&self, text: &str) -> Vec<(String, i64)> {
-        let routed = keyword_route(text);
         let schema = self.ctx.schema(self.db);
         let cues = FeedbackCues::extract_linked(text, self.ctx.lexicon(self.db));
-        let diagnostics = self.diagnostics();
-        let sites =
-            locate_faults_with_diagnostics(&self.current, schema, diagnostics, Some(&cues), None);
+        let sites = locate_faults_with_diagnostics(
+            &self.current,
+            schema,
+            self.diagnostics(),
+            Some(&cues),
+            None,
+        );
         let pool = enumerate_repairs(&self.current, schema, &sites, &cues);
-        let outcome = prune_candidates(&self.current, pool, schema);
-        let mut scored: Vec<(String, i64)> = outcome
-            .kept
-            .iter()
-            .map(|kept| {
-                let cand = &kept.cand;
-                let diagnostics = kept.facts.diagnostics(&cand.query, schema);
-                let score =
-                    crate::pipeline::closeness(&self.current, cand, diagnostics, &cues, routed);
-                (print_query(&cand.query), score)
-            })
-            .collect();
-        scored.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        scored
+        let base = PruneBase::new(&self.current);
+        let (ranked, _) = prune_and_rank(&base, pool, schema, &cues, keyword_route(text));
+        ranked.into_iter().map(|r| (r.sql, r.score)).collect()
     }
 
     /// Undoes the last refinement; returns false when there is nothing to

@@ -67,7 +67,7 @@
 use crate::assistant::Assistant;
 use crate::experiment::{build_view, build_view_with, AnnotatedCase, CorrectionReport, ErrorCase};
 use crate::journal::{FsyncPolicy, RunJournal};
-use crate::pipeline::{try_incorporate, IncorporateContext, Strategy};
+use crate::pipeline::{try_incorporate, IncorporateContext, IncorporateOutcome, Strategy};
 use crate::semcache::{CacheStats, SemanticCache};
 use fisql_feedback::SimUser;
 use fisql_llm::{AgreementStats, FallibleLanguageModel, ResilienceStats, SimLlm};
@@ -91,9 +91,6 @@ pub struct ExperimentConfig {
     pub strategy: Strategy,
     /// Feedback rounds per case (the paper's Figure 8 x-axis).
     pub rounds: usize,
-    /// Experiment seed recorded with the run (per-component seeds live in
-    /// the model/user configs; this labels the run as a whole).
-    pub seed: u64,
     /// Worker threads for sharded evaluation. `0` means "auto": use
     /// [`std::thread::available_parallelism`].
     pub workers: usize,
@@ -135,7 +132,6 @@ impl Default for ExperimentConfig {
                 highlighting: false,
             },
             rounds: 1,
-            seed: 0xF15C,
             workers: workers_from_env(),
             demos_k: 3,
             conformance_gate: false,
@@ -197,11 +193,6 @@ pub struct RunMetrics {
     /// breaker trips, fast-fails, …). All zeros when the backend exposes
     /// no resilience middleware.
     pub resilience: ResilienceStats,
-    /// Router-vs-realized conformance telemetry (all zeros when the
-    /// conformance gate is off). The serialized report carries the same
-    /// totals in its own counter fields; this copy rides with the other
-    /// run-level telemetry for programmatic access.
-    pub agreement: AgreementStats,
 }
 
 impl RunMetrics {
@@ -213,36 +204,15 @@ impl RunMetrics {
         }
         .hit_rate()
     }
-
-    fn finish(
-        workers: usize,
-        n_cases: usize,
-        started: Instant,
-        engine_executions: u64,
-        resilience: ResilienceStats,
-    ) -> RunMetrics {
-        let wall = started.elapsed();
-        let secs = wall.as_secs_f64();
-        RunMetrics {
-            workers,
-            wall_ms: secs * 1e3,
-            cases_per_sec: if secs > 0.0 {
-                n_cases as f64 / secs
-            } else {
-                0.0
-            },
-            engine_executions,
-            executions_skipped_cache: 0,
-            semantic_cache_misses: 0,
-            resilience,
-            agreement: AgreementStats::default(),
-        }
-    }
 }
 
 /// What one *completed* case contributes to the merged report. Summing
 /// these in any order yields the same totals, which is what makes
 /// sharding free.
+///
+/// The two skip counters change only through `absorb` (one step) and
+/// `record_refuted` (one refuted check), so each avoided execution is
+/// counted once, on one path.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct CaseVerdict {
     /// Zero-based round after which the case was corrected (`None` if
@@ -251,16 +221,44 @@ pub struct CaseVerdict {
     /// Rounds whose candidate the static gate flagged with
     /// error-severity diagnostics.
     pub statically_flagged: usize,
-    /// Engine executions the gate's auto-repair avoided.
+    /// Engine executions avoided without running a candidate: one per
+    /// gate-repaired candidate plus the repair search's survivors ranked
+    /// below the chosen one
+    /// ([`AvoidedExecutions::unchosen`](crate::AvoidedExecutions::unchosen)).
     pub executions_saved: u64,
     /// Engine executions attributable to this case's evaluation loop.
     pub engine_executions: u64,
     /// Rounds that degraded gracefully after backend failures.
     pub degraded_rounds: u64,
-    /// Engine executions skipped by the static equivalence oracle.
+    /// Engine executions skipped on static evidence: the candidates the
+    /// repair search pruned
+    /// ([`AvoidedExecutions::pruned`](crate::AvoidedExecutions::pruned))
+    /// plus two, the predicted and the gold, per correctness check the
+    /// refuted lane answered.
     pub executions_skipped_static: u64,
     /// Conformance-gate router-vs-realized telemetry for this case.
     pub agreement: AgreementStats,
+}
+
+impl CaseVerdict {
+    /// Absorbs one incorporation step: its gate's findings and repair,
+    /// the executions its repair search avoided, and its conformance
+    /// check.
+    pub(crate) fn absorb(&mut self, step: &IncorporateOutcome) {
+        self.statically_flagged += usize::from(step.gate.has_errors());
+        self.executions_saved += step.gate.executions_saved + step.avoided.unchosen;
+        self.executions_skipped_static += step.avoided.pruned;
+        if let Some(c) = step.conformance {
+            self.agreement
+                .record(c.agreed, c.retried, c.agreed_after_retry);
+        }
+    }
+
+    /// Records a correctness check the refuted lane answered without
+    /// running the predicted query or the gold.
+    pub(crate) fn record_refuted(&mut self) {
+        self.executions_skipped_static += 2;
+    }
 }
 
 /// Terminal outcome of one case — the unit the write-ahead journal
@@ -340,12 +338,6 @@ impl<'a, L: FallibleLanguageModel + ?Sized> CorrectionRun<'a, L> {
     /// Sets the number of feedback rounds.
     pub fn rounds(mut self, rounds: usize) -> Self {
         self.cfg.rounds = rounds;
-        self
-    }
-
-    /// Sets the recorded experiment seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.cfg.seed = seed;
         self
     }
 
@@ -471,62 +463,35 @@ impl<'a, L: FallibleLanguageModel + ?Sized> CorrectionRun<'a, L> {
             journal.lock().expect("journal lock").sync()?;
         }
 
-        let mut corrected_after_round = vec![0usize; self.cfg.rounds];
-        let mut statically_flagged = 0usize;
-        let mut executions_saved = 0u64;
-        let mut engine_executions = 0u64;
-        let mut degraded_rounds = 0u64;
-        let mut cases_degraded = 0usize;
-        let mut executions_skipped_static = 0u64;
-        let mut cases_crashed = 0usize;
-        let mut cases_timed_out = 0usize;
-        let mut agreement = AgreementStats::default();
-        for outcome in outcomes.iter().flatten() {
-            match outcome {
-                CaseOutcome::Completed(verdict) => {
-                    statically_flagged += verdict.statically_flagged;
-                    executions_saved += verdict.executions_saved;
-                    engine_executions += verdict.engine_executions;
-                    degraded_rounds += verdict.degraded_rounds;
-                    cases_degraded += usize::from(verdict.degraded_rounds > 0);
-                    executions_skipped_static += verdict.executions_skipped_static;
-                    agreement.merge(&verdict.agreement);
-                    if let Some(r) = verdict.corrected_at {
-                        for slot in corrected_after_round.iter_mut().skip(r) {
-                            *slot += 1;
-                        }
-                    }
-                }
-                CaseOutcome::Crashed { .. } => cases_crashed += 1,
-                CaseOutcome::TimedOut { .. } => cases_timed_out += 1,
-            }
-        }
-        let resilience = self
-            .llm
-            .resilience_stats()
-            .unwrap_or_default()
-            .since(&resilience_before);
-        let mut metrics =
-            RunMetrics::finish(workers, cases.len(), started, engine_executions, resilience);
-        metrics.agreement = agreement;
-        metrics.executions_skipped_cache = semcache_hits.load(Ordering::Acquire);
-        metrics.semantic_cache_misses = semcache_misses.load(Ordering::Acquire);
-        Ok(CorrectionReport {
+        let mut report = CorrectionReport {
             strategy: self.cfg.strategy.name().to_string(),
             total: cases.len(),
-            corrected_after_round,
-            statically_flagged,
-            executions_saved,
-            degraded_rounds,
-            cases_degraded,
-            executions_skipped_static,
-            cases_crashed,
-            cases_timed_out,
-            router_realized_agreements: agreement.agreements,
-            router_realized_disagreements: agreement.disagreements(),
-            conformance_retries: agreement.retries,
-            metrics,
-        })
+            corrected_after_round: vec![0; self.cfg.rounds],
+            ..CorrectionReport::default()
+        };
+        for outcome in outcomes.iter().flatten() {
+            report.add(outcome);
+        }
+        let secs = started.elapsed().as_secs_f64();
+        report.metrics = RunMetrics {
+            workers,
+            wall_ms: secs * 1e3,
+            cases_per_sec: if secs > 0.0 {
+                cases.len() as f64 / secs
+            } else {
+                0.0
+            },
+            executions_skipped_cache: semcache_hits.load(Ordering::Acquire),
+            semantic_cache_misses: semcache_misses.load(Ordering::Acquire),
+            resilience: self
+                .llm
+                .resilience_stats()
+                .unwrap_or_default()
+                .since(&resilience_before),
+            // `engine_executions`, as the cases folded it.
+            ..report.metrics
+        };
+        Ok(report)
     }
 
     /// Creates or resumes the configured journal, merging any recovered
@@ -751,23 +716,7 @@ impl<'a, L: FallibleLanguageModel + ?Sized> CorrectionRun<'a, L> {
                 verdict.degraded_rounds += 1;
                 continue;
             };
-            if step.gate.has_errors() {
-                verdict.statically_flagged += 1;
-            }
-            verdict.executions_saved += step.gate.executions_saved;
-            if let Some(s) = &step.search {
-                // Search accounting: statically-pruned candidates are
-                // executions a generate-and-test loop would have burned;
-                // non-chosen survivors are candidates the beam ranked
-                // below the one the validator actually runs.
-                verdict.executions_skipped_static += s.pruned_static;
-                verdict.executions_saved += s.survivors.saturating_sub(1);
-            }
-            if let Some(c) = step.conformance {
-                verdict
-                    .agreement
-                    .record(c.agreed, c.retried, c.agreed_after_retry);
-            }
+            verdict.absorb(&step);
             // An output equal to `current` keeps what was derived for it.
             facts = if step.query == current {
                 facts.or(step.facts)
@@ -787,7 +736,7 @@ impl<'a, L: FallibleLanguageModel + ?Sized> CorrectionRun<'a, L> {
             let Some(check) =
                 semcache.check_in_corpus(self.corpus, example, &current, &facts, &step.gate)
             else {
-                verdict.executions_skipped_static += 2;
+                verdict.record_refuted();
                 continue;
             };
             verdict.engine_executions += 2;
@@ -1533,5 +1482,77 @@ mod tests {
             ..ExperimentConfig::default()
         };
         assert!(auto.effective_workers(100) >= 1);
+    }
+
+    #[test]
+    fn search_refine_case_verdict_counts_each_avoided_execution_once() {
+        use crate::pipeline::{gate_candidate, AvoidedExecutions};
+        use fisql_feedback::Feedback;
+        use fisql_sqlkit::parse_query;
+
+        let corpus = fisql_spider::build_aep(&fisql_spider::AepConfig {
+            n_examples: 5,
+            seed: 2,
+        });
+        let example = &corpus.examples[0];
+        let db = corpus.database(example);
+        let previous = normalize_query(
+            &parse_query("SELECT COUNT(*) FROM hkg_dim_segment WHERE createdTme >= '2023-01-01'")
+                .unwrap(),
+        );
+        let mut verdict = CaseVerdict::default();
+
+        // A SearchRefine step: pruned candidates are skipped on static
+        // evidence, the survivors ranked below the chosen one are saved.
+        let feedback = Feedback {
+            text: "the status should be 'active'".into(),
+            highlight: None,
+            intended: vec![],
+            misaligned: false,
+        };
+        let search = try_incorporate(
+            Strategy::SearchRefine,
+            &SimLlm::new(LlmConfig::default()),
+            &IncorporateContext {
+                db,
+                example,
+                question: &example.question,
+                previous: &previous,
+                feedback: &feedback,
+                round: 0,
+                conformance_gate: false,
+            },
+        )
+        .unwrap();
+        let avoided = search.avoided;
+        assert!(avoided.pruned > 0 && avoided.unchosen > 0, "{avoided:?}");
+        assert!(!search.gate.repaired);
+        verdict.absorb(&search);
+        assert_eq!(verdict.executions_skipped_static, avoided.pruned);
+        assert_eq!(verdict.executions_saved, avoided.unchosen);
+
+        // A gate-repaired step outside the search: the typo is flagged
+        // and its failing run saved; the search counted nothing.
+        let (query, gate, facts) =
+            gate_candidate(&db.schema_info(), previous.clone(), QueryFacts::default());
+        assert!(gate.repaired && gate.has_errors());
+        verdict.absorb(&IncorporateOutcome {
+            query,
+            question: example.question.clone(),
+            interpretation: None,
+            gate,
+            facts,
+            conformance: None,
+            avoided: AvoidedExecutions::default(),
+        });
+        assert_eq!(verdict.statically_flagged, 1);
+        assert_eq!(verdict.executions_saved, avoided.unchosen + 1);
+        assert_eq!(verdict.executions_skipped_static, avoided.pruned);
+
+        // A refuted check skips the predicted and the gold runs.
+        verdict.record_refuted();
+        assert_eq!(verdict.executions_skipped_static, avoided.pruned + 2);
+        assert_eq!(verdict.executions_saved, avoided.unchosen + 1);
+        assert_eq!(verdict.engine_executions, 0);
     }
 }

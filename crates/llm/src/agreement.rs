@@ -50,27 +50,9 @@ impl AgreementStats {
         self.recovered += u64::from(retried && agreed_after_retry);
     }
 
-    /// Accumulates another set of counters (sharded-runner merge).
-    pub fn merge(&mut self, other: &AgreementStats) {
-        self.checks += other.checks;
-        self.agreements += other.agreements;
-        self.retries += other.retries;
-        self.recovered += other.recovered;
-    }
-
     /// Checks whose first candidate disagreed.
     pub fn disagreements(&self) -> u64 {
         self.checks - self.agreements
-    }
-
-    /// First-candidate agreement as a fraction of all checks; `0.0` when
-    /// no checks ran.
-    pub fn agreement_rate(&self) -> f64 {
-        if self.checks == 0 {
-            0.0
-        } else {
-            self.agreements as f64 / self.checks as f64
-        }
     }
 }
 
@@ -79,7 +61,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn record_and_merge_accumulate() {
+    fn record_accumulates() {
         let mut a = AgreementStats::default();
         a.record(true, false, true);
         a.record(false, true, true);
@@ -89,18 +71,6 @@ mod tests {
         assert_eq!(a.disagreements(), 2);
         assert_eq!(a.retries, 2);
         assert_eq!(a.recovered, 1);
-
-        let mut b = AgreementStats::default();
-        b.record(true, false, true);
-        b.merge(&a);
-        assert_eq!(b.checks, 4);
-        assert_eq!(b.agreements, 2);
-        assert!((b.agreement_rate() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_stats_rate_is_zero() {
-        assert_eq!(AgreementStats::default().agreement_rate(), 0.0);
         assert_eq!(AgreementStats::default().disagreements(), 0);
     }
 

@@ -80,7 +80,7 @@ pub use normalize::{normalize_query, structurally_equal};
 pub use parser::{parse_expr, parse_query};
 pub use printer::{print_expr, print_query, print_query_spanned, SpannedSql};
 pub use repair::{
-    enumerate_repairs, is_structure_preserving, prune_against, prune_candidates, PruneBase,
-    PruneOutcome, QueryFacts, RepairCandidate, Survivor,
+    enumerate_repairs, is_structure_preserving, prune_against, prune_candidates, shift_years,
+    PruneBase, PruneOutcome, QueryFacts, RepairCandidate, Survivor,
 };
 pub use span::Span;

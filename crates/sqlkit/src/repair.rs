@@ -555,9 +555,9 @@ fn function_repairs(e: &mut Enumerator<'_>, site_idx: usize) {
     }
 }
 
-/// Rewrites every year-shaped literal in `expr` to year `to`. Returns
-/// `None` if nothing changed.
-fn shift_years(expr: &Expr, to: i64) -> Option<Expr> {
+/// Rewrites every year-shaped literal in `expr` (see [`literal_year`])
+/// to year `to`. Returns `None` if nothing changed.
+pub fn shift_years(expr: &Expr, to: i64) -> Option<Expr> {
     let mut out = expr.clone();
     let mut changed = false;
     out.walk_mut(&mut |e| {

@@ -611,6 +611,46 @@ proptest! {
         let not_bomb = format!("SELECT * FROM t WHERE {}x = 1", "NOT ".repeat(depth));
         let _ = parse_query(&not_bomb);
     }
+
+    /// The feedback interpreter never panics on whatever characters the
+    /// previous query's string literals or the feedback text hold —
+    /// multibyte characters straddling a would-be year's fourth byte
+    /// included — with and without a year cue in the feedback.
+    #[test]
+    fn interpreter_never_panics_on_arbitrary_string_literals(
+        name in "[0-9a-z€é]{0,4}.{0,8}",
+        created in "[0-9€é-]{0,6}.{0,6}",
+        text in ".{0,64}",
+        year in 1900i64..=2100,
+    ) {
+        let db = literal_db();
+        let previous = parse_query(&format!(
+            "SELECT name FROM segment WHERE name = '{}' AND created >= '{}'",
+            name.replace('\'', "''"),
+            created.replace('\'', "''"),
+        ))
+        .expect("quoted literals parse");
+        let previous = normalize_query(&previous);
+        let mut rng = <StdRng as rand::SeedableRng>::seed_from_u64(7);
+        for feedback in [text.clone(), format!("{text} we are in {year}")] {
+            let interp = interpret(&feedback, &previous, &db, None, None, &mut rng);
+            let _ = apply_edits(&previous, &interp.edits);
+        }
+    }
+}
+
+/// One table with a text column and a date-string column, for the
+/// interpreter fuzz property.
+fn literal_db() -> Database {
+    let mut db = Database::new("literals");
+    db.add_table(Table::new(
+        "segment",
+        vec![
+            Column::new("name", DataType::Text),
+            Column::new("created", DataType::Text),
+        ],
+    ));
+    db
 }
 
 /// Highlight spans always slice to valid UTF-8 text inside the rendered
